@@ -471,6 +471,11 @@ fn run_crowd(
             .field("seed", seed)
             .field("horizon_secs", horizon_secs)
             .field("threads", threads)
+            // The host's core count: parallel rows mean little below 4.
+            .field(
+                "nproc",
+                std::thread::available_parallelism().map_or(1, usize::from),
+            )
             .field("faults", faults)
             .field("runs", runs)
             .field(

@@ -57,4 +57,4 @@ pub use rng::SimRng;
 pub use time::SimTime;
 pub use trace::{ActorId, LabelId, Trace, TraceEvent, TraceStats};
 pub use wheel::TimerWheel;
-pub use world::{EpochView, NodeBuilder, NodeId, World};
+pub use world::{EpochView, GatherBuf, NodeBuilder, NodeId, World};

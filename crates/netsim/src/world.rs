@@ -10,11 +10,15 @@
 //! **region index**: node positions are bucketed into radio-cell regions at a
 //! *snapshot* time, and stay valid for queries at later times because every
 //! [`Mobility`] model advertises a speed bound ([`Mobility::max_speed_mps`])
-//! — a query at time `t` simply widens its search disc by the maximum drift
-//! since the snapshot and then filters candidates by *exact* position. The
-//! exact filter makes answers independent of the snapshot cadence and of the
-//! region edge length, which is what keeps trace digests bit-identical for
-//! any region-grid size.
+//! — a query at time `t` widens its search disc by the maximum drift since
+//! the snapshot. Each index entry carries the node's snapshot position, so
+//! the gather decides most candidates from the snapshot alone: a candidate
+//! whose snapshot distance exceeds `range + drift` cannot be in range, one
+//! within `range − drift` must be, and only the ring in between (and nodes
+//! without a speed bound) is filtered by *exact* position. By the triangle
+//! inequality the answers are those of an exact scan, independent of the
+//! snapshot cadence and of the region edge length, which is what keeps
+//! trace digests bit-identical for any region-grid size.
 //!
 //! Positions are **lazy**: a node's mobility model is only evaluated when a
 //! query actually needs that node (per-node memoized by query time), so idle
@@ -164,30 +168,147 @@ fn region_of_point(p: Point2, edge: f64) -> (i64, i64) {
     ((p.x / edge).floor() as i64, (p.y / edge).floor() as i64)
 }
 
-/// Collects into `out` every bucketed node whose *snapshot* region a disc of
-/// radius `r` around `p` could touch, plus all speed-unbounded nodes,
-/// ascending by index. Shared by the serial queries and the parallel
-/// [`EpochView`] so their candidate sets cannot diverge.
-fn gather_regions(
-    buckets: &HashMap<(i64, i64), Vec<u32>>,
-    unbounded: &[u32],
-    edge: f64,
-    p: Point2,
-    r: f64,
-    out: &mut Vec<u32>,
-) {
+/// Slack, relative to the radio range, that the snapshot classification
+/// keeps from both of its bounds. The snapshot distance is compared
+/// squared while the exact filter compares `hypot`; each side carries a
+/// few ulps of rounding (under 1e-15 relative). The drift allowance's
+/// 1e-6 m padding absorbs that at campus ranges; this margin of ~4500 ulps
+/// keeps every unsampled decision on the exact filter's side at any range.
+const CLASSIFY_SLACK: f64 = 1e-12;
+
+/// Low bits of a gathered candidate that was neither accepted nor rejected
+/// from its snapshot: its exact position decides. Any other value is the
+/// [`tech_slot`] it was accepted over without sampling.
+const NEEDS_SAMPLE: u64 = 3;
+
+/// One technology a gather classifies against. A candidate whose squared
+/// snapshot distance is at most `accept_sq` is in range at the query time
+/// whatever its drift; one beyond `reject_sq` cannot be; one in between
+/// needs its exact position.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tier {
+    slot: u8,
+    accept_sq: f64,
+    reject_sq: f64,
+    /// `sqrt(reject_sq)`: the gather disc this tier needs.
+    reach: f64,
+}
+
+impl Tier {
+    fn new(tech: Technology, range: f64, drift: f64) -> Tier {
+        let slot = tech_slot(tech) as u8;
+        if range.is_infinite() {
+            return Tier {
+                slot,
+                accept_sq: f64::INFINITY,
+                reject_sq: f64::INFINITY,
+                reach: f64::INFINITY,
+            };
+        }
+        let slack = range * CLASSIFY_SLACK;
+        let inner = range - slack - drift;
+        let reach = range + slack + drift;
+        Tier {
+            slot,
+            // A drift as wide as the range leaves nothing certain.
+            accept_sq: if inner > 0.0 {
+                inner * inner
+            } else {
+                f64::NEG_INFINITY
+            },
+            reject_sq: reach * reach,
+            reach,
+        }
+    }
+
+    /// The classification of a candidate with radio mask `mask` at squared
+    /// snapshot distance `d2`, or `None` to reject it: the first tier it
+    /// shares decides, unless that tier rejects it.
+    fn classify(tiers: &[Tier], mask: u8, d2: f64) -> Option<u64> {
+        for tier in tiers {
+            if mask & (1 << tier.slot) == 0 {
+                continue;
+            }
+            if d2 <= tier.accept_sq {
+                return Some(u64::from(tier.slot));
+            }
+            if d2 <= tier.reject_sq {
+                return Some(NEEDS_SAMPLE);
+            }
+        }
+        None
+    }
+}
+
+/// A reusable candidate buffer for region gathers — one per worker, passed
+/// to [`EpochView::neighbors`]. Each entry packs a node index with how its
+/// snapshot classified it ([`pack`]).
+#[derive(Debug, Default)]
+pub struct GatherBuf(Vec<u64>);
+
+/// A gathered candidate: the node index in the high bits, so candidates
+/// sort by node, and its classification in the low two.
+fn pack(id: u32, class: u64) -> u64 {
+    u64::from(id) << 2 | class
+}
+
+/// The `(node index, classification)` of a [`pack`]ed candidate.
+fn unpack(c: u64) -> (u32, u64) {
+    ((c >> 2) as u32, c & 3)
+}
+
+/// The gather kernel shared by the serial queries and the parallel
+/// [`EpochView`], so their candidate sets cannot diverge. Collects into
+/// `out`, ascending by node index, every bucketed node in a snapshot region
+/// that the disc reaching every finite tier around `p` touches and that
+/// [`Tier::classify`] keeps, plus every speed-unbounded node (always
+/// sampled). Nodes sharing no tier's technology are dropped before the
+/// sort.
+fn gather(idx: &RegionIndex, tech_mask: &[u8], p: Point2, tiers: &[Tier], out: &mut GatherBuf) {
+    let out = &mut out.0;
     out.clear();
-    let (cx0, cy0) = region_of_point(Point2::new(p.x - r, p.y - r), edge);
-    let (cx1, cy1) = region_of_point(Point2::new(p.x + r, p.y + r), edge);
-    for cx in cx0..=cx1 {
-        for cy in cy0..=cy1 {
-            if let Some(bucket) = buckets.get(&(cx, cy)) {
-                out.extend_from_slice(bucket);
+    let mask = tiers.iter().fold(0u8, |m, tier| m | (1 << tier.slot));
+    let r = tiers
+        .iter()
+        .map(|tier| tier.reach)
+        .filter(|reach| reach.is_finite())
+        .fold(f64::NEG_INFINITY, f64::max);
+    // Without a finite-range tier `r` stays negative: no region to scan.
+    if r >= 0.0 {
+        let (cx0, cy0) = region_of_point(Point2::new(p.x - r, p.y - r), idx.edge);
+        let (cx1, cy1) = region_of_point(Point2::new(p.x + r, p.y + r), idx.edge);
+        for cx in cx0..=cx1 {
+            for cy in cy0..=cy1 {
+                let Some(&(start, end)) = idx.regions.get(&(cx, cy)) else {
+                    continue;
+                };
+                for e in &idx.entries[start as usize..end as usize] {
+                    if e.mask & mask == 0 {
+                        continue;
+                    }
+                    let (dx, dy) = (e.pos.x - p.x, e.pos.y - p.y);
+                    if let Some(class) = Tier::classify(tiers, e.mask, dx * dx + dy * dy) {
+                        out.push(pack(e.id, class));
+                    }
+                }
             }
         }
     }
-    out.extend_from_slice(unbounded);
+    for &i in &idx.unbounded {
+        if tech_mask[i as usize] & mask != 0 {
+            out.push(pack(i, NEEDS_SAMPLE));
+        }
+    }
     out.sort_unstable();
+}
+
+/// One speed-bounded node as of the snapshot: index, radio mask and
+/// snapshot position.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    pos: Point2,
+    id: u32,
+    mask: u8,
 }
 
 /// Region bucketing of node positions at a snapshot time, plus the lazy
@@ -196,29 +317,32 @@ fn gather_regions(
 struct RegionIndex {
     /// Region edge length in metres.
     edge: f64,
-    /// The time the buckets were snapshot at; `None` when stale (nodes were
+    /// The time the snapshot was taken at; `None` when stale (nodes were
     /// added or no query has run yet).
     bucket_t: Option<SimTime>,
-    /// Speed-bounded node indices bucketed by region at `bucket_t`; each
-    /// bucket ascending because nodes are inserted in index order.
-    buckets: HashMap<(i64, i64), Vec<u32>>,
+    /// Every speed-bounded node as of `bucket_t`, sorted by (home region,
+    /// index): each region's nodes form one ascending run.
+    entries: Vec<Entry>,
+    /// Region → its run `start..end` in `entries`. Only cleared, inserted
+    /// into and looked up — never iterated, so its order is unobservable.
+    regions: HashMap<(i64, i64), (u32, u32)>,
     /// Every node's home region as of `bucket_t` (event-lane routing key).
     home: Vec<(i64, i64)>,
     /// Nodes whose mobility reports an infinite speed bound: never
     /// bucketed, appended to every candidate gather instead.
     unbounded: Vec<u32>,
     /// Max finite [`Mobility::max_speed_mps`] across all nodes — bounds how
-    /// far any bucketed node can drift from its snapshot region.
+    /// far any bucketed node can drift from its snapshot position.
     max_speed_bound: f64,
     /// Scratch buffer reused across serial queries.
-    scratch: Vec<u32>,
+    scratch: GatherBuf,
 }
 
 impl RegionIndex {
     /// How much any bucketed node may have moved since the snapshot, padded
-    /// for interpolation rounding in the mobility models. Queries widen
-    /// their gather disc by this; the exact per-candidate distance filter
-    /// then makes the padding unobservable.
+    /// for interpolation rounding in the mobility models. Gathers widen
+    /// their disc by this and classify candidates against it, so the
+    /// padding only ever sends a candidate to the exact filter.
     fn drift_allowance(&self, t: SimTime) -> f64 {
         match self.bucket_t {
             Some(bt) if t >= bt => {
@@ -419,6 +543,17 @@ impl World {
         self.index.home[id.index()]
     }
 
+    /// How far the region index assumes any speed-bounded node may have
+    /// moved between the current snapshot and `t`: the fastest node's
+    /// speed bound times the elapsed time, padded for interpolation
+    /// rounding (0 without a snapshot, or at or before it). Neighbor
+    /// queries at `t` accept a node from its snapshot alone when it lies
+    /// within `range − drift_allowance(t)` and reject it beyond
+    /// `range + drift_allowance(t)`.
+    pub fn drift_allowance(&self, t: SimTime) -> f64 {
+        self.index.drift_allowance(t)
+    }
+
     /// The node's (memoized) position at time `t` — serial path, reaches the
     /// motion cell through `Mutex::get_mut` (no lock).
     fn sample_pos(&mut self, i: usize, t: SimTime) -> Point2 {
@@ -438,26 +573,42 @@ impl World {
         sample_cell(&mut cell, zero_speed, t)
     }
 
-    /// Samples every node at `t` and rebuckets the world. O(N) bucketing,
-    /// but only O(movers) mobility evaluations: zero-speed nodes reuse any
-    /// prior sample.
+    /// Samples every node at `t` and rebuilds the snapshot: O(N log N)
+    /// for the entry sort, but only O(movers) mobility evaluations —
+    /// zero-speed nodes reuse any prior sample.
     fn rebucket(&mut self, t: SimTime) {
         let n = self.names.len();
         let idx = &mut self.index;
-        for bucket in idx.buckets.values_mut() {
-            bucket.clear();
-        }
+        idx.entries.clear();
+        // One exact allocation, kept across rebuilds: growth by doubling
+        // would leave up to twice the entries' memory at peak.
+        idx.entries.reserve_exact(n - idx.unbounded.len());
         for i in 0..n {
             let zero_speed = self.max_speed[i] == 0.0;
             let cell = self.motion[i].get_mut().expect("motion cell poisoned");
-            let coord = region_of_point(sample_cell(cell, zero_speed, t), idx.edge);
-            idx.home[i] = coord;
+            let pos = sample_cell(cell, zero_speed, t);
+            idx.home[i] = region_of_point(pos, idx.edge);
             // Unbounded nodes are gathered unconditionally, never bucketed.
             if self.max_speed[i].is_finite() {
-                idx.buckets.entry(coord).or_default().push(i as u32);
+                idx.entries.push(Entry {
+                    pos,
+                    id: i as u32,
+                    mask: self.tech_mask[i],
+                });
             }
         }
-        idx.buckets.retain(|_, v| !v.is_empty());
+        let home = &idx.home;
+        idx.entries
+            .sort_unstable_by_key(|e| (home[e.id as usize], e.id));
+        idx.regions.clear();
+        let mut start = 0;
+        while start < idx.entries.len() {
+            let region = home[idx.entries[start].id as usize];
+            let run = idx.entries[start..].partition_point(|e| home[e.id as usize] == region);
+            idx.regions
+                .insert(region, (start as u32, (start + run) as u32));
+            start += run;
+        }
         idx.bucket_t = Some(t);
     }
 
@@ -520,7 +671,7 @@ impl World {
     ) -> Vec<Vec<NodeId>> {
         self.prepare_epoch(t);
         let view = self.epoch_view(t);
-        crate::par::map_indexed_with(queries.len(), threads, Vec::new, |scratch, qi| {
+        crate::par::map_indexed_with(queries.len(), threads, GatherBuf::default, |scratch, qi| {
             let (id, tech) = queries[qi];
             view.neighbors(id, tech, scratch)
         })
@@ -620,16 +771,6 @@ impl World {
             .collect()
     }
 
-    /// The largest finite technology range in this world's environment —
-    /// one gather at this radius covers every finite-range technology.
-    fn max_finite_range(&self) -> f64 {
-        Technology::ALL
-            .into_iter()
-            .map(|tech| self.env.profile(tech).range_m)
-            .filter(|r| r.is_finite())
-            .fold(0.0, f64::max)
-    }
-
     /// All nodes reachable from `id` over *any* shared technology at `t`,
     /// with the cheapest such technology (in [`Technology::ALL`] priority
     /// order) reported for each; ascending by id.
@@ -637,30 +778,37 @@ impl World {
         self.ensure_buckets(t);
         let drift = self.index.drift_allowance(t);
         let p = self.sample_pos(id.index(), t);
+        // One sweep classifies every technology the seeker carries, in
+        // priority order; the disc is the widest finite range's.
+        let mut tiers = [Tier::default(); 3];
+        let mut len = 0;
+        for tech in Technology::ALL {
+            if self.has_technology(id, tech) {
+                tiers[len] = Tier::new(tech, self.env.profile(tech).range_m, drift);
+                len += 1;
+            }
+        }
         let mut scratch = std::mem::take(&mut self.index.scratch);
-        // One finite-range sweep covers every technology except GPRS.
-        gather_regions(
-            &self.index.buckets,
-            &self.index.unbounded,
-            self.index.edge,
-            p,
-            self.max_finite_range() + drift,
-            &mut scratch,
-        );
+        gather(&self.index, &self.tech_mask, p, &tiers[..len], &mut scratch);
         let mut out: Vec<(NodeId, Technology)> = Vec::new();
-        for &raw in &scratch {
-            let other = NodeId(raw);
+        for &c in &scratch.0 {
+            let (i, class) = unpack(c);
+            let other = NodeId(i);
             if other == id {
                 continue;
             }
-            let d = p.distance(self.sample_pos(other.index(), t));
-            let tech = Technology::ALL.into_iter().find(|&tech| {
-                if !self.has_technology(id, tech) || !self.has_technology(other, tech) {
-                    return false;
-                }
-                let profile = self.env.profile(tech);
-                profile.range_m.is_infinite() || profile.in_range(d)
-            });
+            let tech = if class == NEEDS_SAMPLE {
+                let d = p.distance(self.sample_pos(other.index(), t));
+                Technology::ALL.into_iter().find(|&tech| {
+                    if !self.has_technology(id, tech) || !self.has_technology(other, tech) {
+                        return false;
+                    }
+                    let profile = self.env.profile(tech);
+                    profile.range_m.is_infinite() || profile.in_range(d)
+                })
+            } else {
+                Some(Technology::ALL[class as usize])
+            };
             if let Some(tech) = tech {
                 out.push((other, tech));
             }
@@ -721,8 +869,8 @@ impl World {
 ///
 /// The view is `Copy`, `Sync`, and answers exactly like the serial `&mut`
 /// queries at the same time: candidate gathering uses the same snapshot
-/// buckets and drift allowance, the per-candidate filter uses the same
-/// *exact* positions (sampled lazily through the per-node motion cells).
+/// index, drift allowance and classification, the exact filter uses the
+/// same positions (sampled lazily through the per-node motion cells).
 /// Obtained from [`World::epoch_view`] after [`World::prepare_epoch`]; the
 /// parallel epoch engine hands one view to all workers of a timestamp
 /// batch.
@@ -766,7 +914,7 @@ impl EpochView<'_> {
 
     /// All nodes reachable from `id` over `tech`, ascending by id.
     /// `scratch` is a caller-owned gather buffer (per-worker in a batch).
-    pub fn neighbors(&self, id: NodeId, tech: Technology, scratch: &mut Vec<u32>) -> Vec<NodeId> {
+    pub fn neighbors(&self, id: NodeId, tech: Technology, scratch: &mut GatherBuf) -> Vec<NodeId> {
         if !self.has_technology(id, tech) {
             return Vec::new();
         }
@@ -779,26 +927,20 @@ impl EpochView<'_> {
                 .map(NodeId)
                 .collect();
         }
-        let idx = &self.world.index;
         let p = self.position(id);
-        gather_regions(
-            &idx.buckets,
-            &idx.unbounded,
-            idx.edge,
-            p,
-            profile.range_m + self.drift,
-            scratch,
-        );
+        let tiers = [Tier::new(tech, profile.range_m, self.drift)];
+        gather(&self.world.index, &self.world.tech_mask, p, &tiers, scratch);
         scratch
+            .0
             .iter()
-            .copied()
-            .filter(|&i| {
+            .map(|&c| unpack(c))
+            .filter(|&(i, class)| {
                 i != id.0
-                    && self.has_technology(NodeId(i), tech)
-                    && profile
-                        .in_range(p.distance(self.world.sample_pos_shared(i as usize, self.t)))
+                    && (class != NEEDS_SAMPLE
+                        || profile
+                            .in_range(p.distance(self.world.sample_pos_shared(i as usize, self.t))))
             })
-            .map(NodeId)
+            .map(|(i, _)| NodeId(i))
             .collect()
     }
 }
@@ -929,6 +1071,15 @@ mod tests {
     }
 
     #[test]
+    fn tech_slots_index_the_priority_order() {
+        // Gathers report an unsampled accept by slot and decode it through
+        // `Technology::ALL`.
+        for (slot, tech) in Technology::ALL.into_iter().enumerate() {
+            assert_eq!(tech_slot(tech), slot);
+        }
+    }
+
+    #[test]
     fn builder_dedups_technologies() {
         let mut w = World::new();
         let a = w.add_node(NodeBuilder::new("a").with_technologies([
@@ -994,12 +1145,10 @@ mod tests {
 
     #[test]
     fn bucket_reuse_across_epochs_matches_fresh_world() {
-        // Audit companion for the `nondeterministic-iteration` lint entries
-        // on `RegionIndex::buckets` (a HashMap): rebucketing clears and
-        // prunes buckets by *map iteration order*, so this test proves that
-        // order is unobservable — a world whose buckets were already
-        // populated at another time answers exactly like a fresh world that
-        // never saw it, for every node and technology.
+        // A rebuilt snapshot must leave nothing of the previous one behind:
+        // a world whose index was already populated at another time
+        // answers exactly like a fresh world that never saw it, for every
+        // node and technology.
         let (t1, t2) = (SimTime::from_secs(5), SimTime::from_secs(60));
         let mut reused = walker_world();
         let mut fresh = walker_world();

@@ -519,31 +519,34 @@ impl Daemon {
     }
 
     fn next_wake(&self, now: SimTime) -> Option<SimTime> {
-        let mut candidates: Vec<SimTime> = Vec::new();
+        // A running minimum: this runs after every input, so it must not
+        // allocate.
+        let mut next: Option<SimTime> = None;
+        let mut consider = |t: SimTime| next = Some(next.map_or(t, |n| n.min(t)));
         for st in self.inquiries.values() {
             if !st.running {
-                candidates.push(st.next_start);
+                consider(st.next_start);
             }
         }
         if let Some(t) = self.neighbors.next_expiry(self.config.neighbor_ttl) {
-            candidates.push(t);
+            consider(t);
         }
         for c in self.conns.values() {
             if let Some(d) = c.limbo_deadline {
-                candidates.push(d);
+                consider(d);
             }
         }
-        candidates.extend(self.attempt_deadlines.values().copied());
+        self.attempt_deadlines
+            .values()
+            .copied()
+            .for_each(&mut consider);
         if let Some((&at, _)) = self.pending_retries.first_key_value() {
-            candidates.push(at);
+            consider(at);
         }
-        candidates.extend(self.query_deadlines.values().map(|d| d.at));
-        candidates
-            .into_iter()
-            .min()
-            // Clamp to strictly-future so a boundary case can never produce
-            // a zero-delay wake loop.
-            .map(|t| t.max(now + Duration::from_micros(1)))
+        self.query_deadlines.values().for_each(|d| consider(d.at));
+        // Clamp to strictly-future so a boundary case can never produce a
+        // zero-delay wake loop.
+        next.map(|t| t.max(now + Duration::from_micros(1)))
     }
 
     // ------------------------------------------------------------------

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use codec::Bytes;
 
-use netsim::world::{EpochView, NodeBuilder, NodeId};
+use netsim::world::{EpochView, GatherBuf, NodeBuilder, NodeId};
 use netsim::{
     ActorId, BurstState, RadioEnv, RegionLanes, SimRng, SimTime, Technology, Trace, TraceStats,
     World,
@@ -269,6 +269,8 @@ pub struct Cluster<A> {
     threads: usize,
     /// Reused batch buffer for [`RegionLanes::drain_batch`].
     batch_buf: Vec<Ev>,
+    /// Reused work queue and output buffer of `feed_daemon`.
+    feed_bufs: FeedBufs,
     /// Accumulated phase breakdown of [`Cluster::run_until`] (counters are
     /// always cheap; wall-clock sampling only when enabled).
     timing: EpochTiming,
@@ -360,6 +362,7 @@ impl<A: Application> Cluster<A> {
             started: false,
             threads: 1,
             batch_buf: Vec::new(),
+            feed_bufs: FeedBufs::default(),
             timing: EpochTiming::default(),
             collect_timing: false,
         }
@@ -951,7 +954,9 @@ impl<A: Application> Cluster<A> {
     /// whose handlers may queue further daemon requests, and so on until
     /// quiescent.
     fn feed_daemon(&mut self, node: NodeId, input: DaemonInput) {
-        let mut work: VecDeque<(NodeId, DaemonInput)> = VecDeque::new();
+        // Taken, not borrowed: handlers may re-enter `feed_daemon`, and a
+        // nested call simply starts from fresh buffers.
+        let FeedBufs { mut work, mut outs } = std::mem::take(&mut self.feed_bufs);
         work.push_back((node, input));
         while let Some((n, input)) = work.pop_front() {
             if self.down.contains(&n) {
@@ -959,7 +964,6 @@ impl<A: Application> Cluster<A> {
                 continue;
             }
             let now = self.queue.now();
-            let mut outs = Vec::new();
             let before = *self.nodes[n.index()].daemon.recovery_stats();
             self.nodes[n.index()].daemon.handle(now, input, &mut outs);
             let after = *self.nodes[n.index()].daemon.recovery_stats();
@@ -970,7 +974,7 @@ impl<A: Application> Cluster<A> {
                 stats.gave_up += after.gave_up - before.gave_up;
                 stats.resumed += after.resumed - before.resumed;
             }
-            for out in outs {
+            for out in outs.drain(..) {
                 match out {
                     DaemonOutput::Plugin(cmd) => self.exec_command(n, cmd),
                     DaemonOutput::App(ev) => self.deliver_app_event(n, ev, &mut work),
@@ -978,6 +982,7 @@ impl<A: Application> Cluster<A> {
                 }
             }
         }
+        self.feed_bufs = FeedBufs { work, outs };
     }
 
     fn deliver_app_event(
@@ -1342,7 +1347,17 @@ struct EpochWorker<'a, A> {
     nodes: &'a mut [NodeRt<A>],
     out: EpochOutbox,
     /// Reused gather buffer for [`EpochView::neighbors`].
-    scratch: Vec<u32>,
+    scratch: GatherBuf,
+    /// Reused work queue and output buffer of `feed_daemon`.
+    feed_bufs: FeedBufs,
+}
+
+/// The daemon input queue and output buffer `feed_daemon` works through,
+/// kept between calls so a quiescent run allocates neither per event.
+#[derive(Default)]
+struct FeedBufs {
+    work: VecDeque<(NodeId, DaemonInput)>,
+    outs: Vec<DaemonOutput>,
 }
 
 impl<'a, A: Application> EpochWorker<'a, A> {
@@ -1458,13 +1473,12 @@ impl<'a, A: Application> EpochWorker<'a, A> {
     }
 
     fn feed_daemon(&mut self, node: NodeId, input: DaemonInput) {
-        let mut work: VecDeque<(NodeId, DaemonInput)> = VecDeque::new();
+        let FeedBufs { mut work, mut outs } = std::mem::take(&mut self.feed_bufs);
         work.push_back((node, input));
         while let Some((n, input)) = work.pop_front() {
             if self.down.contains(&n) {
                 continue;
             }
-            let mut outs = Vec::new();
             let now = self.now;
             let rt = &mut self.nodes[n.index() - self.base];
             let before = *rt.daemon.recovery_stats();
@@ -1477,7 +1491,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                 stats.gave_up += after.gave_up - before.gave_up;
                 stats.resumed += after.resumed - before.resumed;
             }
-            for out in outs {
+            for out in outs.drain(..) {
                 match out {
                     DaemonOutput::Plugin(cmd) => self.exec_command(n, cmd),
                     DaemonOutput::App(ev) => self.deliver_app_event(n, ev, &mut work),
@@ -1485,6 +1499,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                 }
             }
         }
+        self.feed_bufs = FeedBufs { work, outs };
     }
 
     fn deliver_app_event(
@@ -1834,7 +1849,8 @@ impl<A: Application + Send> Cluster<A> {
                     base,
                     nodes: chunk,
                     out: EpochOutbox::default(),
-                    scratch: Vec::new(),
+                    scratch: GatherBuf::default(),
+                    feed_bufs: FeedBufs::default(),
                 };
                 for (_, batch_idx, ev) in part {
                     w.run_ev(batch_idx, ev);
