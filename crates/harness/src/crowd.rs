@@ -1013,13 +1013,13 @@ mod tests {
         }
     }
 
-    /// Tentpole acceptance (differential): the lane-epoch engine — batch
-    /// drain, concurrent node-local execution, canonical outbox commit —
-    /// must match the *pure single-event dispatch loop*
-    /// ([`Cluster::run_until_condition`]) bit-for-bit. This pins both
-    /// engine paths (parallel epochs *and* the serial fallback routing)
-    /// to the dispatch semantics for every worker count and lane count,
-    /// including under a live lossy fault plan.
+    /// Differential: batched epochs — batch drain, partitioning across
+    /// workers, canonical outbox commit — must match single-event epochs
+    /// ([`Cluster::run_until_condition`]) bit-for-bit. Both run the same
+    /// handlers, so this pins batching, partitioning and the commit merge
+    /// for every worker count and lane count, including under a live
+    /// lossy fault plan; the pinned digests in the root
+    /// `tests/pinned_digests.rs` are the behaviour oracle.
     /// One differential case: node count, horizon seconds, fault profile
     /// name, thread counts to sweep, lane counts to sweep.
     type EpochCase = (usize, u64, &'static str, &'static [usize], &'static [usize]);

@@ -12,8 +12,9 @@
 //! from different lanes can be re-interleaved exactly. As a consequence the
 //! pop stream — and therefore every trace digest downstream — is bit-identical
 //! for *any* lane count and *any* region-to-lane mapping. That invariant is
-//! pinned by differential tests against [`EventQueue`] in this module and by
-//! the crowd digest selfchecks in the harness.
+//! pinned by differential tests against a single-queue reference
+//! (`EventQueue`, compiled for tests only) in this module and by the crowd
+//! digest selfchecks in the harness.
 //!
 //! Boundary handoff falls out of the same design: when a node crosses from
 //! one region to another, newly scheduled events simply route to the new
@@ -59,11 +60,11 @@ pub fn lane_for(region: (i64, i64), lane_count: usize) -> usize {
 
 /// A time-ordered event queue sharded into per-region timer-wheel lanes.
 ///
-/// Drop-in replacement for [`EventQueue`] in engines that route events by
-/// region: same clock semantics (popping advances [`RegionLanes::now`],
-/// scheduling in the past panics), same `(time, insertion-order)` pop
-/// contract — except the insertion order is tracked *globally* across lanes,
-/// so the observable stream is independent of how events are routed.
+/// Behaves like one time-ordered queue for engines that route events by
+/// region: popping advances [`RegionLanes::now`], scheduling in the past
+/// panics, and events pop in `(time, insertion-order)` order — where the
+/// insertion order is tracked *globally* across lanes, so the observable
+/// stream is independent of how events are routed.
 ///
 /// # Example
 ///
@@ -255,10 +256,9 @@ impl<E> RegionLanes<E> {
     /// (cleared first, capacity reused). Returns that timestamp, or `None`
     /// if nothing is due.
     ///
-    /// Same contract as [`EventQueue::drain_batch`]: events scheduled *at
-    /// the returned timestamp* while the caller processes the batch land in
-    /// a later batch at the same timestamp, because their global sequence
-    /// numbers are larger.
+    /// Events scheduled *at the returned timestamp* while the caller
+    /// processes the batch land in a later batch at the same timestamp,
+    /// because their global sequence numbers are larger.
     pub fn drain_batch(&mut self, deadline: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         out.clear();
         self.stage_next();

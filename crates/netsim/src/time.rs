@@ -14,7 +14,7 @@ use std::time::Duration;
 ///
 /// Internally a count of microseconds since simulation start. `SimTime`
 /// implements total ordering and cheap copying, and is the key by which the
-/// [`EventQueue`](crate::EventQueue) orders events.
+/// [`RegionLanes`](crate::RegionLanes) order events.
 ///
 /// # Example
 ///

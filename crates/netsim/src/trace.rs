@@ -356,13 +356,15 @@ struct StrPool {
 }
 
 impl StrPool {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.index.get(s) {
+    /// Interns `s`; an owned `String` on a miss keeps its allocation.
+    fn intern(&mut self, s: impl AsRef<str> + Into<Box<str>>) -> u32 {
+        if let Some(&id) = self.index.get(s.as_ref()) {
             return id;
         }
         let id = self.strings.len() as u32;
-        self.strings.push(s.into());
-        self.index.insert(s.into(), id);
+        let s: Box<str> = s.into();
+        self.index.insert(s.clone(), id);
+        self.strings.push(s);
         id
     }
 
@@ -474,13 +476,15 @@ impl Trace {
     }
 
     /// Interns an actor name, returning a stable handle for the zero-copy
-    /// record path ([`Trace::record_ids`]).
-    pub fn intern_actor(&mut self, name: &str) -> ActorId {
+    /// record path ([`Trace::record_ids`]). An owned `String` that is new
+    /// to the pool is kept rather than copied.
+    pub fn intern_actor(&mut self, name: impl AsRef<str> + Into<Box<str>>) -> ActorId {
         ActorId(self.pool.intern(name))
     }
 
-    /// Interns a message label, returning a stable handle.
-    pub fn intern_label(&mut self, label: &str) -> LabelId {
+    /// Interns a message label, returning a stable handle (see
+    /// [`Trace::intern_actor`]).
+    pub fn intern_label(&mut self, label: impl AsRef<str> + Into<Box<str>>) -> LabelId {
         LabelId(self.pool.intern(label))
     }
 

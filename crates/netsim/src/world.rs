@@ -24,17 +24,17 @@
 //! query actually needs that node (per-node memoized by query time), so idle
 //! nodes cost O(1) memory and no per-timestep work. Each node's mobility
 //! model and memoized position live behind a per-node mutex
-//! ([`MotionCell`]), so range queries work from `&World` — the parallel
-//! epoch engine hands one [`EpochView`] to all of its workers and each
-//! samples lazily; the serial paths go through `Mutex::get_mut`, which is
+//! ([`MotionCell`]), so range queries work from `&World` — the epoch
+//! engine hands one [`EpochView`] to all of its workers and each samples
+//! lazily; the `&mut World` queries go through `Mutex::get_mut`, which is
 //! lock-free. GPRS is range-independent and answered from a per-technology
 //! membership list without touching the index at all. The pre-index
 //! all-pairs implementations are kept as `*_naive` methods for differential
 //! testing.
 //!
-//! The world itself has no event loop; drivers combine it with an
-//! [`EventQueue`](crate::EventQueue) or the region-sharded
-//! [`RegionLanes`](crate::region::RegionLanes).
+//! The world itself has no event loop; drivers combine it with the
+//! region-sharded [`RegionLanes`](crate::region::RegionLanes) or a
+//! [`TimerWheel`](crate::TimerWheel).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -257,8 +257,8 @@ fn unpack(c: u64) -> (u32, u64) {
     ((c >> 2) as u32, c & 3)
 }
 
-/// The gather kernel shared by the serial queries and the parallel
-/// [`EpochView`], so their candidate sets cannot diverge. Collects into
+/// The gather kernel shared by [`World::neighbors_any`] and
+/// [`EpochView::neighbors`], so their candidate sets cannot diverge. Collects into
 /// `out`, ascending by node index, every bucketed node in a snapshot region
 /// that the disc reaching every finite tier around `p` touches and that
 /// [`Tier::classify`] keeps, plus every speed-unbounded node (always
@@ -334,7 +334,7 @@ struct RegionIndex {
     /// Max finite [`Mobility::max_speed_mps`] across all nodes — bounds how
     /// far any bucketed node can drift from its snapshot position.
     max_speed_bound: f64,
-    /// Scratch buffer reused across serial queries.
+    /// Gather buffer reused across [`World::neighbors_any`] calls.
     scratch: GatherBuf,
 }
 
@@ -626,8 +626,9 @@ impl World {
     }
 
     /// Makes the region snapshot usable for queries at `t` and returns
-    /// nothing — the serial prologue the epoch engine runs before handing
-    /// an [`EpochView`] to its workers (snapshot rebuilds need `&mut`).
+    /// nothing — the serial prologue every simulator epoch runs before
+    /// handing an [`EpochView`] to its workers (snapshot rebuilds need
+    /// `&mut`).
     pub fn prepare_epoch(&mut self, t: SimTime) {
         self.ensure_buckets(t);
     }
@@ -636,8 +637,8 @@ impl World {
     /// [`EpochView::neighbors`] / [`EpochView::reachable`] /
     /// [`EpochView::position`] concurrently, sampling positions lazily
     /// through the per-node motion cells. Answers are bit-identical to the
-    /// serial `&mut self` queries at the same `t` (same gather, same exact
-    /// filter, same memoized samples).
+    /// `&mut self` queries at the same `t` (same gather, same exact filter,
+    /// same memoized samples).
     ///
     /// # Panics
     ///
@@ -659,9 +660,9 @@ impl World {
     /// Computes `neighbors` for every `(seeker, technology)` query at `t`,
     /// returning results **in query order** — the deterministic merge the
     /// region engine relies on. The pure candidate filter fans out across
-    /// `threads` scoped workers (0 = auto) over one [`EpochView`]; the
-    /// serial [`World::neighbors`] runs the same filter, so their answers
-    /// cannot diverge — pinned by
+    /// `threads` scoped workers (0 = auto) over one [`EpochView`], so the
+    /// answers are those of one-by-one [`EpochView::neighbors`] calls for
+    /// any thread count — pinned by
     /// `neighbors_batch_matches_serial_for_any_thread_count`.
     pub fn neighbors_batch(
         &mut self,
@@ -739,30 +740,7 @@ impl World {
         self.env.profile(tech).in_range(d)
     }
 
-    /// All nodes reachable from `id` over `tech` at time `t`, ascending by
-    /// id.
-    pub fn neighbors(&mut self, id: NodeId, tech: Technology, t: SimTime) -> Vec<NodeId> {
-        if !self.has_technology(id, tech) {
-            return Vec::new();
-        }
-        if self.env.profile(tech).range_m.is_infinite() {
-            // Range-independent: answered from membership lists without
-            // touching the region index.
-            return self.tech_members[tech_slot(tech)]
-                .iter()
-                .copied()
-                .filter(|&i| i != id.0)
-                .map(NodeId)
-                .collect();
-        }
-        self.ensure_buckets(t);
-        let mut scratch = std::mem::take(&mut self.index.scratch);
-        let out = self.epoch_view(t).neighbors(id, tech, &mut scratch);
-        self.index.scratch = scratch;
-        out
-    }
-
-    /// Reference all-pairs implementation of [`World::neighbors`], for
+    /// Reference all-pairs implementation of [`EpochView::neighbors`], for
     /// differential testing.
     pub fn neighbors_naive(&mut self, id: NodeId, tech: Technology, t: SimTime) -> Vec<NodeId> {
         let ids: Vec<NodeId> = self.node_ids().collect();
@@ -867,13 +845,13 @@ impl World {
 
 /// A shared query view over one [`World`], pinned to a single query time.
 ///
-/// The view is `Copy`, `Sync`, and answers exactly like the serial `&mut`
+/// The view is `Copy`, `Sync`, and answers exactly like the `&mut`
 /// queries at the same time: candidate gathering uses the same snapshot
 /// index, drift allowance and classification, the exact filter uses the
 /// same positions (sampled lazily through the per-node motion cells).
 /// Obtained from [`World::epoch_view`] after [`World::prepare_epoch`]; the
-/// parallel epoch engine hands one view to all workers of a timestamp
-/// batch.
+/// simulator's epoch engine hands one view to all workers of a timestamp
+/// batch, and it is the only way the simulator reads the world.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochView<'a> {
     world: &'a World,
@@ -950,6 +928,13 @@ mod tests {
     use super::*;
     use crate::mobility::ScriptedPath;
 
+    /// `id`'s neighbors over `tech` at `t`, through the epoch-view query.
+    fn neighbors(w: &mut World, id: NodeId, tech: Technology, t: SimTime) -> Vec<NodeId> {
+        w.prepare_epoch(t);
+        w.epoch_view(t)
+            .neighbors(id, tech, &mut GatherBuf::default())
+    }
+
     fn two_node_world(dist: f64) -> (World, NodeId, NodeId) {
         let mut w = World::new();
         let a = w.add_node(NodeBuilder::new("a").at(Point2::ORIGIN));
@@ -987,9 +972,7 @@ mod tests {
     fn node_is_not_its_own_neighbor() {
         let (mut w, a, _) = two_node_world(1.0);
         assert!(!w.reachable(a, a, Technology::Bluetooth, SimTime::ZERO));
-        assert!(!w
-            .neighbors(a, Technology::Bluetooth, SimTime::ZERO)
-            .contains(&a));
+        assert!(!neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO).contains(&a));
     }
 
     #[test]
@@ -1017,9 +1000,9 @@ mod tests {
         let center = w.add_node(NodeBuilder::new("c").at(Point2::ORIGIN));
         let near = w.add_node(NodeBuilder::new("near").at(Point2::new(3.0, 0.0)));
         let far = w.add_node(NodeBuilder::new("far").at(Point2::new(50.0, 0.0)));
-        let bt = w.neighbors(center, Technology::Bluetooth, SimTime::ZERO);
+        let bt = neighbors(&mut w, center, Technology::Bluetooth, SimTime::ZERO);
         assert_eq!(bt, vec![near]);
-        let wlan = w.neighbors(center, Technology::Wlan, SimTime::ZERO);
+        let wlan = neighbors(&mut w, center, Technology::Wlan, SimTime::ZERO);
         assert_eq!(wlan, vec![near, far]);
     }
 
@@ -1113,7 +1096,7 @@ mod tests {
             let id = NodeId::from_index(id);
             for tech in Technology::ALL {
                 assert_eq!(
-                    w.neighbors(id, tech, SimTime::ZERO),
+                    neighbors(&mut w, id, tech, SimTime::ZERO),
                     w.neighbors_naive(id, tech, SimTime::ZERO),
                     "{id} {tech}"
                 );
@@ -1155,17 +1138,17 @@ mod tests {
         // Dirty `reused`'s buckets at t2 (and query t1 afterwards, going
         // backwards in time) before comparing at t1.
         for id in reused.node_ids().collect::<Vec<_>>() {
-            reused.neighbors(id, Technology::Bluetooth, t2);
+            neighbors(&mut reused, id, Technology::Bluetooth, t2);
         }
         for id in fresh.node_ids().collect::<Vec<_>>() {
             for tech in Technology::ALL {
                 assert_eq!(
-                    reused.neighbors(id, tech, t1),
-                    fresh.neighbors(id, tech, t1),
+                    neighbors(&mut reused, id, tech, t1),
+                    neighbors(&mut fresh, id, tech, t1),
                     "{id} {tech} at t1"
                 );
                 assert_eq!(
-                    reused.neighbors(id, tech, t1),
+                    neighbors(&mut reused, id, tech, t1),
                     reused.neighbors_naive(id, tech, t1),
                     "{id} {tech} vs naive"
                 );
@@ -1185,7 +1168,7 @@ mod tests {
             for &id in &ids {
                 for tech in Technology::ALL {
                     assert_eq!(
-                        w.neighbors(id, tech, t),
+                        neighbors(&mut w, id, tech, t),
                         w.neighbors_naive(id, tech, t),
                         "{id} {tech} at {t}"
                     );
@@ -1203,7 +1186,7 @@ mod tests {
         let ids: Vec<NodeId> = reference.node_ids().collect();
         let expected: Vec<Vec<NodeId>> = ids
             .iter()
-            .map(|&id| reference.neighbors(id, Technology::Wlan, t))
+            .map(|&id| neighbors(&mut reference, id, Technology::Wlan, t))
             .collect();
         for edge in [5.0, 20.0, 80.0, 250.0, 1000.0] {
             let mut w = walker_world();
@@ -1211,7 +1194,7 @@ mod tests {
             assert_eq!(w.region_edge(), edge);
             for (k, &id) in ids.iter().enumerate() {
                 assert_eq!(
-                    w.neighbors(id, Technology::Wlan, t),
+                    neighbors(&mut w, id, Technology::Wlan, t),
                     expected[k],
                     "edge={edge} {id}"
                 );
@@ -1226,7 +1209,7 @@ mod tests {
         let b = w.add_node(NodeBuilder::new("b").at(Point2::new(-10.0, 170.0)));
         // No snapshot yet: everyone homes at the origin region.
         assert_eq!(w.region_of(a), (0, 0));
-        w.neighbors(a, Technology::Bluetooth, SimTime::ZERO);
+        neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO);
         assert_eq!(w.region_of(a), (0, 0));
         assert_eq!(w.region_of(b), (-1, 2));
     }
@@ -1235,11 +1218,14 @@ mod tests {
     fn position_cache_survives_node_addition() {
         let mut w = World::new();
         let a = w.add_node(NodeBuilder::new("a").at(Point2::ORIGIN));
-        assert_eq!(w.neighbors(a, Technology::Bluetooth, SimTime::ZERO), vec![]);
+        assert_eq!(
+            neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO),
+            vec![]
+        );
         // Adding a node must invalidate the snapshot.
         let b = w.add_node(NodeBuilder::new("b").at(Point2::new(1.0, 0.0)));
         assert_eq!(
-            w.neighbors(a, Technology::Bluetooth, SimTime::ZERO),
+            neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO),
             vec![b]
         );
     }
@@ -1296,7 +1282,7 @@ mod tests {
             let mut serial_world = build();
             let serial: Vec<Vec<NodeId>> = queries
                 .iter()
-                .map(|&(id, tech)| serial_world.neighbors(id, tech, t))
+                .map(|&(id, tech)| neighbors(&mut serial_world, id, tech, t))
                 .collect();
             for threads in [0, 1, 2, 4, 9] {
                 let mut par_world = build();
@@ -1322,7 +1308,7 @@ mod tests {
         assert!(w.reachable(a, b, Technology::Bluetooth, SimTime::ZERO));
         assert!(w.reachable_naive(a, b, Technology::Bluetooth, SimTime::ZERO));
         assert_eq!(
-            w.neighbors(a, Technology::Bluetooth, SimTime::ZERO),
+            neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO),
             vec![b]
         );
         assert_eq!(
@@ -1341,9 +1327,9 @@ mod tests {
                 .with_technologies([Technology::Bluetooth]),
         );
         w.add_node(NodeBuilder::new("b").at(Point2::new(1.0, 0.0)));
-        assert!(w.neighbors(a, Technology::Gprs, SimTime::ZERO).is_empty());
+        assert!(neighbors(&mut w, a, Technology::Gprs, SimTime::ZERO).is_empty());
         assert_eq!(
-            w.neighbors(a, Technology::Bluetooth, SimTime::ZERO).len(),
+            neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO).len(),
             1
         );
     }

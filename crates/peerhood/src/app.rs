@@ -58,11 +58,11 @@ impl PendingRecord {
     pub fn replay(self, trace: &mut Trace) {
         let to = match self.to {
             PendingActor::Id(id) => id,
-            PendingActor::Raw(s) => trace.intern_actor(&s),
+            PendingActor::Raw(s) => trace.intern_actor(s),
         };
         let label = match self.label {
             PendingLabel::Id(id) => id,
-            PendingLabel::Raw(s) => trace.intern_label(&s),
+            PendingLabel::Raw(s) => trace.intern_label(s),
         };
         trace.record_ids(self.at, self.from, to, label);
     }

@@ -12,7 +12,7 @@
 //! Everything is driven from a single seeded RNG, so a run is a pure
 //! function of `(scenario, seed)`.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use codec::Bytes;
@@ -214,6 +214,10 @@ struct NodeRt<A> {
     rng: SimRng,
     /// Lazily-initialized fault state (see [`FaultRt`]).
     fault: Option<Box<FaultRt>>,
+    /// Whether the daemon is inside a crash window: all its inputs are
+    /// dropped until the matching [`Ev::CrashEnd`]. Per node, so only the
+    /// worker owning the node ever reads or writes it.
+    down: bool,
 }
 
 impl<A> NodeRt<A> {
@@ -253,6 +257,7 @@ pub struct Cluster<A> {
     /// Each node's interned actor handle in `trace`, for the buffered
     /// record path ([`TraceSink::Buffer`]).
     actor_ids: Vec<ActorId>,
+    /// The radio link table, lent to the one-worker epochs.
     links: BTreeMap<LinkId, Link>,
     next_link: u64,
     /// Scenario seed; per-node RNG lanes derive from it statelessly via
@@ -260,16 +265,17 @@ pub struct Cluster<A> {
     seed: u64,
     /// Radio profiles + fault plan shared with the world.
     env: RadioEnv,
-    /// Nodes whose daemon is inside a crash window: all daemon inputs are
-    /// dropped until the matching [`Ev::CrashEnd`].
-    down: BTreeSet<NodeId>,
     trace: Trace,
     started: bool,
     /// Worker count for the epoch engine (0 = auto, 1 = one worker).
     threads: usize,
     /// Reused batch buffer for [`RegionLanes::drain_batch`].
     batch_buf: Vec<Ev>,
-    /// Reused work queue and output buffer of `feed_daemon`.
+    /// The one-worker epochs' outbox, gather buffer and `feed_daemon`
+    /// buffers, kept between epochs so a quiescent run allocates none of
+    /// them per event.
+    outbox: EpochOutbox,
+    gather_buf: GatherBuf,
     feed_bufs: FeedBufs,
     /// Accumulated phase breakdown of [`Cluster::run_until`] (counters are
     /// always cheap; wall-clock sampling only when enabled).
@@ -278,10 +284,12 @@ pub struct Cluster<A> {
     collect_timing: bool,
 }
 
-/// Wall-clock phase breakdown of [`Cluster::run_until`], accumulated across
-/// calls. The event counters are always maintained; the `Duration` fields
-/// are sampled only when enabled via [`Cluster::set_collect_timing`] (they
-/// read the host clock, which costs a few ns per batch).
+/// Wall-clock phase breakdown of the simulator's epochs, accumulated across
+/// calls. The batch and event counters cover [`Cluster::run_until`] and are
+/// always maintained; the `Duration` fields are sampled only when enabled
+/// via [`Cluster::set_collect_timing`] (they read the host clock, which
+/// costs a few ns per batch) and also cover the one-event epochs of
+/// [`Cluster::run_until_condition`] and [`Cluster::with_app`].
 #[derive(Copy, Clone, Debug, Default)]
 pub struct EpochTiming {
     /// Time spent draining timestamp batches from the region lanes.
@@ -289,7 +297,7 @@ pub struct EpochTiming {
     /// Time spent partitioning parallel batches by home node.
     pub gather: Duration,
     /// Time spent executing events (worker fan-out for parallel batches,
-    /// inline dispatch for serial ones).
+    /// one inline worker for serial ones).
     pub execute: Duration,
     /// Time spent replaying worker outboxes in canonical order.
     pub commit: Duration,
@@ -297,9 +305,9 @@ pub struct EpochTiming {
     pub par_batches: u64,
     /// Events executed through the parallel epoch engine.
     pub par_events: u64,
-    /// Timestamp batches dispatched serially (ineligible or tiny).
+    /// Timestamp batches executed on one worker (ineligible or tiny).
     pub serial_batches: u64,
-    /// Events dispatched serially.
+    /// Events executed on one worker.
     pub serial_events: u64,
 }
 
@@ -356,12 +364,13 @@ impl<A: Application> Cluster<A> {
             links: BTreeMap::new(),
             next_link: 0,
             seed,
-            down: BTreeSet::new(),
             env,
             trace: Trace::new(),
             started: false,
             threads: 1,
             batch_buf: Vec::new(),
+            outbox: EpochOutbox::default(),
+            gather_buf: GatherBuf::default(),
             feed_bufs: FeedBufs::default(),
             timing: EpochTiming::default(),
             collect_timing: false,
@@ -458,6 +467,7 @@ impl<A: Application> Cluster<A> {
             wakes: WakeSet::default(),
             rng: SimRng::lane(self.seed, lane_seed),
             fault: None,
+            down: false,
         });
         if self.started {
             let now = self.queue.now();
@@ -576,11 +586,11 @@ impl<A: Application> Cluster<A> {
         // Re-interning in node order reassigns the same handles, but refresh
         // the stored ids anyway so they can never drift from the pool.
         for (info, slot) in self.infos.iter().zip(self.actor_ids.iter_mut()) {
-            *slot = self.trace.intern_actor(&info.name);
+            *slot = self.trace.intern_actor(&*info.name);
         }
     }
 
-    /// The accumulated [`run_until`](Cluster::run_until) phase breakdown.
+    /// The accumulated epoch phase breakdown (see [`EpochTiming`]).
     pub fn timing(&self) -> &EpochTiming {
         &self.timing
     }
@@ -610,7 +620,7 @@ impl<A: Application> Cluster<A> {
         }
         while self.queue.peek_time().is_some_and(|t| t <= deadline) {
             let (t, ev) = self.queue.pop().expect("peeked");
-            self.dispatch(ev);
+            self.serial_epoch(t, |w| w.run_ev(0, ev));
             if stop(self) {
                 return Some(t);
             }
@@ -624,706 +634,139 @@ impl<A: Application> Cluster<A> {
     /// requests or timers the application issues are processed immediately.
     pub fn with_app<R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R) -> R {
         let now = self.queue.now();
-        let mut timers = Vec::new();
-        let result = {
-            let rt = &mut self.nodes[node.index()];
-            let mut ctx = AppCtx::new(
-                now,
-                &self.infos[node.index()].name,
-                &mut rt.lib,
-                &mut timers,
-                Some(&mut self.trace),
-            );
-            f(&mut rt.app, &mut ctx)
-        };
-        self.after_app_callback(node, timers);
-        result
+        self.serial_epoch(now, |w| w.span(0, |w| w.app_callback(node, f)))
     }
 
-    // ------------------------------------------------------------------
-    // Fault injection
-    // ------------------------------------------------------------------
-    // All fault decisions happen here, in serial dispatch order, drawing
-    // from the charged node's `fault_rng` lane only. `SimRng::chance`
-    // consumes nothing for zero probabilities, so with an inert plan these
-    // calls are pure no-ops and the run digest matches a fault-free run
-    // bit-for-bit. Attribution: frame loss and link kills charge the
-    // *receiver*, connection refusals charge the *initiator*.
-
-    /// Advances the receiving node's per-technology Gilbert channel and
-    /// samples one frame. An inert profile draws nothing, so it also skips
-    /// materializing the node's lazy fault state.
-    fn frame_lost(&mut self, to: NodeId, tech: Technology) -> bool {
-        let profile = *self.env.faults().profile(tech);
-        if profile.is_inert() {
-            return false;
+    /// Runs `f` — the execute phase of one epoch — under the execute timer.
+    fn timed_execute<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let te = self.collect_timing.then(Instant::now);
+        let r = f(self);
+        if let Some(te) = te {
+            self.timing.execute += te.elapsed();
         }
-        let f = self.nodes[to.index()].fault(self.seed, to);
-        profile.frame_lost(&mut f.burst[tech_slot(tech)], &mut f.rng)
+        r
     }
 
-    /// Samples whether the whole link dies under this frame (charged to the
-    /// receiver's fault lane).
-    fn link_killed(&mut self, to: NodeId, tech: Technology) -> bool {
-        let p = self.env.faults().profile(tech).link_kill;
-        // `chance(0)` draws nothing — don't materialize fault state for it.
-        p > 0.0 && self.nodes[to.index()].fault(self.seed, to).rng.chance(p)
+    /// Runs `f` as an epoch of one worker at `t` and commits its outbox
+    /// immediately. The worker covers every node and owns the real link
+    /// table, so it can run any event; its buffers live on in the cluster
+    /// between epochs.
+    fn serial_epoch<R>(&mut self, t: SimTime, f: impl FnOnce(&mut EpochWorker<'_, A>) -> R) -> R {
+        self.world.prepare_epoch(t);
+        let (mut out, r) = self.timed_execute(|c| {
+            let mut w = EpochWorker {
+                view: c.world.epoch_view(t),
+                env: &c.env,
+                infos: &c.infos,
+                actor_ids: &c.actor_ids,
+                trace: &c.trace,
+                seed: c.seed,
+                now: t,
+                base: 0,
+                nodes: &mut c.nodes,
+                links: std::mem::take(&mut c.links),
+                next_link: c.next_link,
+                out: std::mem::take(&mut c.outbox),
+                scratch: std::mem::take(&mut c.gather_buf),
+                feed_bufs: std::mem::take(&mut c.feed_bufs),
+            };
+            let r = f(&mut w);
+            let EpochWorker {
+                links,
+                next_link,
+                out,
+                scratch,
+                feed_bufs,
+                ..
+            } = w;
+            (c.links, c.next_link, c.gather_buf, c.feed_bufs) =
+                (links, next_link, scratch, feed_bufs);
+            (out, r)
+        });
+        self.commit(std::slice::from_mut(&mut out));
+        self.outbox = out;
+        r
     }
 
-    /// Samples whether a connection attempt is refused outright (charged to
-    /// the initiator's fault lane).
-    fn connect_refused(&mut self, initiator: NodeId, tech: Technology) -> bool {
-        let p = self.env.faults().profile(tech).connect_refuse;
-        p > 0.0
-            && self.nodes[initiator.index()]
-                .fault(self.seed, initiator)
-                .rng
-                .chance(p)
-    }
-
-    // ------------------------------------------------------------------
-    // Event dispatch
-    // ------------------------------------------------------------------
-
-    fn dispatch(&mut self, ev: Ev) {
-        match ev {
-            Ev::Start(node) => {
-                let now = self.queue.now();
-                let mut timers = Vec::new();
-                {
-                    let rt = &mut self.nodes[node.index()];
-                    let mut ctx = AppCtx::new(
-                        now,
-                        &self.infos[node.index()].name,
-                        &mut rt.lib,
-                        &mut timers,
-                        Some(&mut self.trace),
-                    );
-                    rt.app.on_start(&mut ctx);
-                }
-                self.after_app_callback(node, timers);
-                self.feed_daemon(node, DaemonInput::Tick);
-            }
-            Ev::DaemonWake(node) => {
-                let now = self.queue.now();
-                self.nodes[node.index()].wakes.remove(now);
-                self.feed_daemon(node, DaemonInput::Tick);
-            }
-            Ev::AppTimer(node, token) => {
-                let now = self.queue.now();
-                let mut timers = Vec::new();
-                {
-                    let rt = &mut self.nodes[node.index()];
-                    let mut ctx = AppCtx::new(
-                        now,
-                        &self.infos[node.index()].name,
-                        &mut rt.lib,
-                        &mut timers,
-                        Some(&mut self.trace),
-                    );
-                    rt.app.on_timer(token, &mut ctx);
-                }
-                self.after_app_callback(node, timers);
-            }
-            Ev::InquiryFound {
-                seeker,
-                tech,
-                found,
-            } => {
-                let now = self.queue.now();
-                // The responder must still be in range when its answer lands.
-                if self.world.reachable(seeker, found, tech, now) {
-                    self.trace.stats_mut().inquiry_responses += 1;
-                    let device = self.device_info(found);
-                    self.feed_daemon(
-                        seeker,
-                        DaemonInput::Plugin(PluginEvent::InquiryResponse {
-                            technology: tech,
-                            device,
-                        }),
-                    );
-                }
-            }
-            Ev::InquiryDone { node, tech } => {
-                self.feed_daemon(
-                    node,
-                    DaemonInput::Plugin(PluginEvent::InquiryComplete { technology: tech }),
-                );
-            }
-            Ev::ServiceQueryArrive { to, from, tech } => {
-                if self.frame_lost(to, tech) {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    return;
-                }
-                let device = self.device_id_of(from);
-                self.feed_daemon(
-                    to,
-                    DaemonInput::Plugin(PluginEvent::ServiceQuery { device }),
-                );
-            }
-            Ev::ServiceReplyArrive {
-                to,
-                from,
-                services,
-                tech,
-            } => {
-                if let Some(tech) = tech {
-                    if self.frame_lost(to, tech) {
-                        self.trace.stats_mut().frames_dropped += 1;
-                        return;
-                    }
-                }
-                let device = self.device_id_of(from);
-                self.feed_daemon(
-                    to,
-                    DaemonInput::Plugin(PluginEvent::ServiceReply { device, services }),
-                );
-            }
-            Ev::ConnectSetupDone {
-                initiator,
-                attempt,
-                target,
-                service,
-                tech,
-                resume,
-            } => {
-                let now = self.queue.now();
-                if !self.world.reachable(initiator, target, tech, now) {
-                    // The peer moved away while setup was in flight: this is
-                    // a failed connect like any other, plus its own counter
-                    // so summaries can tell it apart from refusals.
-                    let stats = self.trace.stats_mut();
-                    stats.connects_failed += 1;
-                    stats.connects_lost_setup += 1;
-                    self.feed_daemon(
-                        initiator,
-                        DaemonInput::Plugin(PluginEvent::ConnectResult {
-                            attempt,
-                            result: Err(format!("{tech} peer out of range during setup")),
-                        }),
-                    );
-                    return;
-                }
-                if self.down.contains(&target) {
-                    // The target's daemon is inside a crash window: nobody
-                    // is listening, so the transport reports a refusal.
-                    self.trace.stats_mut().connects_failed += 1;
-                    self.feed_daemon(
-                        initiator,
-                        DaemonInput::Plugin(PluginEvent::ConnectResult {
-                            attempt,
-                            result: Err(format!("{tech} peer daemon not responding")),
-                        }),
-                    );
-                    return;
-                }
-                let link = LinkId::new(self.next_link);
-                self.next_link += 1;
-                self.links.insert(
-                    link,
-                    Link {
-                        a: initiator,
-                        b: target,
-                        tech,
-                        pending: Some((initiator, attempt)),
-                        last_arrival_to_a: now,
-                        last_arrival_to_b: now,
-                        degraded_notified: false,
-                    },
-                );
-                let device = self.device_info(initiator);
-                self.feed_daemon(
-                    target,
-                    DaemonInput::Plugin(PluginEvent::IncomingConnection {
-                        link,
-                        device,
-                        service,
-                        technology: tech,
-                        resume,
-                    }),
-                );
-            }
-            Ev::ConnectResultArrive {
-                to,
-                attempt,
-                result,
-            } => {
-                if result.is_ok() {
-                    self.trace.stats_mut().connects_ok += 1;
-                } else {
-                    self.trace.stats_mut().connects_failed += 1;
-                }
-                self.feed_daemon(
-                    to,
-                    DaemonInput::Plugin(PluginEvent::ConnectResult { attempt, result }),
-                );
-            }
-            Ev::FrameArrive { to, link, payload } => {
-                let now = self.queue.now();
-                let Some(l) = self.links.get(&link) else {
-                    // Link torn down while the frame was in flight.
-                    self.trace.stats_mut().frames_dropped += 1;
-                    return;
-                };
-                let tech = l.tech;
-                if self.down.contains(&to) {
-                    // Frames toward a crashed daemon fall on the floor.
-                    self.trace.stats_mut().frames_dropped += 1;
-                    return;
-                }
-                if self.frame_lost(to, tech) {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    return;
-                }
-                if self.link_killed(to, tech) {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    self.tear_down_link(link);
-                    return;
-                }
-                let l = self.links.get(&link).expect("checked above");
-                if self.world.reachable(l.a, l.b, l.tech, now) {
-                    let stats = self.trace.stats_mut();
-                    stats.frames_delivered += 1;
-                    stats.bytes_delivered += payload.len() as u64;
-                    self.feed_daemon(
-                        to,
-                        DaemonInput::Plugin(PluginEvent::Frame { link, payload }),
-                    );
-                } else {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    self.tear_down_link(link);
-                }
-            }
-            Ev::PeerClosedArrive { to, link } => {
-                self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::PeerClosed { link }));
-            }
-            Ev::LinkDownArrive { to, link } => {
-                self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::LinkDown { link }));
-            }
-            Ev::CrashStart(node) => {
-                if node.index() >= self.nodes.len() || !self.down.insert(node) {
-                    return;
-                }
-                // Every radio link with an endpoint on the node dies; peers
-                // notice after the usual transport detection delay.
-                let dead: Vec<LinkId> = self
-                    .links
-                    .iter()
-                    .filter(|(_, l)| l.a == node || l.b == node)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for link in dead {
-                    self.tear_down_link(link);
-                }
-                // The daemon process restarts from empty soft state; the
-                // local application sees its connections close. Any requests
-                // it issues in response are lost — the daemon is down.
-                let now = self.queue.now();
-                let mut outs = Vec::new();
-                self.nodes[node.index()]
-                    .daemon
-                    .crash_restart(now, &mut outs);
-                let mut discarded = VecDeque::new();
-                for out in outs {
-                    if let DaemonOutput::App(ev) = out {
-                        self.deliver_app_event(node, ev, &mut discarded);
-                    }
-                }
-            }
-            Ev::CrashEnd(node) => {
-                if node.index() < self.nodes.len() && self.down.remove(&node) {
-                    self.feed_daemon(node, DaemonInput::Tick);
-                }
-            }
+    /// Replays worker outboxes in canonical batch order — the one place an
+    /// epoch's buffered effects reach the queue and the trace.
+    ///
+    /// Each box's spans carry ascending batch indices, so repeatedly taking
+    /// the box whose next span comes first visits events in exactly the
+    /// order a single-event loop would have run them. Replaying schedules
+    /// reproduces the global sequence numbers; replaying records
+    /// reproduces pool interning and ring eviction; the stat deltas are
+    /// commutative sums. The boxes come back empty, capacity kept.
+    fn commit(&mut self, boxes: &mut [EpochOutbox]) {
+        let tc = self.collect_timing.then(Instant::now);
+        for b in boxes.iter_mut() {
+            b.schedules.reverse();
+            b.records.reverse();
+            b.spans.reverse();
         }
-    }
-
-    /// Schedules timers produced by an app callback and routes its queued
-    /// PeerHood requests into the daemon.
-    fn after_app_callback(&mut self, node: NodeId, timers: Vec<(SimTime, u64)>) {
-        for (at, token) in timers {
-            self.schedule_ev(at, Ev::AppTimer(node, token));
-        }
-        let requests = self.nodes[node.index()].lib.drain();
-        for req in requests {
-            self.feed_daemon(node, DaemonInput::App(req));
-        }
-    }
-
-    /// Runs the daemon input loop: daemon outputs may produce app events,
-    /// whose handlers may queue further daemon requests, and so on until
-    /// quiescent.
-    fn feed_daemon(&mut self, node: NodeId, input: DaemonInput) {
-        // Taken, not borrowed: handlers may re-enter `feed_daemon`, and a
-        // nested call simply starts from fresh buffers.
-        let FeedBufs { mut work, mut outs } = std::mem::take(&mut self.feed_bufs);
-        work.push_back((node, input));
-        while let Some((n, input)) = work.pop_front() {
-            if self.down.contains(&n) {
-                // Crashed daemons consume nothing until their restart.
-                continue;
-            }
-            let now = self.queue.now();
-            let before = *self.nodes[n.index()].daemon.recovery_stats();
-            self.nodes[n.index()].daemon.handle(now, input, &mut outs);
-            let after = *self.nodes[n.index()].daemon.recovery_stats();
-            if after != before {
-                let stats = self.trace.stats_mut();
-                stats.retries += after.retries - before.retries;
-                stats.timeouts += after.timeouts - before.timeouts;
-                stats.gave_up += after.gave_up - before.gave_up;
-                stats.resumed += after.resumed - before.resumed;
-            }
-            for out in outs.drain(..) {
-                match out {
-                    DaemonOutput::Plugin(cmd) => self.exec_command(n, cmd),
-                    DaemonOutput::App(ev) => self.deliver_app_event(n, ev, &mut work),
-                    DaemonOutput::WakeAt(t) => self.schedule_wake(n, t),
-                }
-            }
-        }
-        self.feed_bufs = FeedBufs { work, outs };
-    }
-
-    fn deliver_app_event(
-        &mut self,
-        node: NodeId,
-        event: AppEvent,
-        work: &mut VecDeque<(NodeId, DaemonInput)>,
-    ) {
-        if matches!(event, AppEvent::Handover { .. }) {
-            self.trace.stats_mut().handovers += 1;
-        }
-        let now = self.queue.now();
-        let mut timers = Vec::new();
+        while let Some(b) = boxes
+            .iter_mut()
+            .filter(|b| !b.spans.is_empty())
+            .min_by_key(|b| b.spans.last().map(|s| s.0))
         {
-            let rt = &mut self.nodes[node.index()];
-            let mut ctx = AppCtx::new(
-                now,
-                &self.infos[node.index()].name,
-                &mut rt.lib,
-                &mut timers,
-                Some(&mut self.trace),
-            );
-            rt.app.on_event(event, &mut ctx);
-        }
-        for (at, token) in timers {
-            self.schedule_ev(at, Ev::AppTimer(node, token));
-        }
-        for req in self.nodes[node.index()].lib.drain() {
-            work.push_back((node, DaemonInput::App(req)));
-        }
-    }
-
-    fn schedule_wake(&mut self, node: NodeId, at: SimTime) {
-        let at = at.max(self.queue.now());
-        if self.nodes[node.index()].wakes.insert(at) {
-            self.schedule_ev(at, Ev::DaemonWake(node));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Plugin command execution (the simulated BT/WLAN/GPRS plugins)
-    // ------------------------------------------------------------------
-
-    fn exec_command(&mut self, node: NodeId, cmd: PluginCommand) {
-        let now = self.queue.now();
-        match cmd {
-            PluginCommand::StartInquiry { technology } => {
-                self.trace.stats_mut().inquiries += 1;
-                // One batched snapshot from the spatial index; every
-                // responder is then scheduled off this single range query.
-                let neighbors = self.world.neighbors(node, technology, now);
-                // Every event below targets the seeker, so its home lane is
-                // computed once; all draws come from the seeker's own lane.
-                let lane = self.home_lane(node);
-                let profile = self.env.profile(technology);
-                for nb in neighbors {
-                    let rng = &mut self.nodes[node.index()].rng;
-                    if profile.discovery_misses(rng) {
-                        continue;
-                    }
-                    let offset = profile.response_offset(rng);
-                    self.queue.schedule(
-                        lane,
-                        now + offset,
-                        Ev::InquiryFound {
-                            seeker: node,
-                            tech: technology,
-                            found: nb,
-                        },
-                    );
-                }
-                self.queue.schedule(
-                    lane,
-                    now + profile.inquiry_duration,
-                    Ev::InquiryDone {
-                        node,
-                        tech: technology,
-                    },
-                );
+            let (_, schedules, records) = b.spans.pop().expect("non-empty");
+            for _ in 0..schedules {
+                let (at, ev) = b.schedules.pop().expect("span bookkeeping");
+                self.schedule_ev(at, ev);
             }
-            PluginCommand::QueryServices { device, technology } => {
-                self.trace.stats_mut().service_queries += 1;
-                let target = self.node_of(device);
-                if self.world.reachable(node, target, technology, now) {
-                    let delay = self
-                        .env
-                        .profile(technology)
-                        .transfer_time(SDP_QUERY_BYTES, &mut self.nodes[node.index()].rng);
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ServiceQueryArrive {
-                            to: target,
-                            from: node,
-                            tech: technology,
-                        },
-                    );
-                } else {
-                    // Unanswerable: deliver an empty reply after a timeout so
-                    // pending application requests resolve.
-                    self.schedule_ev(
-                        now + SDP_TIMEOUT,
-                        Ev::ServiceReplyArrive {
-                            to: node,
-                            from: target,
-                            services: Vec::new(),
-                            tech: None,
-                        },
-                    );
-                }
-            }
-            PluginCommand::ServiceQueryReply { device, services } => {
-                let target = self.node_of(device);
-                // Route the reply back over the cheapest shared technology.
-                let tech = Technology::ALL
-                    .into_iter()
-                    .find(|&t| self.world.reachable(node, target, t, now));
-                if let Some(tech) = tech {
-                    let bytes = SDP_QUERY_BYTES + SDP_RECORD_BYTES * services.len();
-                    let delay = self
-                        .env
-                        .profile(tech)
-                        .transfer_time(bytes, &mut self.nodes[node.index()].rng);
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ServiceReplyArrive {
-                            to: target,
-                            from: node,
-                            services,
-                            tech: Some(tech),
-                        },
-                    );
-                }
-            }
-            PluginCommand::OpenConnection {
-                attempt,
-                device,
-                service,
-                technology,
-                resume,
-            } => {
-                self.trace.stats_mut().connects_attempted += 1;
-                let target = self.node_of(device);
-                // The setup delay is drawn from the main stream *before* the
-                // refusal decision, so an inert fault plan leaves the main
-                // stream untouched.
-                let delay = self
-                    .env
-                    .profile(technology)
-                    .connect_time(&mut self.nodes[node.index()].rng);
-                if self.connect_refused(node, technology) {
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ConnectResultArrive {
-                            to: node,
-                            attempt,
-                            result: Err(format!("{technology} connection refused")),
-                        },
-                    );
-                } else if self.world.reachable(node, target, technology, now) {
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ConnectSetupDone {
-                            initiator: node,
-                            attempt,
-                            target,
-                            service,
-                            tech: technology,
-                            resume,
-                        },
-                    );
-                } else {
-                    // A failed paging attempt costs about the setup time.
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ConnectResultArrive {
-                            to: node,
-                            attempt,
-                            result: Err(format!("{technology} peer out of range")),
-                        },
-                    );
-                }
-            }
-            PluginCommand::AcceptConnection { link } => {
-                if let Some(l) = self.links.get_mut(&link) {
-                    if let Some((initiator, attempt)) = l.pending.take() {
-                        let tech = l.tech;
-                        let delay = self
-                            .env
-                            .profile(tech)
-                            .transfer_time(CTRL_BYTES, &mut self.nodes[node.index()].rng);
-                        self.schedule_ev(
-                            now + delay,
-                            Ev::ConnectResultArrive {
-                                to: initiator,
-                                attempt,
-                                result: Ok(link),
-                            },
-                        );
-                    }
-                }
-            }
-            PluginCommand::RejectConnection { link, reason } => {
-                if let Some(l) = self.links.remove(&link) {
-                    if let Some((initiator, attempt)) = l.pending {
-                        let delay = self
-                            .env
-                            .profile(l.tech)
-                            .transfer_time(CTRL_BYTES, &mut self.nodes[node.index()].rng);
-                        self.schedule_ev(
-                            now + delay,
-                            Ev::ConnectResultArrive {
-                                to: initiator,
-                                attempt,
-                                result: Err(reason),
-                            },
-                        );
-                    }
-                }
-            }
-            PluginCommand::SendFrame { link, payload } => {
-                let Some(l) = self.links.get_mut(&link) else {
-                    return;
-                };
-                let (a, b, tech) = (l.a, l.b, l.tech);
-                let peer = l.other(node);
-                let delay = self
-                    .env
-                    .profile(tech)
-                    .transfer_time(payload.len(), &mut self.nodes[node.index()].rng);
-                let at = l.fifo_arrival(peer, now + delay);
-                let stats = self.trace.stats_mut();
-                stats.frames_sent += 1;
-                stats.bytes_sent += payload.len() as u64;
-                if self.world.reachable(a, b, tech, now) {
-                    self.schedule_ev(
-                        at,
-                        Ev::FrameArrive {
-                            to: peer,
-                            link,
-                            payload,
-                        },
-                    );
-                    // Edge-of-range warning: past 90 % of the radio range
-                    // the plugin reports a weakening link (once), letting
-                    // the daemon hand over make-before-break.
-                    let range = self.env.profile(tech).range_m;
-                    if range.is_finite() {
-                        let distance = self.world.distance(a, b, now);
-                        let l = self.links.get_mut(&link).expect("checked above");
-                        if distance > 0.9 * range {
-                            if !l.degraded_notified {
-                                l.degraded_notified = true;
-                                self.feed_daemon(
-                                    node,
-                                    DaemonInput::Plugin(PluginEvent::LinkDegraded { link }),
-                                );
-                            }
-                        } else {
-                            l.degraded_notified = false;
-                        }
-                    }
-                } else {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    self.tear_down_link(link);
-                }
-            }
-            PluginCommand::CloseLink { link } => {
-                if let Some(mut l) = self.links.remove(&link) {
-                    let peer = l.other(node);
-                    let delay = self
-                        .env
-                        .profile(l.tech)
-                        .transfer_time(CTRL_BYTES, &mut self.nodes[node.index()].rng);
-                    // The orderly close must not overtake in-flight frames.
-                    let at = l.fifo_arrival(peer, now + delay);
-                    self.schedule_ev(at, Ev::PeerClosedArrive { to: peer, link });
-                }
+            for _ in 0..records {
+                let record = b.records.pop().expect("span bookkeeping");
+                record.replay(&mut self.trace);
             }
         }
-    }
-
-    /// Reports a lost radio link to both endpoints after the transport's
-    /// detection delay and forgets it.
-    fn tear_down_link(&mut self, link: LinkId) {
-        if let Some(l) = self.links.remove(&link) {
-            let at = self.queue.now() + LINK_DOWN_DETECT;
-            self.schedule_ev(at, Ev::LinkDownArrive { to: l.a, link });
-            self.schedule_ev(at, Ev::LinkDownArrive { to: l.b, link });
+        for b in boxes {
+            self.trace.stats_mut().add(&std::mem::take(&mut b.stats));
         }
-    }
-
-    fn device_info(&self, node: NodeId) -> DeviceInfo {
-        self.infos[node.index()].clone()
-    }
-
-    fn device_id_of(&self, node: NodeId) -> DeviceId {
-        self.device_id(node)
+        if let Some(tc) = tc {
+            self.timing.commit += tc.elapsed();
+        }
     }
 }
 
 // ----------------------------------------------------------------------
-// The parallel lane-epoch engine
+// The lane-epoch engine
 // ----------------------------------------------------------------------
 //
-// One timestamp batch from `RegionLanes::drain_batch` is one *epoch*: every
-// event in it was already pending when the batch was staged, so nothing a
-// handler does during the epoch can inject work into it (same-timestamp
-// reschedules land in a *later* batch by global sequence number — the
-// queue's documented contract). That boundary is the entire lookahead-safety
-// argument: within an epoch, handlers only read frozen shared state (world
-// positions pinned by `EpochView`, the `down` set, identity snapshots, the
-// trace's string pool) and mutate *their own node's* state, so nodes can
-// execute concurrently.
-//
-// The engine partitions the batch by home node, hands each scoped worker a
-// disjoint `&mut` range of per-node runtimes plus that range's events (in
-// batch order, so per-node RNG/daemon streams evolve exactly as serial),
-// and buffers every externally-visible effect — event schedules, trace
-// records, stat bumps — in a per-worker outbox. The commit phase replays
+// Every event runs inside an *epoch*, through the one set of handlers on
+// `EpochWorker`. One timestamp batch from `RegionLanes::drain_batch` is one
+// epoch: every event in it was already pending when the batch was staged,
+// so nothing a handler does during the epoch can inject work into it (same-
+// timestamp reschedules land in a *later* batch by global sequence number —
+// the queue's documented contract). Handlers read the world only through the
+// frozen `EpochView`, mutate only their worker's own node range and link
+// table, and buffer every externally-visible effect — event schedules, trace
+// records, stat bumps — in the worker's outbox. `Cluster::commit` replays
 // outboxes serially in canonical `(time, seq)` batch order, reproducing the
 // exact global sequence numbers, pool intern order, ring eviction and
-// counters a serial run produces. The trace digest is therefore
-// bit-identical for any worker count, lane count and fault plan; `ci.sh`
-// and the differential tests below enforce that.
+// counters of a one-event-at-a-time run.
 //
-// Only batches whose every event is node-local *under an empty link table*
-// are eligible (discovery, timers, service discovery). Link-touching events
-// — connects completing, frames, teardowns, crash windows — mutate shared
-// tables and fall back to serial dispatch, which is bit-identical by
-// construction.
+// A batch whose every event is node-local under an empty link table
+// (discovery, timers, service discovery) is partitioned by home node across
+// scoped workers, each with a disjoint `&mut` node range, its events in
+// batch order (so per-node RNG/daemon streams evolve exactly as serial) and
+// a private, empty link table that the eligibility gate guarantees stays
+// empty. Every other batch — connects completing, frames, teardowns, crash
+// windows — is an epoch of one worker over all nodes that owns the real
+// link table; so is each `run_until_condition` step and `with_app`
+// callback. Crash state is a per-node flag read only for the node whose
+// daemon is fed, so no shared state is ever mutable inside an epoch. The
+// trace digest is therefore bit-identical for any worker count, lane count
+// and fault plan; `ci.sh` and the differential tests enforce that.
 
 /// Buffered effects of one epoch worker, replayed serially at commit.
 #[derive(Default)]
 struct EpochOutbox {
-    /// Events to schedule, in execution order. Consumed back-to-front after
-    /// a `reverse()` at commit.
+    /// Events to schedule, in execution order.
     schedules: Vec<(SimTime, Ev)>,
     /// Trace records against the frozen pool, in execution order.
     records: Vec<PendingRecord>,
-    /// One entry per executed event: `(batch_idx, schedules-end,
-    /// records-end)` — cumulative ends delimiting that event's effects.
+    /// One entry per executed event: `(batch_idx, schedules, records)` —
+    /// how many of each that event buffered.
     spans: Vec<(u32, u32, u32)>,
     /// Commutative counter deltas. The record-owned counters
     /// (`events_recorded`/`events_dropped`/`messages`/`local_events`) stay
@@ -1331,12 +774,12 @@ struct EpochOutbox {
     stats: TraceStats,
 }
 
-/// One worker's execution context: a disjoint `&mut` range of node
-/// runtimes, shared frozen state, and the outbox collecting effects.
+/// The event handlers — the simulated BT/WLAN/GPRS plugin layer — over one
+/// worker's execution context: a disjoint `&mut` range of node runtimes, a
+/// link table, shared frozen state, and the outbox collecting effects.
 struct EpochWorker<'a, A> {
     view: EpochView<'a>,
     env: &'a RadioEnv,
-    down: &'a BTreeSet<NodeId>,
     infos: &'a [DeviceInfo],
     actor_ids: &'a [ActorId],
     trace: &'a Trace,
@@ -1345,6 +788,10 @@ struct EpochWorker<'a, A> {
     /// First node index of this worker's chunk.
     base: usize,
     nodes: &'a mut [NodeRt<A>],
+    /// The real link table for a one-worker epoch; a private empty one for
+    /// each worker of a partitioned epoch.
+    links: BTreeMap<LinkId, Link>,
+    next_link: u64,
     out: EpochOutbox,
     /// Reused gather buffer for [`EpochView::neighbors`].
     scratch: GatherBuf,
@@ -1360,20 +807,42 @@ struct FeedBufs {
     outs: Vec<DaemonOutput>,
 }
 
-impl<'a, A: Application> EpochWorker<'a, A> {
+impl<A: Application> EpochWorker<'_, A> {
     fn rt(&mut self, node: NodeId) -> &mut NodeRt<A> {
         &mut self.nodes[node.index() - self.base]
     }
 
-    /// Executes one eligible event and closes its effect span.
+    /// Buffers an event schedule for the commit.
+    fn schedule(&mut self, at: SimTime, ev: Ev) {
+        self.out.schedules.push((at, ev));
+    }
+
+    /// Runs `f` — one event, or one scripted app callback — and closes its
+    /// effect span under `batch_idx`.
+    fn span<R>(&mut self, batch_idx: u32, f: impl FnOnce(&mut Self) -> R) -> R {
+        let (schedules, records) = (self.out.schedules.len(), self.out.records.len());
+        let r = f(self);
+        self.out.spans.push((
+            batch_idx,
+            (self.out.schedules.len() - schedules) as u32,
+            (self.out.records.len() - records) as u32,
+        ));
+        r
+    }
+
+    /// Executes one event and closes its effect span.
     fn run_ev(&mut self, batch_idx: u32, ev: Ev) {
+        self.span(batch_idx, |w| w.handle(ev));
+    }
+
+    fn handle(&mut self, ev: Ev) {
+        let now = self.now;
         match ev {
             Ev::Start(node) => {
                 self.app_callback(node, |app, ctx| app.on_start(ctx));
                 self.feed_daemon(node, DaemonInput::Tick);
             }
             Ev::DaemonWake(node) => {
-                let now = self.now;
                 self.rt(node).wakes.remove(now);
                 self.feed_daemon(node, DaemonInput::Tick);
             }
@@ -1385,6 +854,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                 tech,
                 found,
             } => {
+                // The responder must still be in range when its answer lands.
                 if self.view.reachable(seeker, found, tech) {
                     self.out.stats.inquiry_responses += 1;
                     let device = self.infos[found.index()].clone();
@@ -1430,21 +900,155 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                     );
                 }
             }
-            _ => unreachable!("ineligible event reached the epoch engine"),
+            Ev::ConnectSetupDone {
+                initiator,
+                attempt,
+                target,
+                service,
+                tech,
+                resume,
+            } => {
+                if !self.view.reachable(initiator, target, tech) {
+                    // The peer moved away while setup was in flight: this is
+                    // a failed connect like any other, plus its own counter
+                    // so summaries can tell it apart from refusals.
+                    let stats = &mut self.out.stats;
+                    stats.connects_failed += 1;
+                    stats.connects_lost_setup += 1;
+                    self.feed_daemon(
+                        initiator,
+                        DaemonInput::Plugin(PluginEvent::ConnectResult {
+                            attempt,
+                            result: Err(format!("{tech} peer out of range during setup")),
+                        }),
+                    );
+                    return;
+                }
+                if self.rt(target).down {
+                    // The target's daemon is inside a crash window: nobody
+                    // is listening, so the transport reports a refusal.
+                    self.out.stats.connects_failed += 1;
+                    self.feed_daemon(
+                        initiator,
+                        DaemonInput::Plugin(PluginEvent::ConnectResult {
+                            attempt,
+                            result: Err(format!("{tech} peer daemon not responding")),
+                        }),
+                    );
+                    return;
+                }
+                let link = LinkId::new(self.next_link);
+                self.next_link += 1;
+                self.links.insert(
+                    link,
+                    Link {
+                        a: initiator,
+                        b: target,
+                        tech,
+                        pending: Some((initiator, attempt)),
+                        last_arrival_to_a: now,
+                        last_arrival_to_b: now,
+                        degraded_notified: false,
+                    },
+                );
+                let device = self.infos[initiator.index()].clone();
+                self.feed_daemon(
+                    target,
+                    DaemonInput::Plugin(PluginEvent::IncomingConnection {
+                        link,
+                        device,
+                        service,
+                        technology: tech,
+                        resume,
+                    }),
+                );
+            }
+            Ev::ConnectResultArrive {
+                to,
+                attempt,
+                result,
+            } => {
+                if result.is_ok() {
+                    self.out.stats.connects_ok += 1;
+                } else {
+                    self.out.stats.connects_failed += 1;
+                }
+                self.feed_daemon(
+                    to,
+                    DaemonInput::Plugin(PluginEvent::ConnectResult { attempt, result }),
+                );
+            }
+            Ev::FrameArrive { to, link, payload } => {
+                let Some(&Link { a, b, tech, .. }) = self.links.get(&link) else {
+                    // Link torn down while the frame was in flight.
+                    self.out.stats.frames_dropped += 1;
+                    return;
+                };
+                if self.rt(to).down || self.frame_lost(to, tech) {
+                    // Frames toward a crashed daemon fall on the floor.
+                    self.out.stats.frames_dropped += 1;
+                } else if self.link_killed(to, tech) || !self.view.reachable(a, b, tech) {
+                    self.out.stats.frames_dropped += 1;
+                    self.tear_down_link(link);
+                } else {
+                    let stats = &mut self.out.stats;
+                    stats.frames_delivered += 1;
+                    stats.bytes_delivered += payload.len() as u64;
+                    self.feed_daemon(
+                        to,
+                        DaemonInput::Plugin(PluginEvent::Frame { link, payload }),
+                    );
+                }
+            }
+            Ev::PeerClosedArrive { to, link } => {
+                self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::PeerClosed { link }));
+            }
+            Ev::LinkDownArrive { to, link } => {
+                self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::LinkDown { link }));
+            }
+            Ev::CrashStart(node) => {
+                match self.nodes.get_mut(node.index() - self.base) {
+                    Some(rt) if !rt.down => rt.down = true,
+                    _ => return,
+                }
+                // Every radio link with an endpoint on the node dies; peers
+                // notice after the usual transport detection delay.
+                let dead: Vec<LinkId> = self
+                    .links
+                    .iter()
+                    .filter(|(_, l)| l.a == node || l.b == node)
+                    .map(|(id, _)| *id)
+                    .collect();
+                for link in dead {
+                    self.tear_down_link(link);
+                }
+                // The daemon process restarts from empty soft state; the
+                // local application sees its connections close. Any requests
+                // it issues in response are lost — the daemon is down.
+                let mut outs = Vec::new();
+                self.rt(node).daemon.crash_restart(now, &mut outs);
+                let mut discarded = VecDeque::new();
+                for out in outs {
+                    if let DaemonOutput::App(ev) = out {
+                        self.deliver_app_event(node, ev, &mut discarded);
+                    }
+                }
+            }
+            Ev::CrashEnd(node) => {
+                if let Some(rt) = self.nodes.get_mut(node.index() - self.base) {
+                    if std::mem::replace(&mut rt.down, false) {
+                        self.feed_daemon(node, DaemonInput::Tick);
+                    }
+                }
+            }
         }
-        self.out.spans.push((
-            batch_idx,
-            self.out.schedules.len() as u32,
-            self.out.records.len() as u32,
-        ));
     }
 
-    /// Runs an application callback with a buffered trace sink, then
-    /// processes its timers and queued requests (mirrors the serial
-    /// `Start`/`AppTimer` arms).
-    fn app_callback(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut AppCtx<'_>)) {
+    /// Runs an application callback with a buffered trace sink and
+    /// schedules the timers it set.
+    fn call_app<R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R) -> R {
         let mut timers = Vec::new();
-        {
+        let r = {
             let rt = &mut self.nodes[node.index() - self.base];
             let mut ctx = AppCtx::with_sink(
                 self.now,
@@ -1457,30 +1061,45 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                     out: &mut self.out.records,
                 },
             );
-            f(&mut rt.app, &mut ctx);
+            f(&mut rt.app, &mut ctx)
+        };
+        for (at, token) in timers {
+            self.schedule(at, Ev::AppTimer(node, token));
         }
-        self.after_app_callback(node, timers);
+        r
     }
 
-    fn after_app_callback(&mut self, node: NodeId, timers: Vec<(SimTime, u64)>) {
-        for (at, token) in timers {
-            self.out.schedules.push((at, Ev::AppTimer(node, token)));
-        }
+    /// Runs a top-level application callback (boot, timer, scripted user
+    /// action), then feeds the requests it queued into the daemon.
+    fn app_callback<R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R) -> R {
+        let r = self.call_app(node, f);
+        self.after_app_callback(node);
+        r
+    }
+
+    /// Routes an app callback's queued PeerHood requests into the daemon.
+    fn after_app_callback(&mut self, node: NodeId) {
         let requests = self.rt(node).lib.drain();
         for req in requests {
             self.feed_daemon(node, DaemonInput::App(req));
         }
     }
 
+    /// Runs the daemon input loop: daemon outputs may produce app events,
+    /// whose handlers may queue further daemon requests, and so on until
+    /// quiescent.
     fn feed_daemon(&mut self, node: NodeId, input: DaemonInput) {
+        // Taken, not borrowed: handlers may re-enter `feed_daemon`, and a
+        // nested call simply starts from fresh buffers.
         let FeedBufs { mut work, mut outs } = std::mem::take(&mut self.feed_bufs);
         work.push_back((node, input));
         while let Some((n, input)) = work.pop_front() {
-            if self.down.contains(&n) {
+            let now = self.now;
+            let rt = self.rt(n);
+            if rt.down {
+                // Crashed daemons consume nothing until their restart.
                 continue;
             }
-            let now = self.now;
-            let rt = &mut self.nodes[n.index() - self.base];
             let before = *rt.daemon.recovery_stats();
             rt.daemon.handle(now, input, &mut outs);
             let after = *rt.daemon.recovery_stats();
@@ -1511,25 +1130,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
         if matches!(event, AppEvent::Handover { .. }) {
             self.out.stats.handovers += 1;
         }
-        let mut timers = Vec::new();
-        {
-            let rt = &mut self.nodes[node.index() - self.base];
-            let mut ctx = AppCtx::with_sink(
-                self.now,
-                &self.infos[node.index()].name,
-                &mut rt.lib,
-                &mut timers,
-                TraceSink::Buffer {
-                    trace: self.trace,
-                    actor_id: self.actor_ids[node.index()],
-                    out: &mut self.out.records,
-                },
-            );
-            rt.app.on_event(event, &mut ctx);
-        }
-        for (at, token) in timers {
-            self.out.schedules.push((at, Ev::AppTimer(node, token)));
-        }
+        self.call_app(node, |app, ctx| app.on_event(event, ctx));
         for req in self.rt(node).lib.drain() {
             work.push_back((node, DaemonInput::App(req)));
         }
@@ -1538,10 +1139,23 @@ impl<'a, A: Application> EpochWorker<'a, A> {
     fn schedule_wake(&mut self, node: NodeId, at: SimTime) {
         let at = at.max(self.now);
         if self.rt(node).wakes.insert(at) {
-            self.out.schedules.push((at, Ev::DaemonWake(node)));
+            self.schedule(at, Ev::DaemonWake(node));
         }
     }
 
+    // ------------------------------------------------------------------
+    // Fault injection
+    // ------------------------------------------------------------------
+    // Fault decisions draw from the charged node's fault lane only, in the
+    // node's own event order. `SimRng::chance` consumes nothing for zero
+    // probabilities, so with an inert plan these calls are pure no-ops and
+    // the run digest matches a fault-free run bit-for-bit. Attribution:
+    // frame loss and link kills charge the *receiver*, connection refusals
+    // charge the *initiator*.
+
+    /// Advances the receiving node's per-technology Gilbert channel and
+    /// samples one frame. An inert profile draws nothing, so it also skips
+    /// materializing the node's lazy fault state.
     fn frame_lost(&mut self, to: NodeId, tech: Technology) -> bool {
         let profile = *self.env.faults().profile(tech);
         if profile.is_inert() {
@@ -1552,25 +1166,40 @@ impl<'a, A: Application> EpochWorker<'a, A> {
         profile.frame_lost(&mut f.burst[tech_slot(tech)], &mut f.rng)
     }
 
+    /// Samples whether the whole link dies under this frame (charged to the
+    /// receiver's fault lane).
+    fn link_killed(&mut self, to: NodeId, tech: Technology) -> bool {
+        let p = self.env.faults().profile(tech).link_kill;
+        let seed = self.seed;
+        // `chance(0)` draws nothing — don't materialize fault state for it.
+        p > 0.0 && self.rt(to).fault(seed, to).rng.chance(p)
+    }
+
+    /// Samples whether a connection attempt is refused outright (charged to
+    /// the initiator's fault lane).
     fn connect_refused(&mut self, initiator: NodeId, tech: Technology) -> bool {
         let p = self.env.faults().profile(tech).connect_refuse;
         let seed = self.seed;
         p > 0.0 && self.rt(initiator).fault(seed, initiator).rng.chance(p)
     }
 
-    /// Worker-side plugin execution for the eligible command subset. The
-    /// link-table commands (`Accept`/`Reject`/`SendFrame`/`CloseLink`) are
-    /// provable no-ops here: the eligibility gate guarantees the link table
-    /// is empty and no eligible event can create a link, so the serial arms
-    /// would fall through their `links.get(..)` misses without any effect.
+    // ------------------------------------------------------------------
+    // Plugin command execution (the simulated BT/WLAN/GPRS plugins)
+    // ------------------------------------------------------------------
+
+    /// Executes one plugin command. In a partitioned epoch the link table
+    /// is empty, so the link arms (`Accept`/`Reject`/`SendFrame`/
+    /// `CloseLink`) find no link and do nothing — exactly what they do for
+    /// any unknown link.
     fn exec_command(&mut self, node: NodeId, cmd: PluginCommand) {
         let now = self.now;
         match cmd {
             PluginCommand::StartInquiry { technology } => {
                 self.out.stats.inquiries += 1;
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let neighbors = self.view.neighbors(node, technology, &mut scratch);
-                self.scratch = scratch;
+                // One batched snapshot from the spatial index; every
+                // responder is then scheduled off this single range query,
+                // with every draw from the seeker's own lane.
+                let neighbors = self.view.neighbors(node, technology, &mut self.scratch);
                 let profile = self.env.profile(technology);
                 for nb in neighbors {
                     let rng = &mut self.rt(node).rng;
@@ -1578,22 +1207,22 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                         continue;
                     }
                     let offset = profile.response_offset(rng);
-                    self.out.schedules.push((
+                    self.schedule(
                         now + offset,
                         Ev::InquiryFound {
                             seeker: node,
                             tech: technology,
                             found: nb,
                         },
-                    ));
+                    );
                 }
-                self.out.schedules.push((
+                self.schedule(
                     now + profile.inquiry_duration,
                     Ev::InquiryDone {
                         node,
                         tech: technology,
                     },
-                ));
+                );
             }
             PluginCommand::QueryServices { device, technology } => {
                 self.out.stats.service_queries += 1;
@@ -1603,16 +1232,18 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                         .env
                         .profile(technology)
                         .transfer_time(SDP_QUERY_BYTES, &mut self.rt(node).rng);
-                    self.out.schedules.push((
+                    self.schedule(
                         now + delay,
                         Ev::ServiceQueryArrive {
                             to: target,
                             from: node,
                             tech: technology,
                         },
-                    ));
+                    );
                 } else {
-                    self.out.schedules.push((
+                    // Unanswerable: deliver an empty reply after a timeout so
+                    // pending application requests resolve.
+                    self.schedule(
                         now + SDP_TIMEOUT,
                         Ev::ServiceReplyArrive {
                             to: node,
@@ -1620,11 +1251,12 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                             services: Vec::new(),
                             tech: None,
                         },
-                    ));
+                    );
                 }
             }
             PluginCommand::ServiceQueryReply { device, services } => {
                 let target = NodeId::from_index(device.raw() as usize);
+                // Route the reply back over the cheapest shared technology.
                 let tech = Technology::ALL
                     .into_iter()
                     .find(|&t| self.view.reachable(node, target, t));
@@ -1634,7 +1266,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                         .env
                         .profile(tech)
                         .transfer_time(bytes, &mut self.rt(node).rng);
-                    self.out.schedules.push((
+                    self.schedule(
                         now + delay,
                         Ev::ServiceReplyArrive {
                             to: target,
@@ -1642,7 +1274,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                             services,
                             tech: Some(tech),
                         },
-                    ));
+                    );
                 }
             }
             PluginCommand::OpenConnection {
@@ -1654,51 +1286,146 @@ impl<'a, A: Application> EpochWorker<'a, A> {
             } => {
                 self.out.stats.connects_attempted += 1;
                 let target = NodeId::from_index(device.raw() as usize);
-                // Setup delay drawn from the main stream *before* the
-                // refusal decision, exactly as the serial arm does.
+                // The setup delay is drawn from the main stream *before* the
+                // refusal decision, so an inert fault plan leaves the main
+                // stream untouched.
                 let delay = self
                     .env
                     .profile(technology)
                     .connect_time(&mut self.rt(node).rng);
-                if self.connect_refused(node, technology) {
-                    self.out.schedules.push((
-                        now + delay,
-                        Ev::ConnectResultArrive {
-                            to: node,
-                            attempt,
-                            result: Err(format!("{technology} connection refused")),
-                        },
-                    ));
+                let ev = if self.connect_refused(node, technology) {
+                    Ev::ConnectResultArrive {
+                        to: node,
+                        attempt,
+                        result: Err(format!("{technology} connection refused")),
+                    }
                 } else if self.view.reachable(node, target, technology) {
-                    self.out.schedules.push((
-                        now + delay,
-                        Ev::ConnectSetupDone {
-                            initiator: node,
-                            attempt,
-                            target,
-                            service,
-                            tech: technology,
-                            resume,
-                        },
-                    ));
+                    Ev::ConnectSetupDone {
+                        initiator: node,
+                        attempt,
+                        target,
+                        service,
+                        tech: technology,
+                        resume,
+                    }
                 } else {
-                    self.out.schedules.push((
+                    // A failed paging attempt costs about the setup time.
+                    Ev::ConnectResultArrive {
+                        to: node,
+                        attempt,
+                        result: Err(format!("{technology} peer out of range")),
+                    }
+                };
+                self.schedule(now + delay, ev);
+            }
+            PluginCommand::AcceptConnection { link } => {
+                let Some(l) = self.links.get_mut(&link) else {
+                    return;
+                };
+                if let Some((initiator, attempt)) = l.pending.take() {
+                    let tech = l.tech;
+                    let delay = self
+                        .env
+                        .profile(tech)
+                        .transfer_time(CTRL_BYTES, &mut self.rt(node).rng);
+                    self.schedule(
                         now + delay,
                         Ev::ConnectResultArrive {
-                            to: node,
+                            to: initiator,
                             attempt,
-                            result: Err(format!("{technology} peer out of range")),
+                            result: Ok(link),
                         },
-                    ));
+                    );
                 }
             }
-            PluginCommand::AcceptConnection { .. }
-            | PluginCommand::RejectConnection { .. }
-            | PluginCommand::SendFrame { .. }
-            | PluginCommand::CloseLink { .. } => {
-                // Empty link table (eligibility invariant): the serial arms
-                // are no-ops for unknown links.
+            PluginCommand::RejectConnection { link, reason } => {
+                let Some(Link {
+                    tech,
+                    pending: Some((initiator, attempt)),
+                    ..
+                }) = self.links.remove(&link)
+                else {
+                    return;
+                };
+                let delay = self
+                    .env
+                    .profile(tech)
+                    .transfer_time(CTRL_BYTES, &mut self.rt(node).rng);
+                self.schedule(
+                    now + delay,
+                    Ev::ConnectResultArrive {
+                        to: initiator,
+                        attempt,
+                        result: Err(reason),
+                    },
+                );
             }
+            PluginCommand::SendFrame { link, payload } => {
+                let Some(l) = self.links.get_mut(&link) else {
+                    return;
+                };
+                let (a, b, tech) = (l.a, l.b, l.tech);
+                let peer = l.other(node);
+                let delay = self
+                    .env
+                    .profile(tech)
+                    .transfer_time(payload.len(), &mut self.nodes[node.index() - self.base].rng);
+                let at = l.fifo_arrival(peer, now + delay);
+                let stats = &mut self.out.stats;
+                stats.frames_sent += 1;
+                stats.bytes_sent += payload.len() as u64;
+                if !self.view.reachable(a, b, tech) {
+                    self.out.stats.frames_dropped += 1;
+                    self.tear_down_link(link);
+                    return;
+                }
+                // Edge-of-range warning: past 90 % of the radio range the
+                // plugin reports a weakening link (once), letting the
+                // daemon hand over make-before-break.
+                let range = self.env.profile(tech).range_m;
+                let mut degraded = false;
+                if range.is_finite() {
+                    let distance = self.view.position(a).distance(self.view.position(b));
+                    degraded = distance > 0.9 * range && !l.degraded_notified;
+                    l.degraded_notified = distance > 0.9 * range;
+                }
+                self.schedule(
+                    at,
+                    Ev::FrameArrive {
+                        to: peer,
+                        link,
+                        payload,
+                    },
+                );
+                if degraded {
+                    self.feed_daemon(
+                        node,
+                        DaemonInput::Plugin(PluginEvent::LinkDegraded { link }),
+                    );
+                }
+            }
+            PluginCommand::CloseLink { link } => {
+                if let Some(mut l) = self.links.remove(&link) {
+                    let peer = l.other(node);
+                    let delay = self
+                        .env
+                        .profile(l.tech)
+                        .transfer_time(CTRL_BYTES, &mut self.rt(node).rng);
+                    // The orderly close must not overtake in-flight frames.
+                    let at = l.fifo_arrival(peer, now + delay);
+                    self.schedule(at, Ev::PeerClosedArrive { to: peer, link });
+                }
+            }
+        }
+    }
+
+    /// Reports a lost radio link to both endpoints after the transport's
+    /// detection delay and forgets it.
+    fn tear_down_link(&mut self, link: LinkId) {
+        if let Some(l) = self.links.remove(&link) {
+            let at = self.now + LINK_DOWN_DETECT;
+            self.schedule(at, Ev::LinkDownArrive { to: l.a, link });
+            self.schedule(at, Ev::LinkDownArrive { to: l.b, link });
         }
     }
 }
@@ -1707,12 +1434,11 @@ impl<A: Application + Send> Cluster<A> {
     /// Processes events until the queue is exhausted or the next event is
     /// after `deadline`; the clock then stands at `deadline`.
     ///
-    /// Events are drained one timestamp batch at a time. Batches whose
-    /// events are all node-local (see the engine comment above) execute
-    /// through the parallel lane-epoch engine — with one worker they run
-    /// inline on the same code path — and everything else dispatches
-    /// serially. Both paths produce bit-identical traces, so the digest is
-    /// independent of [`Cluster::set_threads`].
+    /// Events are drained one timestamp batch at a time, and each batch is
+    /// one epoch (see the engine comment above): batches whose events are
+    /// all node-local are partitioned across the configured workers, every
+    /// other batch runs on one worker. Both produce bit-identical traces,
+    /// so the digest is independent of [`Cluster::set_threads`].
     pub fn run_until(&mut self, deadline: SimTime) {
         let mut batch = std::mem::take(&mut self.batch_buf);
         loop {
@@ -1729,13 +1455,11 @@ impl<A: Application + Send> Cluster<A> {
             } else {
                 self.timing.serial_batches += 1;
                 self.timing.serial_events += batch.len() as u64;
-                let t0 = self.collect_timing.then(Instant::now);
-                for ev in batch.drain(..) {
-                    self.dispatch(ev);
-                }
-                if let Some(t0) = t0 {
-                    self.timing.execute += t0.elapsed();
-                }
+                self.serial_epoch(t, |w| {
+                    for (i, ev) in batch.drain(..).enumerate() {
+                        w.run_ev(i as u32, ev);
+                    }
+                });
             }
         }
         self.batch_buf = batch;
@@ -1749,7 +1473,7 @@ impl<A: Application + Send> Cluster<A> {
     }
 
     /// Whether every event in the batch is node-local under an empty link
-    /// table — the precondition for concurrent execution.
+    /// table — the precondition for partitioning it across workers.
     fn batch_eligible(&self, batch: &[Ev]) -> bool {
         self.links.is_empty()
             && batch.iter().all(|ev| {
@@ -1766,8 +1490,8 @@ impl<A: Application + Send> Cluster<A> {
             })
     }
 
-    /// Executes one eligible timestamp batch through the lane-epoch engine:
-    /// partition by home node → concurrent lane-local execution → serial
+    /// Executes one eligible timestamp batch as a partitioned epoch:
+    /// partition by home node → concurrent node-local execution → serial
     /// outbox commit in canonical batch order.
     fn run_epoch(&mut self, t: SimTime, batch: &mut Vec<Ev>) {
         self.timing.par_batches += 1;
@@ -1817,101 +1541,51 @@ impl<A: Application + Send> Cluster<A> {
         }
 
         // ---- execute: one scoped worker per node range ----
-        let te = self.collect_timing.then(Instant::now);
-        let view = self.world.epoch_view(t);
-        let env = &self.env;
-        let down = &self.down;
-        let infos = &self.infos;
-        let actor_ids = &self.actor_ids;
-        let trace = &self.trace;
-        let seed = self.seed;
-        let mut boxes = netsim::par::map_chunks_mut_with(
-            &mut self.nodes,
-            &bounds,
-            parts,
-            |_ci, base, chunk, mut part| {
-                // Execute in original batch order, not the node-grouped
-                // order the partitioning sort left behind: batch indices
-                // are unique and per-node ascending, so this preserves
-                // every node's serial-exact stream while making the
-                // worker's outbox spans ascend in batch index — the
-                // invariant the commit merge below relies on.
-                part.sort_unstable_by_key(|e| e.1);
-                let mut w = EpochWorker {
-                    view,
-                    env,
-                    down,
-                    infos,
-                    actor_ids,
-                    trace,
-                    seed,
-                    now: t,
-                    base,
-                    nodes: chunk,
-                    out: EpochOutbox::default(),
-                    scratch: GatherBuf::default(),
-                    feed_bufs: FeedBufs::default(),
-                };
-                for (_, batch_idx, ev) in part {
-                    w.run_ev(batch_idx, ev);
-                }
-                w.out
-            },
-        );
-        if let Some(te) = te {
-            self.timing.execute += te.elapsed();
-        }
+        let mut boxes = self.timed_execute(|c| {
+            let view = c.world.epoch_view(t);
+            let (env, infos, actor_ids, trace) = (&c.env, &c.infos, &c.actor_ids, &c.trace);
+            let (seed, next_link) = (c.seed, c.next_link);
+            netsim::par::map_chunks_mut_with(
+                &mut c.nodes,
+                &bounds,
+                parts,
+                |_ci, base, chunk, mut part| {
+                    // Execute in original batch order, not the node-grouped
+                    // order the partitioning sort left behind: batch indices
+                    // are unique and per-node ascending, so this preserves
+                    // every node's serial-exact stream while making the
+                    // worker's outbox spans ascend in batch index — the
+                    // invariant the commit merge relies on.
+                    part.sort_unstable_by_key(|e| e.1);
+                    let mut w = EpochWorker {
+                        view,
+                        env,
+                        infos,
+                        actor_ids,
+                        trace,
+                        seed,
+                        now: t,
+                        base,
+                        nodes: chunk,
+                        links: BTreeMap::new(),
+                        next_link,
+                        out: EpochOutbox::default(),
+                        scratch: GatherBuf::default(),
+                        feed_bufs: FeedBufs::default(),
+                    };
+                    for (_, batch_idx, ev) in part {
+                        w.run_ev(batch_idx, ev);
+                    }
+                    // The eligibility gate admits no event that creates a
+                    // link, so the private table must still be empty.
+                    debug_assert!(w.links.is_empty(), "partitioned epoch created a link");
+                    w.out
+                },
+            )
+        });
 
         // ---- commit: replay outboxes in canonical batch order ----
-        // Each worker's spans carry ascending batch indices, so a k-way
-        // merge over the workers visits events in exactly the order the
-        // serial engine would have dispatched them. Replaying schedules
-        // reproduces the global sequence numbers; replaying records
-        // reproduces pool interning and ring eviction; the stat deltas are
-        // commutative sums folded at the end.
-        let tc = self.collect_timing.then(Instant::now);
-        for b in &mut boxes {
-            b.schedules.reverse();
-            b.records.reverse();
-        }
-        let mut span_cur = vec![0usize; boxes.len()];
-        let mut sched_done = vec![0u32; boxes.len()];
-        let mut rec_done = vec![0u32; boxes.len()];
-        loop {
-            let mut best: Option<(u32, usize)> = None;
-            for (w, &c) in span_cur.iter().enumerate() {
-                if c < boxes[w].spans.len() {
-                    let bi = boxes[w].spans[c].0;
-                    if best.is_none_or(|(bb, _)| bi < bb) {
-                        best = Some((bi, w));
-                    }
-                }
-            }
-            let Some((_, w)) = best else {
-                break;
-            };
-            let (_, s_end, r_end) = boxes[w].spans[span_cur[w]];
-            span_cur[w] += 1;
-            while sched_done[w] < s_end {
-                let (at, ev) = boxes[w].schedules.pop().expect("span bookkeeping");
-                self.schedule_ev(at, ev);
-                sched_done[w] += 1;
-            }
-            while rec_done[w] < r_end {
-                boxes[w]
-                    .records
-                    .pop()
-                    .expect("span bookkeeping")
-                    .replay(&mut self.trace);
-                rec_done[w] += 1;
-            }
-        }
-        for b in &boxes {
-            self.trace.stats_mut().add(&b.stats);
-        }
-        if let Some(tc) = tc {
-            self.timing.commit += tc.elapsed();
-        }
+        self.commit(&mut boxes);
     }
 }
 
