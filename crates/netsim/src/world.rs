@@ -258,11 +258,11 @@ fn unpack(c: u64) -> (u32, u64) {
 }
 
 /// The gather kernel shared by [`World::neighbors_any`] and
-/// [`EpochView::neighbors`], so their candidate sets cannot diverge. Collects into
-/// `out`, ascending by node index, every bucketed node in a snapshot region
-/// that the disc reaching every finite tier around `p` touches and that
-/// [`Tier::classify`] keeps, plus every speed-unbounded node (always
-/// sampled). Nodes sharing no tier's technology are dropped before the
+/// [`EpochView::neighbors`], so their candidate sets cannot diverge.
+/// Collects into `out`, ascending by node index, every bucketed node in a
+/// snapshot region that the disc reaching every finite tier around `p`
+/// touches and that [`Tier::classify`] keeps, plus every speed-unbounded
+/// node (always sampled). Nodes sharing no tier's technology are dropped before the
 /// sort.
 fn gather(idx: &RegionIndex, tech_mask: &[u8], p: Point2, tiers: &[Tier], out: &mut GatherBuf) {
     let out = &mut out.0;

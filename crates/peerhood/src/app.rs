@@ -32,8 +32,8 @@ pub enum PendingLabel {
     Raw(String),
 }
 
-/// One trace record buffered by a parallel worker, to be replayed into the
-/// live [`Trace`] later in canonical (serial) order.
+/// One trace record buffered by a simulator epoch worker, to be replayed
+/// into the live [`Trace`] later in canonical (serial) order.
 ///
 /// Replaying buffered records in the exact order a serial run would have
 /// called [`Trace::record`] reproduces the serial pool intern order, ring
@@ -70,10 +70,10 @@ impl PendingRecord {
 
 /// Where an [`AppCtx`]'s trace calls go.
 ///
-/// `Live` writes straight into the run's [`Trace`] (the serial path).
-/// `Buffer` is the concurrent-worker path: the trace is borrowed read-only
-/// (shared with other workers), so records are buffered as
-/// [`PendingRecord`]s — resolving actor/label strings against the frozen
+/// `Live` writes straight into a [`Trace`] (the live TCP driver).
+/// `Buffer` is the simulator's epoch-worker path: the trace is borrowed
+/// read-only (possibly shared with other workers), so records are buffered
+/// as [`PendingRecord`]s — resolving actor/label strings against the frozen
 /// pool where possible — and replayed serially at commit time.
 pub enum TraceSink<'a> {
     /// Discard all records.
@@ -82,7 +82,7 @@ pub enum TraceSink<'a> {
     Live(&'a mut Trace),
     /// Buffer records against a frozen trace for canonical-order replay.
     Buffer {
-        /// The run's trace, frozen for the duration of the parallel epoch.
+        /// The run's trace, frozen for the duration of the epoch.
         trace: &'a Trace,
         /// The owning node's pre-interned actor handle.
         actor_id: ActorId,
@@ -121,8 +121,8 @@ impl<'a> AppCtx<'a> {
         }
     }
 
-    /// Builds a context with an explicit [`TraceSink`] (the parallel epoch
-    /// engine uses this with [`TraceSink::Buffer`]).
+    /// Builds a context with an explicit [`TraceSink`] (the simulator's
+    /// epoch workers use this with [`TraceSink::Buffer`]).
     pub fn with_sink(
         now: SimTime,
         actor: &'a str,

@@ -186,11 +186,11 @@ impl WakeSet {
     }
 }
 
-/// Fault-decision state for one node, allocated lazily on the first draw
-/// that can actually fire. Fault-free runs (the common case) never pay for
-/// it: the lane derivation [`SimRng::lane`] is stateless, so creating the
-/// stream on first use yields exactly the sequence an eagerly-created one
-/// would have produced.
+/// Fault state for one node, allocated lazily on the first draw that can
+/// actually fire or the node's first crash. Fault-free runs (the common
+/// case) never pay for it: the lane derivation [`SimRng::lane`] is
+/// stateless, so creating the stream on first use yields exactly the
+/// sequence an eagerly-created one would have produced.
 #[derive(Debug)]
 struct FaultRt {
     /// Dedicated fault-decision lane (see [`FAULT_STREAM_SALT`]): the
@@ -199,6 +199,10 @@ struct FaultRt {
     /// Per-technology Gilbert channel state for frames *received* by this
     /// node.
     burst: [BurstState; 3],
+    /// Whether the daemon is inside a crash window: all its inputs are
+    /// dropped until the matching [`Ev::CrashEnd`]. Per node, so only the
+    /// worker owning the node ever reads or writes it.
+    down: bool,
 }
 
 struct NodeRt<A> {
@@ -214,10 +218,6 @@ struct NodeRt<A> {
     rng: SimRng,
     /// Lazily-initialized fault state (see [`FaultRt`]).
     fault: Option<Box<FaultRt>>,
-    /// Whether the daemon is inside a crash window: all its inputs are
-    /// dropped until the matching [`Ev::CrashEnd`]. Per node, so only the
-    /// worker owning the node ever reads or writes it.
-    down: bool,
 }
 
 impl<A> NodeRt<A> {
@@ -227,8 +227,14 @@ impl<A> NodeRt<A> {
             Box::new(FaultRt {
                 rng: SimRng::lane(seed ^ FAULT_STREAM_SALT, node.index() as u64),
                 burst: [BurstState::default(); 3],
+                down: false,
             })
         })
+    }
+
+    /// Whether the node's daemon is inside a crash window.
+    fn down(&self) -> bool {
+        self.fault.as_ref().is_some_and(|f| f.down)
     }
 }
 
@@ -467,7 +473,6 @@ impl<A: Application> Cluster<A> {
             wakes: WakeSet::default(),
             rng: SimRng::lane(self.seed, lane_seed),
             fault: None,
-            down: false,
         });
         if self.started {
             let now = self.queue.now();
@@ -924,7 +929,7 @@ impl<A: Application> EpochWorker<'_, A> {
                     );
                     return;
                 }
-                if self.rt(target).down {
+                if self.rt(target).down() {
                     // The target's daemon is inside a crash window: nobody
                     // is listening, so the transport reports a refusal.
                     self.out.stats.connects_failed += 1;
@@ -984,7 +989,7 @@ impl<A: Application> EpochWorker<'_, A> {
                     self.out.stats.frames_dropped += 1;
                     return;
                 };
-                if self.rt(to).down || self.frame_lost(to, tech) {
+                if self.rt(to).down() || self.frame_lost(to, tech) {
                     // Frames toward a crashed daemon fall on the floor.
                     self.out.stats.frames_dropped += 1;
                 } else if self.link_killed(to, tech) || !self.view.reachable(a, b, tech) {
@@ -1007,8 +1012,9 @@ impl<A: Application> EpochWorker<'_, A> {
                 self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::LinkDown { link }));
             }
             Ev::CrashStart(node) => {
+                let seed = self.seed;
                 match self.nodes.get_mut(node.index() - self.base) {
-                    Some(rt) if !rt.down => rt.down = true,
+                    Some(rt) if !rt.down() => rt.fault(seed, node).down = true,
                     _ => return,
                 }
                 // Every radio link with an endpoint on the node dies; peers
@@ -1035,10 +1041,13 @@ impl<A: Application> EpochWorker<'_, A> {
                 }
             }
             Ev::CrashEnd(node) => {
-                if let Some(rt) = self.nodes.get_mut(node.index() - self.base) {
-                    if std::mem::replace(&mut rt.down, false) {
-                        self.feed_daemon(node, DaemonInput::Tick);
-                    }
+                let restarted = self
+                    .nodes
+                    .get_mut(node.index() - self.base)
+                    .and_then(|rt| rt.fault.as_mut())
+                    .is_some_and(|f| std::mem::replace(&mut f.down, false));
+                if restarted {
+                    self.feed_daemon(node, DaemonInput::Tick);
                 }
             }
         }
@@ -1096,7 +1105,7 @@ impl<A: Application> EpochWorker<'_, A> {
         while let Some((n, input)) = work.pop_front() {
             let now = self.now;
             let rt = self.rt(n);
-            if rt.down {
+            if rt.down() {
                 // Crashed daemons consume nothing until their restart.
                 continue;
             }
