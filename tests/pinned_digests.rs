@@ -10,17 +10,24 @@
 //! * the default `repro bubbles` run, fault-free and under `lossy`, which
 //!   drives the connect, frame and gossip paths;
 //! * a mixed-fault bubbles run (connect refusals, link kills and two
-//!   daemon crash windows on top of `lossy`), at one and at four threads.
+//!   daemon crash windows on top of `lossy`), at one and at four threads;
+//! * the ComLab-room `lab` scenario in both connection modes, which drives
+//!   the per-operation probe and the standing-connection refresh paths of
+//!   group discovery;
+//! * the PeerHood arm of Table 8, whose "group search" time is read from
+//!   `CommunityApp::first_group_at`.
 //!
 //! Every digest except the mixed-fault one is also committed in
 //! `BENCH_scale.json`, which `ci.sh` regenerates.
 
 use std::time::Duration;
 
+use community::node::OpMode;
 use harness::bubbles::{self, BubblesConfig};
 use harness::crowd::{self, CrowdConfig};
-use harness::scenario;
-use netsim::{FaultPlan, FaultProfile, Technology};
+use harness::scenario::{self, LabConfig};
+use harness::table8;
+use netsim::{FaultPlan, FaultProfile, SimTime, Technology};
 
 /// `(faults, nodes, digest)` as committed in `BENCH_scale.json` under
 /// `serial` and `faulted_serial`.
@@ -37,6 +44,24 @@ const BUBBLES: [(&str, &str); 2] = [("none", "a77ad343cfb2ecbf"), ("lossy", "f00
 
 /// Digest of the mixed-fault bubbles run (see [`mixed_fault_plan`]).
 const MIXED_FAULT_DIGEST: &str = "e8ac74d3ece0918f";
+
+/// `(op_mode, digest)` of `scenario::lab` at seed 2008 run to 120 s
+/// virtual; `PerOperation` is the default `LabConfig`.
+const LAB: [(OpMode, &str); 2] = [
+    (OpMode::PerOperation, "ac42db32d8892f43"),
+    (OpMode::Persistent, "f307f5791937265e"),
+];
+
+/// PeerHood-arm task times of `table8::run(3, 2008)` in seconds: per task
+/// (search, join, member list, profile, total), the three trials sorted
+/// as `(min, p50, max)`.
+const TABLE8_PEERHOOD: [(f64, f64, f64); 5] = [
+    (11.862236, 12.126809, 12.389928),
+    (0.0, 0.0, 0.0),
+    (14.785117, 14.877473, 15.322768),
+    (15.920859, 16.538865, 16.993671),
+    (43.18826, 43.641024, 43.988442),
+];
 
 const BENCH_SCALE: &str = include_str!("../BENCH_scale.json");
 
@@ -146,4 +171,37 @@ fn mixed_fault_bubbles_reproduce_their_pinned_digest() {
             "mixed-fault bubbles run diverged at {threads} thread(s)"
         );
     }
+}
+
+#[test]
+fn lab_runs_reproduce_their_pinned_digests() {
+    for (op_mode, digest) in LAB {
+        let mut s = scenario::lab(&LabConfig {
+            seed: 2008,
+            op_mode,
+            ..LabConfig::default()
+        });
+        s.cluster.run_until(SimTime::from_secs(120));
+        assert!(
+            s.cluster.app(s.observer).first_group_at().is_some(),
+            "{op_mode:?} lab never formed the shared group"
+        );
+        assert_eq!(
+            hex(s.cluster.trace().digest()),
+            digest,
+            "{op_mode:?} lab run diverged"
+        );
+    }
+}
+
+#[test]
+fn table8_peerhood_task_times_are_pinned() {
+    let report = table8::run(3, 2008);
+    let times: Vec<(f64, f64, f64)> = report
+        .peerhood()
+        .summaries
+        .iter()
+        .map(|s| (s.min, s.p50, s.max))
+        .collect();
+    assert_eq!(times, TABLE8_PEERHOOD, "Table 8 PeerHood task times moved");
 }
