@@ -85,7 +85,10 @@ trap - EXIT
 # through the parallel epoch engine (`--threads 4 --selfcheck`, which also
 # reruns serially in-process and exits nonzero if any digest diverges).
 # Both reports land in BENCH_scale.json, so the perf trajectory of each
-# arm is tracked over time.
+# arm is tracked over time. One untimed 100-node run goes first: a cold
+# first run sometimes trips the serial events/s floor below.
+cargo run --release --offline -p ph-harness --bin repro -- \
+    crowd --nodes 100 --horizon 30 > /dev/null
 cargo run --release --offline -p ph-harness --bin repro -- \
     crowd --nodes 100,1000 --horizon 30 --json > BENCH_scale_serial.tmp.json
 cargo run --release --offline -p ph-harness --bin repro -- \

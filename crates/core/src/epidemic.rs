@@ -19,6 +19,7 @@
 //! [`GossipRuntime::take_outbox`] into `PS_GOSSIP` wire frames.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use codec::{decode_seq, encode_seq, Bytes, DecodeError, Wire};
 use netsim::SimTime;
@@ -158,7 +159,7 @@ pub struct GossipRuntime {
     remote: BTreeMap<String, Vec<Interest>>,
     blob_log: Vec<BlobDelivery>,
     /// Peers with a live radio link (dedups repeated up/down events).
-    links: BTreeSet<String>,
+    links: BTreeSet<Arc<str>>,
     /// The last `(member, interests)` announcement published, to re-announce
     /// only on change.
     announced: Option<(String, Vec<Interest>)>,
@@ -197,10 +198,11 @@ impl GossipRuntime {
 
     /// A radio link to `peer` is usable. Returns whether this was a
     /// transition (repeat notifications are ignored).
-    pub fn link_up(&mut self, peer: &str, now: SimTime) -> bool {
-        if !self.links.insert(peer.to_string()) {
+    pub fn link_up(&mut self, peer: &Arc<str>, now: SimTime) -> bool {
+        if self.links.contains(peer) {
             return false;
         }
+        self.links.insert(Arc::clone(peer));
         self.gossip.neighbor_up(peer, now);
         true
     }
@@ -283,7 +285,7 @@ impl GossipRuntime {
     /// dedup purposes).
     pub fn handle_batch(
         &mut self,
-        peer: &str,
+        peer: &Arc<str>,
         msgs: Vec<GossipMsg>,
         now: SimTime,
     ) -> Vec<GossipNews> {
@@ -337,7 +339,7 @@ impl GossipRuntime {
     }
 
     /// Drains queued `(destination, message)` pairs for the transport.
-    pub fn take_outbox(&mut self) -> Vec<(String, GossipMsg)> {
+    pub fn take_outbox(&mut self) -> Vec<(Arc<str>, GossipMsg)> {
         self.gossip.take_outbox()
     }
 
@@ -363,6 +365,10 @@ mod tests {
 
     fn cfg() -> GossipConfig {
         GossipConfig::default().rng_salt(11)
+    }
+
+    fn n(name: &str) -> Arc<str> {
+        Arc::from(name)
     }
 
     fn interests(items: &[&str]) -> Vec<Interest> {
@@ -406,8 +412,8 @@ mod tests {
     fn link_transitions_are_idempotent() {
         let t = SimTime::ZERO;
         let mut rt = GossipRuntime::new("a", cfg());
-        assert!(rt.link_up("b", t));
-        assert!(!rt.link_up("b", t));
+        assert!(rt.link_up(&n("b"), t));
+        assert!(!rt.link_up(&n("b"), t));
         assert!(rt.is_linked("b"));
         assert!(rt.link_down("b", t));
         assert!(!rt.link_down("b", t));
@@ -419,8 +425,8 @@ mod tests {
         let t = SimTime::ZERO;
         let mut a = GossipRuntime::new("a", cfg());
         let mut b = GossipRuntime::new("b", cfg());
-        a.link_up("b", t);
-        b.link_up("a", t);
+        a.link_up(&n("b"), t);
+        b.link_up(&n("a"), t);
         a.take_outbox();
         b.take_outbox();
         assert!(a.announce_member("alice", &interests(&["football"]), t));
@@ -429,11 +435,11 @@ mod tests {
         let batch: Vec<GossipMsg> = a
             .take_outbox()
             .into_iter()
-            .filter(|(dest, _)| dest == "b")
+            .filter(|(dest, _)| &**dest == "b")
             .map(|(_, m)| m)
             .collect();
         assert!(!batch.is_empty());
-        let news = b.handle_batch("a", batch, t);
+        let news = b.handle_batch(&n("a"), batch, t);
         assert!(matches!(
             news.as_slice(),
             [GossipNews::Member { member, hops: 1 }] if member == "alice"
@@ -448,8 +454,8 @@ mod tests {
         let t = SimTime::from_secs(30);
         let mut a = GossipRuntime::new("a", cfg());
         let mut b = GossipRuntime::new("b", cfg());
-        a.link_up("b", t);
-        b.link_up("a", t);
+        a.link_up(&n("b"), t);
+        b.link_up(&n("a"), t);
         a.take_outbox();
         b.take_outbox();
         let id = a.publish_blob("alice", "song.mp3", Bytes::from(vec![9; 16]), t);
@@ -457,7 +463,7 @@ mod tests {
         assert_eq!(a.blob_log().len(), 1);
         assert_eq!(a.blob_log()[0].hops, 0);
         let batch: Vec<GossipMsg> = a.take_outbox().into_iter().map(|(_, m)| m).collect();
-        let news = b.handle_batch("a", batch, t + std::time::Duration::from_secs(2));
+        let news = b.handle_batch(&n("a"), batch, t + std::time::Duration::from_secs(2));
         assert!(matches!(news.as_slice(), [GossipNews::Blob(d)] if d.hops == 1 && d.size == 16));
         assert_eq!(b.blob_log().len(), 1);
         assert_eq!(b.blob_log()[0].origin, "alice");
@@ -468,8 +474,8 @@ mod tests {
         let t = SimTime::ZERO;
         let mut a = GossipRuntime::new("a", cfg());
         let mut b = GossipRuntime::new("b", cfg());
-        a.link_up("b", t);
-        b.link_up("a", t);
+        a.link_up(&n("b"), t);
+        b.link_up(&n("a"), t);
         a.take_outbox();
         b.take_outbox();
         // b's own user is "bob" but suppose a relays an announcement whose
@@ -477,7 +483,7 @@ mod tests {
         // suppression on the gossip node name.
         a.announce_member("b", &interests(&["x"]), t);
         let batch: Vec<GossipMsg> = a.take_outbox().into_iter().map(|(_, m)| m).collect();
-        let news = b.handle_batch("a", batch, t);
+        let news = b.handle_batch(&n("a"), batch, t);
         assert!(news.is_empty());
         assert!(b.remote_members().is_empty());
     }

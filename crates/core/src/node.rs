@@ -27,6 +27,7 @@
 //! in the evaluation harness.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
 use codec::Bytes;
@@ -248,7 +249,9 @@ enum ConnState {
 
 #[derive(Debug)]
 struct Peer {
-    device_name: String,
+    /// Shared with the daemon's `DeviceInfo::name`; the gossip layer keys
+    /// its views and queues by this same allocation.
+    device_name: Arc<str>,
     has_service: bool,
     /// The persistent connection (unused in [`OpMode::PerOperation`]).
     conn: ConnState,
@@ -257,7 +260,7 @@ struct Peer {
 }
 
 impl Peer {
-    fn new(device_name: String) -> Self {
+    fn new(device_name: Arc<str>) -> Self {
         Peer {
             device_name,
             has_service: false,
@@ -334,6 +337,17 @@ impl ActiveOp {
     }
 }
 
+/// The inputs group discovery last ran on: the local member, their
+/// interests and the neighbor list (see [`CommunityApp::discovery_neighbors`]).
+/// Discovery is a pure function of these and the match policy, so a rerun
+/// on equal inputs changes nothing (DESIGN.md §15).
+#[derive(Debug)]
+struct DiscoveryInputs {
+    me: String,
+    own: Vec<Interest>,
+    neighbors: Vec<(String, Vec<Interest>)>,
+}
+
 /// The social-networking application running on one device.
 ///
 /// Constructed around a [`MemberStore`]; [`CommunityApp::login`] before (or
@@ -345,12 +359,15 @@ pub struct CommunityApp {
     store: MemberStore,
     policy: MatchPolicy,
     registry: GroupRegistry,
+    /// What `registry` was last updated from; `None` (at start, after a
+    /// registry reset or a policy change) forces the next recompute.
+    discovery_inputs: Option<DiscoveryInputs>,
     peers: BTreeMap<DeviceId, Peer>,
     conn_to_peer: BTreeMap<ConnId, DeviceId>,
     /// Pending responses expected on each of our client connections.
     conn_pending: BTreeMap<ConnId, VecDeque<PendingEntry>>,
     /// Incoming (server-side) connections with the client device's name.
-    server_conns: BTreeMap<ConnId, String>,
+    server_conns: BTreeMap<ConnId, Arc<str>>,
     /// Operations awaiting a connection to a device, in request order.
     op_connects: BTreeMap<DeviceId, VecDeque<OpId>>,
     ops: BTreeMap<OpId, ActiveOp>,
@@ -381,7 +398,7 @@ pub struct CommunityApp {
     /// Gossip messages queued per destination device name, waiting for a
     /// usable client connection (or for the peer to poll us, in which case
     /// they piggyback on the `GOSSIP_REPLY`).
-    gossip_queues: BTreeMap<String, Vec<peerhood::gossip::GossipMsg>>,
+    gossip_queues: BTreeMap<Arc<str>, Vec<peerhood::gossip::GossipMsg>>,
 }
 
 impl CommunityApp {
@@ -392,6 +409,7 @@ impl CommunityApp {
             store,
             policy: MatchPolicy::Exact,
             registry: GroupRegistry::new(""),
+            discovery_inputs: None,
             peers: BTreeMap::new(),
             conn_to_peer: BTreeMap::new(),
             conn_pending: BTreeMap::new(),
@@ -491,6 +509,7 @@ impl CommunityApp {
     pub fn login(&mut self, username: &str, password: &str) -> Result<(), CommunityError> {
         self.store.login(username, password)?;
         self.registry = GroupRegistry::new(username);
+        self.discovery_inputs = None;
         Ok(())
     }
 
@@ -498,6 +517,7 @@ impl CommunityApp {
     pub fn logout(&mut self) {
         self.store.logout();
         self.registry = GroupRegistry::new("");
+        self.discovery_inputs = None;
     }
 
     /// The logged-in member name.
@@ -565,6 +585,7 @@ impl CommunityApp {
         ctx: &mut AppCtx<'_>,
     ) {
         self.policy.teach(&a.into(), &b.into());
+        self.discovery_inputs = None;
         self.recompute_groups(ctx);
     }
 
@@ -996,25 +1017,21 @@ impl CommunityApp {
         req: &Request,
         pending: Pending,
     ) {
-        let peer_name = self
-            .peers
-            .get(&device)
-            .map(|p| p.device_name.clone())
-            .unwrap_or_else(|| device.to_string());
-        ctx.trace(&peer_name, req.label());
+        ctx.trace(&self.peer_name(device), req.label());
         let seq = self.next_req_seq;
         self.next_req_seq += 1;
         // Under fault tolerance, mutating requests go out in an idempotency
         // envelope; reads are naturally idempotent and stay bare.
-        let wire_req = match (self.fault_tolerance, req) {
+        let envelope = match (self.fault_tolerance, req) {
             (Some(_), Request::AddProfileComment { .. } | Request::Message { .. }) => {
-                Request::Idempotent {
+                Some(Request::Idempotent {
                     token: client_token_half(ctx.actor()) | seq,
                     inner: Box::new(req.clone()),
-                }
+                })
             }
-            _ => req.clone(),
+            _ => None,
         };
+        let wire_req = envelope.as_ref().unwrap_or(req);
         ctx.peerhood().send(conn, Bytes::from(wire_req.encode()));
         self.conn_pending
             .entry(conn)
@@ -1026,7 +1043,7 @@ impl CommunityApp {
                 RetryEntry {
                     conn,
                     device,
-                    request: wire_req,
+                    request: envelope.unwrap_or_else(|| req.clone()),
                     attempts: 0,
                 },
             );
@@ -1067,12 +1084,7 @@ impl CommunityApp {
             entry.attempts += 1;
             let (device, frame, label) =
                 (entry.device, entry.request.encode(), entry.request.label());
-            let peer_name = self
-                .peers
-                .get(&device)
-                .map(|p| p.device_name.clone())
-                .unwrap_or_else(|| device.to_string());
-            ctx.trace(&peer_name, &format!("(retry) {label}"));
+            ctx.trace(&self.peer_name(device), &format!("(retry) {label}"));
             ctx.peerhood().send(conn, Bytes::from(frame));
             ctx.set_timer(policy.request_timeout, RETRY_TIMER_BASE + seq);
         } else {
@@ -1085,53 +1097,102 @@ impl CommunityApp {
         }
     }
 
+    /// The trace name of `device`: its discovered device name, or its id.
+    fn peer_name(&self, device: DeviceId) -> Arc<str> {
+        self.peers.get(&device).map_or_else(
+            || Arc::from(device.to_string()),
+            |p| Arc::clone(&p.device_name),
+        )
+    }
+
     fn device_of_member(&self, member: &str) -> Option<DeviceId> {
         self.peers
             .iter()
             .find_map(|(device, peer)| (peer.member.as_deref() == Some(member)).then_some(*device))
     }
 
-    fn recompute_groups(&mut self, ctx: &mut AppCtx<'_>) {
-        let Some(me) = self.store.active_member().map(str::to_owned) else {
-            return;
-        };
-        let own: Vec<Interest> = self
-            .store
-            .active_account()
-            .map(|a| a.profile().interests.to_vec())
-            .unwrap_or_default();
-        let neighbors: Vec<(String, Vec<Interest>)> = self
+    /// The neighbor list group discovery runs on, borrowed: radio peers
+    /// whose member is known, in device order, then members learned
+    /// through multi-hop gossip that are neither `me` nor a radio peer's
+    /// member (direct radio knowledge wins when both exist).
+    fn discovery_neighbors<'a>(
+        &'a self,
+        me: &'a str,
+    ) -> impl Iterator<Item = (&'a String, &'a Vec<Interest>)> + 'a {
+        let direct = self
             .peers
             .values()
-            .filter_map(|p| p.member.clone().map(|m| (m, p.interests.clone())))
-            .collect();
-        let mut neighbors = neighbors;
-        // Members learned through multi-hop gossip count as neighbors for
-        // discovery; direct radio knowledge wins when both exist.
-        if let Some(rt) = &self.gossip {
-            for (member, interests) in rt.remote_members() {
-                if *member == me || neighbors.iter().any(|(n, _)| n == member) {
-                    continue;
-                }
-                neighbors.push((member.clone(), interests.clone()));
-            }
-        }
-        let events = Discovery::new(&me, &self.policy).update(&mut self.registry, &own, &neighbors);
+            .filter_map(|p| Some((p.member.as_ref()?, &p.interests)));
+        let remote = self
+            .gossip
+            .iter()
+            .flat_map(GossipRuntime::remote_members)
+            .filter(move |(member, _)| {
+                member.as_str() != me
+                    && !self
+                        .peers
+                        .values()
+                        .any(|p| p.member.as_ref() == Some(*member))
+            });
+        direct.chain(remote)
+    }
+
+    /// Whether discovery's inputs equal those it last ran on, compared in
+    /// place (nothing is built or cloned on this path).
+    fn discovery_inputs_unchanged(&self, me: &str) -> bool {
+        let Some(last) = &self.discovery_inputs else {
+            return false;
+        };
+        let own = self.store.active_account().map(|a| &a.profile().interests);
+        last.me == me
+            && own.into_iter().flat_map(|o| o.iter()).eq(&last.own)
+            && self
+                .discovery_neighbors(me)
+                .eq(last.neighbors.iter().map(|(m, i)| (m, i)))
+    }
+
+    /// Re-runs dynamic group discovery (Figure 6) and reports the group
+    /// events it produced. Skipped when its inputs are unchanged, which is
+    /// exact: the registry would return no events and keep its state.
+    fn recompute_groups(&mut self, ctx: &mut AppCtx<'_>) {
+        let Some(me) = self.store.active_member() else {
+            return;
+        };
         let now = ctx.now();
-        for ev in events {
-            match &ev {
-                GroupEvent::GroupFormed { key, .. } | GroupEvent::GroupDissolved { key } => {
-                    ctx.trace_local(&format!("{} {key}", ev.label()));
+        if !self.discovery_inputs_unchanged(me) {
+            let inputs = DiscoveryInputs {
+                me: me.to_owned(),
+                own: self
+                    .store
+                    .active_account()
+                    .map(|a| a.profile().interests.to_vec())
+                    .unwrap_or_default(),
+                neighbors: self
+                    .discovery_neighbors(me)
+                    .map(|(m, i)| (m.clone(), i.clone()))
+                    .collect(),
+            };
+            let events = Discovery::new(&inputs.me, &self.policy).update(
+                &mut self.registry,
+                &inputs.own,
+                &inputs.neighbors,
+            );
+            self.discovery_inputs = Some(inputs);
+            for ev in events {
+                match &ev {
+                    GroupEvent::GroupFormed { key, .. } | GroupEvent::GroupDissolved { key } => {
+                        ctx.trace_local(&format!("{} {key}", ev.label()));
+                    }
+                    GroupEvent::MemberJoined { key, member }
+                    | GroupEvent::MemberLeft { key, member } => {
+                        ctx.trace_local(&format!("{} {key} {member}", ev.label()));
+                    }
                 }
-                GroupEvent::MemberJoined { key, member }
-                | GroupEvent::MemberLeft { key, member } => {
-                    ctx.trace_local(&format!("{} {key} {member}", ev.label()));
+                if let Some(rt) = self.gossip.as_mut() {
+                    rt.publish_group(&ev, now);
                 }
+                self.group_events.push((now, ev));
             }
-            if let Some(rt) = self.gossip.as_mut() {
-                rt.publish_group(&ev, now);
-            }
-            self.group_events.push((now, ev));
         }
         if self.first_group_at.is_none() && !self.registry.my_groups().is_empty() {
             self.first_group_at = Some(now);
@@ -1159,12 +1220,12 @@ impl CommunityApp {
     fn has_conn_to(&self, name: &str) -> bool {
         self.peers
             .values()
-            .any(|p| p.device_name == name && p.ready_conn().is_some())
-            || self.server_conns.values().any(|n| n == name)
+            .any(|p| *p.device_name == *name && p.ready_conn().is_some())
+            || self.server_conns.values().any(|n| **n == *name)
     }
 
     /// A connection to `name` appeared; tell the gossip layer (idempotent).
-    fn gossip_link_up(&mut self, name: &str, ctx: &mut AppCtx<'_>) {
+    fn gossip_link_up(&mut self, name: &Arc<str>, ctx: &mut AppCtx<'_>) {
         let now = ctx.now();
         if let Some(rt) = self.gossip.as_mut() {
             if rt.link_up(name, now) {
@@ -1199,9 +1260,14 @@ impl CommunityApp {
         for (dest, msg) in rt.take_outbox() {
             self.gossip_queues.entry(dest).or_default().push(msg);
         }
-        let deliverable: Vec<(String, DeviceId, ConnId)> = self
+        if self.gossip_queues.is_empty() {
+            return;
+        }
+        // Batches go out in device order.
+        let deliverable: Vec<(Arc<str>, DeviceId, ConnId)> = self
             .peers
             .iter()
+            .filter(|(_, peer)| self.gossip_queues.contains_key(&peer.device_name))
             .filter_map(|(device, peer)| {
                 // A standing connection if there is one, otherwise any live
                 // per-operation client connection to the same device.
@@ -1210,11 +1276,7 @@ impl CommunityApp {
                         .iter()
                         .find_map(|(c, d)| (d == device).then_some(*c))
                 })?;
-                let queued = self
-                    .gossip_queues
-                    .get(&peer.device_name)
-                    .is_some_and(|q| !q.is_empty());
-                queued.then(|| (peer.device_name.clone(), *device, conn))
+                Some((Arc::clone(&peer.device_name), *device, conn))
             })
             .collect();
         for (name, device, conn) in deliverable {
@@ -1235,7 +1297,7 @@ impl CommunityApp {
     /// reacts to the news it decoded.
     fn on_gossip_batch(
         &mut self,
-        peer: &str,
+        peer: &Arc<str>,
         msgs: Vec<peerhood::gossip::GossipMsg>,
         ctx: &mut AppCtx<'_>,
     ) {
@@ -1279,7 +1341,7 @@ impl CommunityApp {
     /// nodes gossip even when only one direction managed to connect).
     fn on_gossip_request(
         &mut self,
-        client_name: &str,
+        client_name: &Arc<str>,
         msgs: Vec<peerhood::gossip::GossipMsg>,
         ctx: &mut AppCtx<'_>,
     ) -> Response {
@@ -1372,11 +1434,7 @@ impl CommunityApp {
             self.retry_timers.remove(&entry.seq);
         }
         let pending = pending.map(|e| e.what);
-        let peer_name = self
-            .peers
-            .get(&device)
-            .map(|p| p.device_name.clone())
-            .unwrap_or_else(|| device.to_string());
+        let peer_name = self.peer_name(device);
         ctx.trace(&peer_name, &format!("(recv) {}", resp.label()));
         match pending {
             Some(Pending::AutoMemberName) => {
@@ -1695,7 +1753,7 @@ impl CommunityApp {
                 // Per-operation connections are a gossip opportunity too:
                 // batches pipeline behind the op requests on the same
                 // connection and the link drops again when the op closes it.
-                if let Some(name) = self.peers.get(&device).map(|p| p.device_name.clone()) {
+                if let Some(name) = self.peers.get(&device).map(|p| Arc::clone(&p.device_name)) {
                     self.gossip_link_up(&name, ctx);
                 }
             }
@@ -1738,7 +1796,7 @@ impl Application for CommunityApp {
                 ctx.peerhood().monitor(info.id);
                 self.peers
                     .entry(info.id)
-                    .or_insert_with(|| Peer::new(info.name.to_string()));
+                    .or_insert_with(|| Peer::new(Arc::clone(&info.name)));
                 ctx.peerhood().request_service_list(info.id);
             }
             AppEvent::ServiceList {
@@ -1769,7 +1827,7 @@ impl Application for CommunityApp {
                     return;
                 }
                 if let Some(peer) = self.peers.get_mut(&device) {
-                    let peer_name = peer.device_name.clone();
+                    let peer_name = Arc::clone(&peer.device_name);
                     peer.conn = ConnState::Ready(conn);
                     self.conn_to_peer.insert(conn, device);
                     // Automatic probes on the standing connection: who is
@@ -1807,29 +1865,26 @@ impl Application for CommunityApp {
                 service,
                 ..
             } if service == SERVICE_NAME => {
-                let name = self
-                    .peers
-                    .get(&device)
-                    .map(|p| p.device_name.clone())
-                    .unwrap_or_else(|| device.to_string());
-                self.server_conns.insert(conn, name.clone());
+                let name = self.peer_name(device);
+                self.server_conns.insert(conn, Arc::clone(&name));
                 self.gossip_link_up(&name, ctx);
             }
             AppEvent::Data { conn, payload } => {
                 if let Some(client_name) = self.server_conns.get(&conn).cloned() {
                     // Server side: decode a request, dispatch, respond.
-                    let Ok(req) = Request::decode(&payload) else {
-                        return;
+                    let req = match Request::decode(&payload) {
+                        // Gossip batches never touch the member store: they
+                        // are absorbed by the gossip layer and answered with
+                        // the piggyback batch queued for this peer.
+                        Ok(Request::Gossip { msgs }) => {
+                            let resp = self.on_gossip_request(&client_name, msgs, ctx);
+                            ctx.trace(&client_name, resp.label());
+                            ctx.peerhood().send(conn, Bytes::from(resp.encode()));
+                            return;
+                        }
+                        Ok(req) => req,
+                        Err(_) => return,
                     };
-                    // Gossip batches never touch the member store: they are
-                    // absorbed by the gossip layer and answered with the
-                    // piggyback batch queued for this peer.
-                    if let Request::Gossip { msgs } = &req {
-                        let resp = self.on_gossip_request(&client_name, msgs.clone(), ctx);
-                        ctx.trace(&client_name, resp.label());
-                        ctx.peerhood().send(conn, Bytes::from(resp.encode()));
-                        return;
-                    }
                     let resp = handle_request_cached(
                         &mut self.store,
                         &self.policy,
@@ -2003,5 +2058,191 @@ mod tests {
         let a = app("alice", &[]);
         assert!(a.completed_ops().is_empty());
         assert!(a.outcome(OpId(0)).is_none());
+    }
+
+    /// A [`GroupRegistry`] fed discovery's inputs from scratch at every
+    /// check — the recompute with no skip, as the oracle for the app's
+    /// skip-when-unchanged path.
+    struct ScratchRegistry {
+        registry: GroupRegistry,
+        /// How many of the app's group events earlier checks consumed.
+        seen: usize,
+    }
+
+    impl ScratchRegistry {
+        fn new(me: &str) -> Self {
+            ScratchRegistry {
+                registry: GroupRegistry::new(me),
+                seen: 0,
+            }
+        }
+
+        /// Discovery's inputs built the way the app built them before it
+        /// learned to skip: radio peers in device order, then
+        /// gossip-learned members that are neither `me` nor a radio peer.
+        fn inputs(app: &CommunityApp) -> Option<DiscoveryInputs> {
+            let me = app.member()?.to_owned();
+            let own = app
+                .store()
+                .active_account()
+                .map(|a| a.profile().interests.to_vec())
+                .unwrap_or_default();
+            let mut neighbors: Vec<(String, Vec<Interest>)> = app
+                .peers
+                .values()
+                .filter_map(|p| p.member.clone().map(|m| (m, p.interests.clone())))
+                .collect();
+            if let Some(rt) = app.gossip() {
+                for (member, interests) in rt.remote_members() {
+                    if *member == me || neighbors.iter().any(|(n, _)| n == member) {
+                        continue;
+                    }
+                    neighbors.push((member.clone(), interests.clone()));
+                }
+            }
+            Some(DiscoveryInputs { me, own, neighbors })
+        }
+
+        /// Feeds the app's current inputs through the scratch registry and
+        /// asserts the app shows the same groups and emitted the same
+        /// events since the last check. Returns how many events that was.
+        fn check(&mut self, app: &CommunityApp, step: &str) -> usize {
+            let expected = match Self::inputs(app) {
+                Some(i) => Discovery::new(&i.me, &app.policy).update(
+                    &mut self.registry,
+                    &i.own,
+                    &i.neighbors,
+                ),
+                None => Vec::new(),
+            };
+            let got: Vec<GroupEvent> = app.group_events()[self.seen..]
+                .iter()
+                .map(|(_, ev)| ev.clone())
+                .collect();
+            self.seen = app.group_events().len();
+            assert_eq!(got, expected, "{step}: group events");
+            assert_eq!(app.groups(), self.registry.groups(), "{step}: groups");
+            assert_eq!(
+                app.my_groups(),
+                self.registry.my_groups(),
+                "{step}: my groups"
+            );
+            got.len()
+        }
+    }
+
+    #[test]
+    fn skipped_recomputes_match_a_registry_fed_from_scratch() {
+        use netsim::geometry::Point2;
+        use netsim::mobility::ScriptedPath;
+        use netsim::world::NodeBuilder;
+        use netsim::Technology;
+        use peerhood::sim::Cluster;
+
+        let gossip = || GossipConfig::default().rng_salt(9);
+        let secs = SimTime::from_secs;
+        // alice under test, with bob beside her; carol far away until
+        // 150 s, then within bob's range but never alice's, so alice can
+        // only learn her through gossip; dave (no gossip layer, so nobody
+        // relays his membership) beside alice until he walks off at 400 s.
+        let mut c = Cluster::new(17);
+        let alice = c.add_node(
+            NodeBuilder::new("alice-pc")
+                .at(Point2::new(0.0, 0.0))
+                .with_technologies([Technology::Bluetooth]),
+            app("alice", &["Chess", "Fussball"]).with_gossip(gossip()),
+        );
+        c.add_node(
+            NodeBuilder::new("bob-pc")
+                .at(Point2::new(8.0, 0.0))
+                .with_technologies([Technology::Bluetooth]),
+            app("bob", &["chess", "football", "sauna"]).with_gossip(gossip()),
+        );
+        c.add_node(
+            NodeBuilder::new("carol-pc")
+                .moving(ScriptedPath::new(vec![
+                    (secs(0), Point2::new(16.0, 900.0)),
+                    (secs(150), Point2::new(16.0, 900.0)),
+                    (secs(160), Point2::new(16.0, 0.0)),
+                ]))
+                .with_technologies([Technology::Bluetooth]),
+            app("carol", &["chess"]).with_gossip(gossip()),
+        );
+        c.add_node(
+            NodeBuilder::new("dave-pc")
+                .moving(ScriptedPath::new(vec![
+                    (secs(0), Point2::new(0.0, 5.0)),
+                    (secs(400), Point2::new(0.0, 5.0)),
+                    (secs(420), Point2::new(0.0, 900.0)),
+                ]))
+                .with_technologies([Technology::Bluetooth]),
+            app("dave", &["sauna"]),
+        );
+        c.start();
+        let mut oracle = ScratchRegistry::new("alice");
+
+        // Login (at construction) and discovery of bob.
+        c.run_until(secs(60));
+        assert!(oracle.check(c.app(alice), "login") > 0);
+
+        // An interest edit.
+        c.with_app(alice, |a, ctx| a.add_interest("Sauna", ctx))
+            .expect("logged in");
+        assert!(oracle.check(c.app(alice), "add_interest") > 0);
+
+        // A policy change with no input change: only invalidation can
+        // make it show.
+        c.with_app(alice, |a, ctx| a.teach_synonym("Fussball", "football", ctx));
+        assert!(oracle.check(c.app(alice), "teach_synonym") > 0);
+
+        // Manual leave and join, then refresh rounds that recompute on
+        // unchanged inputs.
+        assert!(c.with_app(alice, |a, _| a.leave_group("sauna")));
+        assert!(oracle.registry.leave("sauna"));
+        oracle.check(c.app(alice), "leave_group");
+        assert!(!c.app(alice).my_groups().iter().any(|g| g.key == "sauna"));
+        assert!(c.with_app(alice, |a, _| a.join_group("sauna")));
+        assert!(oracle.registry.join("sauna"));
+        oracle.check(c.app(alice), "join_group");
+        c.run_until(secs(120));
+        assert_eq!(oracle.check(c.app(alice), "unchanged refreshes"), 0);
+
+        // carol arrives at bob's side; alice learns her through gossip.
+        c.run_until(secs(300));
+        assert!(oracle.check(c.app(alice), "gossip-learned member") > 0);
+        assert!(c
+            .app(alice)
+            .gossip()
+            .expect("gossip enabled")
+            .remote_members()
+            .contains_key("carol"));
+
+        // Logout and login reset the registry; the next recompute must
+        // rebuild every group although discovery's inputs did not change
+        // (re-adding an interest she holds recomputes with no sim time).
+        c.with_app(alice, |a, _| a.logout());
+        oracle.registry = GroupRegistry::new("");
+        oracle.check(c.app(alice), "logout");
+        c.with_app(alice, |a, _| a.login("alice", "pw"))
+            .expect("valid credentials");
+        oracle.registry = GroupRegistry::new("alice");
+        c.with_app(alice, |a, ctx| a.add_interest("Chess", ctx))
+            .expect("logged in");
+        assert!(oracle.check(c.app(alice), "login again") > 0);
+        // A login while logged in resets the registry too.
+        c.with_app(alice, |a, _| a.login("alice", "pw"))
+            .expect("valid credentials");
+        oracle.registry = GroupRegistry::new("alice");
+        c.with_app(alice, |a, ctx| a.add_interest("Chess", ctx))
+            .expect("logged in");
+        assert!(oracle.check(c.app(alice), "login while logged in") > 0);
+        c.run_until(secs(340));
+        oracle.check(c.app(alice), "after login");
+
+        // dave walks off: his device disappears from alice's neighborhood.
+        assert!(c.app(alice).known_members().contains(&"dave".to_owned()));
+        c.run_until(secs(600));
+        assert!(oracle.check(c.app(alice), "dave disappeared") > 0);
+        assert_eq!(c.app(alice).known_members(), ["bob"]);
     }
 }

@@ -28,8 +28,14 @@
 //! randomness comes from one dedicated [`SimRng`] stream salted with
 //! [`GossipConfig::rng_salt`] and the node name, drawn in dispatch order, so
 //! a run's digest is bit-identical for any `--threads N`.
+//!
+//! Peer names are shared `Arc<str>`s (the transport hands in the one it
+//! already holds, e.g. a device's `DeviceInfo::name`), so views, graft
+//! providers and the outbox copy a pointer, not a string. `Arc<str>`
+//! orders by its string contents, so every view iterates in name order.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
 use codec::{decode_seq, encode_seq, Bytes, DecodeError, Wire};
@@ -355,7 +361,7 @@ pub struct Delivery {
     /// Radio hops from the origin.
     pub hops: u8,
     /// Connected peer that delivered it.
-    pub from: String,
+    pub from: Arc<str>,
     /// The payload itself.
     pub payload: Bytes,
 }
@@ -368,7 +374,7 @@ struct CacheEntry {
 
 #[derive(Clone, Debug)]
 struct MissingEntry {
-    providers: Vec<String>,
+    providers: Vec<Arc<str>>,
     asked: usize,
     deadline: SimTime,
 }
@@ -380,16 +386,16 @@ pub struct Gossip {
     me: String,
     cfg: GossipConfig,
     rng: SimRng,
-    connected: BTreeSet<String>,
-    active: BTreeSet<String>,
-    passive: BTreeSet<String>,
+    connected: BTreeSet<Arc<str>>,
+    active: BTreeSet<Arc<str>>,
+    passive: BTreeSet<Arc<str>>,
     /// Active peers demoted off the eager tree by a `Prune`.
-    lazy: BTreeSet<String>,
+    lazy: BTreeSet<Arc<str>>,
     cache: BTreeMap<u64, CacheEntry>,
     cache_order: VecDeque<u64>,
     missing: BTreeMap<u64, MissingEntry>,
     next_shuffle: SimTime,
-    outbox: Vec<(String, GossipMsg)>,
+    outbox: Vec<(Arc<str>, GossipMsg)>,
     stats: GossipStats,
 }
 
@@ -432,13 +438,13 @@ impl Gossip {
 
     /// Connected peers currently treated as overlay neighbors (≤ bound).
     #[must_use]
-    pub fn active_view(&self) -> &BTreeSet<String> {
+    pub fn active_view(&self) -> &BTreeSet<Arc<str>> {
         &self.active
     }
 
     /// Known-but-not-active peer names (≤ bound, disjoint from active).
     #[must_use]
-    pub fn passive_view(&self) -> &BTreeSet<String> {
+    pub fn passive_view(&self) -> &BTreeSet<Arc<str>> {
         &self.passive
     }
 
@@ -463,18 +469,18 @@ impl Gossip {
     /// A radio link to `peer` came up. Promotes it into the views and
     /// announces every cached payload id so store-and-forward works across
     /// bubbles (the ferry pattern).
-    pub fn neighbor_up(&mut self, peer: &str, _now: SimTime) {
-        if peer == self.me {
+    pub fn neighbor_up(&mut self, peer: &Arc<str>, _now: SimTime) {
+        if **peer == *self.me {
             return;
         }
-        self.connected.insert(peer.to_string());
+        self.connected.insert(Arc::clone(peer));
         self.admit(peer);
         self.rebalance();
         if !self.cache.is_empty() {
             let ids: Vec<u64> = self.cache_order.iter().copied().collect();
             self.stats.lazy += ids.len() as u64;
             self.outbox
-                .push((peer.to_string(), GossipMsg::IHave { ids }));
+                .push((Arc::clone(peer), GossipMsg::IHave { ids }));
         }
     }
 
@@ -483,11 +489,11 @@ impl Gossip {
     pub fn neighbor_down(&mut self, peer: &str, _now: SimTime) {
         self.connected.remove(peer);
         self.lazy.remove(peer);
-        if self.active.remove(peer) {
-            self.insert_passive(peer);
+        if let Some(demoted) = self.active.take(peer) {
+            self.insert_passive(&demoted);
         }
         for entry in self.missing.values_mut() {
-            entry.providers.retain(|p| p != peer);
+            entry.providers.retain(|p| **p != *peer);
         }
         self.rebalance();
     }
@@ -504,14 +510,14 @@ impl Gossip {
 
     /// Handles one message from a connected `peer`, returning any payloads
     /// that reached this node for the first time.
-    pub fn on_msg(&mut self, peer: &str, msg: GossipMsg, now: SimTime) -> Vec<Delivery> {
-        if peer == self.me {
+    pub fn on_msg(&mut self, peer: &Arc<str>, msg: GossipMsg, now: SimTime) -> Vec<Delivery> {
+        if **peer == *self.me {
             return Vec::new();
         }
         // Messages arrive over live connections; be defensive about a missed
         // neighbor_up so the views never desynchronize from the transport.
         if !self.connected.contains(peer) {
-            self.connected.insert(peer.to_string());
+            self.connected.insert(Arc::clone(peer));
             self.admit(peer);
             self.rebalance();
         }
@@ -520,9 +526,9 @@ impl Gossip {
                 if self.cache.contains_key(&id) {
                     self.stats.duplicate += 1;
                     self.stats.prune += 1;
-                    self.outbox.push((peer.to_string(), GossipMsg::Prune));
+                    self.outbox.push((Arc::clone(peer), GossipMsg::Prune));
                     if self.active.contains(peer) {
-                        self.lazy.insert(peer.to_string());
+                        self.lazy.insert(Arc::clone(peer));
                     }
                     return Vec::new();
                 }
@@ -535,7 +541,7 @@ impl Gossip {
                 vec![Delivery {
                     id,
                     hops,
-                    from: peer.to_string(),
+                    from: Arc::clone(peer),
                     payload,
                 }]
             }
@@ -549,14 +555,14 @@ impl Gossip {
                         asked: 0,
                         deadline: SimTime::ZERO,
                     });
-                    if !entry.providers.iter().any(|p| p == peer) {
-                        entry.providers.push(peer.to_string());
+                    if !entry.providers.contains(peer) {
+                        entry.providers.push(Arc::clone(peer));
                     }
                     if entry.providers.len() == 1 {
                         entry.deadline = now + self.cfg.graft_timeout;
                         self.stats.graft += 1;
                         self.outbox
-                            .push((peer.to_string(), GossipMsg::Graft { id }));
+                            .push((Arc::clone(peer), GossipMsg::Graft { id }));
                     }
                 }
                 Vec::new()
@@ -568,28 +574,28 @@ impl Gossip {
                     let payload = entry.payload.clone();
                     self.stats.eager += 1;
                     self.outbox
-                        .push((peer.to_string(), GossipMsg::Push { id, hops, payload }));
+                        .push((Arc::clone(peer), GossipMsg::Push { id, hops, payload }));
                 }
                 Vec::new()
             }
             GossipMsg::Prune => {
                 if self.active.contains(peer) {
-                    self.lazy.insert(peer.to_string());
+                    self.lazy.insert(Arc::clone(peer));
                 }
                 Vec::new()
             }
             GossipMsg::Shuffle { peers } => {
-                for name in &peers {
-                    self.insert_passive(name);
+                for name in peers {
+                    self.insert_passive(&Arc::from(name));
                 }
                 let sample = self.sample_peers(peer);
                 self.outbox
-                    .push((peer.to_string(), GossipMsg::ShuffleReply { peers: sample }));
+                    .push((Arc::clone(peer), GossipMsg::ShuffleReply { peers: sample }));
                 Vec::new()
             }
             GossipMsg::ShuffleReply { peers } => {
-                for name in &peers {
-                    self.insert_passive(name);
+                for name in peers {
+                    self.insert_passive(&Arc::from(name));
                 }
                 Vec::new()
             }
@@ -607,13 +613,13 @@ impl Gossip {
     }
 
     /// Drains queued `(destination, message)` pairs for the transport.
-    pub fn take_outbox(&mut self) -> Vec<(String, GossipMsg)> {
+    pub fn take_outbox(&mut self) -> Vec<(Arc<str>, GossipMsg)> {
         std::mem::take(&mut self.outbox)
     }
 
     fn retry_grafts(&mut self, now: SimTime) {
         let timeout = self.cfg.graft_timeout;
-        let mut grafts: Vec<(String, u64)> = Vec::new();
+        let mut grafts: Vec<(Arc<str>, u64)> = Vec::new();
         for (&id, entry) in &mut self.missing {
             if entry.deadline > now || entry.providers.is_empty() {
                 continue;
@@ -625,7 +631,7 @@ impl Gossip {
                 let idx = (entry.asked + step) % n;
                 if self.connected.contains(&entry.providers[idx]) {
                     entry.asked = idx;
-                    grafts.push((entry.providers[idx].clone(), id));
+                    grafts.push((Arc::clone(&entry.providers[idx]), id));
                     break;
                 }
             }
@@ -638,7 +644,7 @@ impl Gossip {
     }
 
     fn shuffle(&mut self) {
-        let candidates: Vec<String> = self
+        let candidates: Vec<Arc<str>> = self
             .active
             .iter()
             .filter(|p| self.connected.contains(*p))
@@ -655,37 +661,27 @@ impl Gossip {
     /// (plus this node itself, so shuffles spread our own name).
     fn sample_peers(&mut self, exclude: &str) -> Vec<String> {
         let mut sample = vec![self.me.clone()];
-        let mut actives: Vec<String> = self
-            .active
-            .iter()
-            .filter(|p| p.as_str() != exclude)
-            .cloned()
-            .collect();
+        let mut actives: Vec<&Arc<str>> = self.active.iter().filter(|p| ***p != *exclude).collect();
         self.rng.shuffle(&mut actives);
         actives.truncate(self.cfg.shuffle_active);
-        let mut passives: Vec<String> = self
-            .passive
-            .iter()
-            .filter(|p| p.as_str() != exclude)
-            .cloned()
-            .collect();
+        let mut passives: Vec<&Arc<str>> =
+            self.passive.iter().filter(|p| ***p != *exclude).collect();
         self.rng.shuffle(&mut passives);
         passives.truncate(self.cfg.shuffle_passive);
-        sample.extend(actives);
-        sample.extend(passives);
+        sample.extend(actives.into_iter().chain(passives).map(|p| p.to_string()));
         sample
     }
 
     /// Pushes `id` to eager connected peers and announces it to every other
     /// connected peer, skipping `via` (who just gave it to us).
-    fn broadcast(&mut self, id: u64, via: Option<&str>) {
+    fn broadcast(&mut self, id: u64, via: Option<&Arc<str>>) {
         let entry = &self.cache[&id];
         let hops = entry.hops.saturating_add(1);
         let payload = entry.payload.clone();
-        let mut pushes: Vec<String> = Vec::new();
-        let mut announces: Vec<String> = Vec::new();
+        let mut pushes: Vec<Arc<str>> = Vec::new();
+        let mut announces: Vec<Arc<str>> = Vec::new();
         for peer in &self.connected {
-            if Some(peer.as_str()) == via {
+            if via.is_some_and(|v| **v == **peer) {
                 continue;
             }
             if self.active.contains(peer) && !self.lazy.contains(peer) {
@@ -713,13 +709,13 @@ impl Gossip {
 
     /// Admits a freshly-connected peer into the views: straight into the
     /// active view while it has room, otherwise parked in the passive view.
-    fn admit(&mut self, peer: &str) {
-        if peer == self.me || self.active.contains(peer) {
+    fn admit(&mut self, peer: &Arc<str>) {
+        if **peer == *self.me || self.active.contains(peer) {
             return;
         }
         if self.active.len() < self.cfg.active_view {
             self.passive.remove(peer);
-            self.active.insert(peer.to_string());
+            self.active.insert(Arc::clone(peer));
         } else {
             self.insert_passive(peer);
         }
@@ -729,7 +725,7 @@ impl Gossip {
     /// connected peer sits in the passive view, promote one at random.
     fn rebalance(&mut self) {
         while self.active.len() < self.cfg.active_view {
-            let candidates: Vec<String> = self
+            let candidates: Vec<Arc<str>> = self
                 .passive
                 .iter()
                 .filter(|p| self.connected.contains(*p))
@@ -743,19 +739,19 @@ impl Gossip {
         }
     }
 
-    fn insert_passive(&mut self, peer: &str) {
-        if peer == self.me || self.active.contains(peer) || self.passive.contains(peer) {
+    fn insert_passive(&mut self, peer: &Arc<str>) {
+        if **peer == *self.me || self.active.contains(peer) || self.passive.contains(peer) {
             return;
         }
         while self.passive.len() >= self.cfg.passive_view {
-            let names: Vec<String> = self.passive.iter().cloned().collect();
+            let names: Vec<Arc<str>> = self.passive.iter().cloned().collect();
             let Some(evict) = self.rng.pick(&names).cloned() else {
                 return;
             };
             self.passive.remove(&evict);
         }
         if self.cfg.passive_view > 0 {
-            self.passive.insert(peer.to_string());
+            self.passive.insert(Arc::clone(peer));
         }
     }
 
@@ -778,6 +774,10 @@ mod tests {
 
     fn cfg() -> GossipConfig {
         GossipConfig::default().rng_salt(7)
+    }
+
+    fn n(name: &str) -> Arc<str> {
+        Arc::from(name)
     }
 
     fn all_msgs() -> Vec<GossipMsg> {
@@ -835,9 +835,9 @@ mod tests {
     fn neighbor_up_promotes_until_bound() {
         let mut g = Gossip::new("me", cfg().active_view(2));
         let t = SimTime::ZERO;
-        g.neighbor_up("a", t);
-        g.neighbor_up("b", t);
-        g.neighbor_up("c", t);
+        g.neighbor_up(&n("a"), t);
+        g.neighbor_up(&n("b"), t);
+        g.neighbor_up(&n("c"), t);
         assert_eq!(g.active_view().len(), 2);
         assert!(g.passive_view().contains("c"));
     }
@@ -846,8 +846,8 @@ mod tests {
     fn neighbor_down_force_promotes_connected_passive() {
         let mut g = Gossip::new("me", cfg().active_view(1));
         let t = SimTime::ZERO;
-        g.neighbor_up("a", t);
-        g.neighbor_up("b", t);
+        g.neighbor_up(&n("a"), t);
+        g.neighbor_up(&n("b"), t);
         assert!(g.active_view().contains("a"));
         assert!(g.passive_view().contains("b"));
         g.neighbor_down("a", t);
@@ -861,16 +861,16 @@ mod tests {
         let t = SimTime::ZERO;
         let mut a = Gossip::new("a", cfg());
         let mut b = Gossip::new("b", cfg());
-        a.neighbor_up("b", t);
-        b.neighbor_up("a", t);
+        a.neighbor_up(&n("b"), t);
+        b.neighbor_up(&n("a"), t);
         a.take_outbox();
         b.take_outbox();
         a.publish(message_id("a", 0), Bytes::from(b"hello".to_vec()), t);
         let out = a.take_outbox();
         assert_eq!(out.len(), 1);
         let (dest, msg) = out.into_iter().next().unwrap();
-        assert_eq!(dest, "b");
-        let delivered = b.on_msg("a", msg, t);
+        assert_eq!(&*dest, "b");
+        let delivered = b.on_msg(&n("a"), msg, t);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].payload, Bytes::from(b"hello".to_vec()));
         assert_eq!(delivered[0].hops, 1);
@@ -880,21 +880,21 @@ mod tests {
     fn duplicate_push_prunes_sender() {
         let t = SimTime::ZERO;
         let mut b = Gossip::new("b", cfg());
-        b.neighbor_up("a", t);
-        b.neighbor_up("c", t);
+        b.neighbor_up(&n("a"), t);
+        b.neighbor_up(&n("c"), t);
         b.take_outbox();
         let push = GossipMsg::Push {
             id: 1,
             hops: 1,
             payload: Bytes::from(b"x".to_vec()),
         };
-        assert_eq!(b.on_msg("a", push.clone(), t).len(), 1);
-        assert_eq!(b.on_msg("c", push, t).len(), 0);
+        assert_eq!(b.on_msg(&n("a"), push.clone(), t).len(), 1);
+        assert_eq!(b.on_msg(&n("c"), push, t).len(), 0);
         assert_eq!(b.stats().duplicate, 1);
         let prunes: Vec<_> = b
             .take_outbox()
             .into_iter()
-            .filter(|(dest, msg)| dest == "c" && matches!(msg, GossipMsg::Prune))
+            .filter(|(dest, msg)| &**dest == "c" && matches!(msg, GossipMsg::Prune))
             .collect();
         assert_eq!(prunes.len(), 1);
     }
@@ -904,29 +904,29 @@ mod tests {
         let t = SimTime::ZERO;
         let mut a = Gossip::new("a", cfg());
         let mut b = Gossip::new("b", cfg());
-        a.neighbor_up("b", t);
-        b.neighbor_up("a", t);
+        a.neighbor_up(&n("b"), t);
+        b.neighbor_up(&n("a"), t);
         a.take_outbox();
         b.take_outbox();
         let id = message_id("a", 1);
         a.publish(id, Bytes::from(b"blob".to_vec()), t);
         a.take_outbox();
         // b hears only the digest (as if it connected late)...
-        b.on_msg("a", GossipMsg::IHave { ids: vec![id] }, t);
+        b.on_msg(&n("a"), GossipMsg::IHave { ids: vec![id] }, t);
         let graft = b
             .take_outbox()
             .into_iter()
-            .find(|(dest, msg)| dest == "a" && matches!(msg, GossipMsg::Graft { .. }))
+            .find(|(dest, msg)| &**dest == "a" && matches!(msg, GossipMsg::Graft { .. }))
             .expect("graft queued");
         assert_eq!(b.stats().graft, 1);
         // ...and the graft pulls the payload across.
-        a.on_msg("b", graft.1, t);
+        a.on_msg(&n("b"), graft.1, t);
         let (_, push) = a
             .take_outbox()
             .into_iter()
-            .find(|(dest, _)| dest == "b")
+            .find(|(dest, _)| &**dest == "b")
             .expect("push queued");
-        let delivered = b.on_msg("a", push, t);
+        let delivered = b.on_msg(&n("a"), push, t);
         assert_eq!(delivered.len(), 1);
         assert!(b.has_seen(id));
     }
@@ -935,11 +935,11 @@ mod tests {
     fn graft_retries_rotate_to_live_provider() {
         let t0 = SimTime::ZERO;
         let mut b = Gossip::new("b", cfg());
-        b.neighbor_up("a", t0);
-        b.neighbor_up("c", t0);
+        b.neighbor_up(&n("a"), t0);
+        b.neighbor_up(&n("c"), t0);
         b.take_outbox();
-        b.on_msg("a", GossipMsg::IHave { ids: vec![5] }, t0);
-        b.on_msg("c", GossipMsg::IHave { ids: vec![5] }, t0);
+        b.on_msg(&n("a"), GossipMsg::IHave { ids: vec![5] }, t0);
+        b.on_msg(&n("c"), GossipMsg::IHave { ids: vec![5] }, t0);
         b.take_outbox();
         // a never answers and drops off; the retry must target c.
         b.neighbor_down("a", t0);
@@ -951,7 +951,7 @@ mod tests {
             .filter(|(_, msg)| matches!(msg, GossipMsg::Graft { id: 5 }))
             .collect();
         assert_eq!(grafts.len(), 1);
-        assert_eq!(grafts[0].0, "c");
+        assert_eq!(&*grafts[0].0, "c");
     }
 
     #[test]
@@ -959,10 +959,10 @@ mod tests {
         let t = SimTime::ZERO;
         let mut a = Gossip::new("a", cfg());
         let mut b = Gossip::new("b", cfg());
-        a.neighbor_up("b", t);
-        a.neighbor_up("x", t);
+        a.neighbor_up(&n("b"), t);
+        a.neighbor_up(&n("x"), t);
         a.neighbor_down("x", t);
-        b.neighbor_up("a", t);
+        b.neighbor_up(&n("a"), t);
         a.take_outbox();
         b.take_outbox();
         let horizon = SimTime::ZERO + Duration::from_secs(120);
@@ -974,8 +974,8 @@ mod tests {
             .collect();
         assert_eq!(shuffles.len(), 1);
         let (dest, msg) = shuffles.into_iter().next().unwrap();
-        assert_eq!(dest, "b");
-        b.on_msg("a", msg, t);
+        assert_eq!(&*dest, "b");
+        b.on_msg(&n("a"), msg, t);
         // b learned about x (and a itself was filtered as already active).
         assert!(b.passive_view().contains("x"));
         let reply = b
@@ -1001,9 +1001,9 @@ mod tests {
     fn views_never_contain_self() {
         let t = SimTime::ZERO;
         let mut g = Gossip::new("me", cfg());
-        g.neighbor_up("me", t);
+        g.neighbor_up(&n("me"), t);
         g.on_msg(
-            "a",
+            &n("a"),
             GossipMsg::Shuffle {
                 peers: vec!["me".into(), "z".into()],
             },

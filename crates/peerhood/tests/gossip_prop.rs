@@ -4,6 +4,7 @@
 //! node delivers every published payload).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use codec::prop::{check, Config, Gen};
@@ -18,6 +19,8 @@ const NAMES: [&str; 6] = ["n0", "n1", "n2", "n3", "n4", "n5"];
 /// connected, mirroring the radio-link contract of the real harness.
 struct Mesh {
     nodes: Vec<Gossip>,
+    /// `NAMES` as the shared names the transport hands to the machines.
+    names: Vec<Arc<str>>,
     linked: Vec<Vec<bool>>,
     now: SimTime,
 }
@@ -30,6 +33,7 @@ impl Mesh {
             .collect();
         Mesh {
             nodes,
+            names: NAMES.iter().map(|name| Arc::from(*name)).collect(),
             linked: vec![vec![false; NAMES.len()]; NAMES.len()],
             now: SimTime::ZERO,
         }
@@ -46,8 +50,8 @@ impl Mesh {
         self.linked[a][b] = true;
         self.linked[b][a] = true;
         let now = self.now;
-        self.nodes[a].neighbor_up(NAMES[b], now);
-        self.nodes[b].neighbor_up(NAMES[a], now);
+        self.nodes[a].neighbor_up(&self.names[b], now);
+        self.nodes[b].neighbor_up(&self.names[a], now);
     }
 
     fn unlink(&mut self, a: usize, b: usize) {
@@ -75,7 +79,7 @@ impl Mesh {
                 if self.linked[i][j] {
                     moved += 1;
                     let now = self.now;
-                    self.nodes[j].on_msg(NAMES[i], msg, now);
+                    self.nodes[j].on_msg(&self.names[i], msg, now);
                 }
             }
         }
@@ -236,7 +240,7 @@ fn view_bounds_are_plain_assertions_not_lint_rules() {
     let mut g = Gossip::new("me", cfg.clone());
     let now = SimTime::ZERO;
     for i in 0..50 {
-        g.neighbor_up(&format!("peer{i:02}"), now);
+        g.neighbor_up(&Arc::from(format!("peer{i:02}")), now);
     }
     assert_eq!(g.active_view().len(), 3);
     assert!(g.passive_view().len() <= 7);
