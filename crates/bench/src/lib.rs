@@ -69,14 +69,6 @@ impl BenchmarkId {
             id: parameter.to_string(),
         }
     }
-
-    /// Builds an id carrying a function name and a parameter value
-    /// (mirrors `criterion::BenchmarkId::new`).
-    pub fn new(function: impl Display, parameter: impl Display) -> Self {
-        BenchmarkId {
-            id: format!("{function}/{parameter}"),
-        }
-    }
 }
 
 impl Display for BenchmarkId {

@@ -5,7 +5,7 @@
 
 use std::process::ExitCode;
 
-use ph_harness::{ablations, bubbles, crowd, functionality, live, msc, scenario, table8};
+use ph_harness::{ablations, bubbles, crowd, functionality, gate, live, msc, scenario, table8};
 
 /// Counts heap allocations so `repro crowd` can prove the interned trace
 /// path allocates nothing in steady state (see
@@ -146,7 +146,6 @@ fn main() -> ExitCode {
                 region_edge,
                 &faults,
                 args.iter().any(|a| a == "--json"),
-                args.iter().any(|a| a == "--selfcheck"),
             );
             if !ok {
                 return ExitCode::FAILURE;
@@ -166,7 +165,7 @@ fn main() -> ExitCode {
             match live::run_live_load(&config) {
                 Ok(report) => {
                     if args.iter().any(|a| a == "--json") {
-                        println!("{}", report.to_json());
+                        println!("{}", report.to_json().to_string_pretty());
                     } else {
                         println!("{}", report.render());
                     }
@@ -177,6 +176,7 @@ fn main() -> ExitCode {
                 }
             }
         }
+        "gate" => return run_gate(),
         "ablation-tech" => run_ablation_tech(trials.min(20), seed),
         "ablation-scaling" => run_ablation_scaling(seed),
         "ablation-semantics" => run_ablation_semantics(seed),
@@ -384,10 +384,7 @@ fn run_crowd(
     region_edge: f64,
     faults: &str,
     json: bool,
-    selfcheck: bool,
 ) -> bool {
-    use std::sync::atomic::Ordering;
-
     let base = crowd::CrowdConfig {
         seed,
         horizon: std::time::Duration::from_secs(horizon_secs),
@@ -404,109 +401,53 @@ fn run_crowd(
             return false;
         }
     };
-
-    // Sharding self-check: rerun each size with the epoch engine disabled
-    // (one worker, one lane, default grid) and require byte-identical
-    // trace digests — proving the fork/join merge and the region sharding
-    // are pure performance transforms. Up to 10k nodes a third run with a
-    // deliberately different lane count and region edge double-checks the
-    // grid knobs too.
-    let mut selfcheck_ok = true;
-    let mut selfcheck_lines = Vec::new();
-    if selfcheck {
-        let serial_base = crowd::CrowdConfig {
-            threads: 1,
-            region_lanes: 1,
-            region_edge_m: 0.0,
-            compare_naive: false,
-            ..base.clone()
-        };
-        for report in &reports {
-            let serial = match crowd::run(&crowd::CrowdConfig {
-                nodes: report.nodes,
-                ..serial_base.clone()
-            }) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("crowd selfcheck config rejected: {e}");
-                    return false;
-                }
-            };
-            let mut ok = serial.digest == report.digest && serial.stats == report.stats;
-            if report.nodes <= 10_000 {
-                let resharded = match crowd::run(&crowd::CrowdConfig {
-                    nodes: report.nodes,
-                    region_lanes: 3,
-                    region_edge_m: 40.0,
-                    ..serial_base.clone()
-                }) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("crowd selfcheck config rejected: {e}");
-                        return false;
-                    }
-                };
-                ok &= resharded.digest == report.digest && resharded.stats == report.stats;
-            }
-            selfcheck_ok &= ok;
-            selfcheck_lines.push(format!(
-                "selfcheck nodes={} threads={} lanes={} vs serial-merge: {} \
-                 (digest {:016x} vs {:016x})",
-                report.nodes,
-                report.threads,
-                report.region_lanes,
-                if ok { "MATCH" } else { "MISMATCH" },
-                report.digest,
-                serial.digest,
-            ));
-        }
-    }
-
-    let (burst_events, burst_allocs) =
-        crowd::trace_alloc_burst(&|| counting_alloc::ALLOCS.load(Ordering::Relaxed));
+    let burst = crowd::trace_alloc_burst(&alloc_count);
     if json {
-        let runs: Vec<_> = reports.iter().map(crowd::CrowdReport::to_json).collect();
-        let mut doc = codec::json::Json::obj()
-            .field("scenario", "crowd")
-            .field("seed", seed)
-            .field("horizon_secs", horizon_secs)
-            .field("threads", threads)
-            // The host's core count: parallel rows mean little below 4.
-            .field(
-                "nproc",
-                std::thread::available_parallelism().map_or(1, usize::from),
-            )
-            .field("faults", faults)
-            .field("runs", runs)
-            .field(
-                "trace_alloc_burst",
-                codec::json::Json::obj()
-                    .field("events", burst_events)
-                    .field("allocations", burst_allocs)
-                    .field(
-                        "allocs_per_event",
-                        burst_allocs as f64 / burst_events as f64,
-                    ),
-            );
-        if selfcheck {
-            doc = doc.field("selfcheck", if selfcheck_ok { "match" } else { "mismatch" });
-        }
+        let doc = crowd::sweep_json(&base, faults, &reports, burst);
         println!("{}", doc.to_string_pretty());
     } else {
         print!("{}", crowd::render(&reports));
+        let (events, allocs) = burst;
         println!(
-            "\ninterned trace burst: {burst_events} events, {burst_allocs} heap allocations \
+            "\ninterned trace burst: {events} events, {allocs} heap allocations \
              ({:.4}/event)",
-            burst_allocs as f64 / burst_events as f64
+            allocs as f64 / events as f64
         );
-        for line in &selfcheck_lines {
-            println!("{line}");
+    }
+    true
+}
+
+/// Runs every gate arm, prints what was measured, and rewrites
+/// `BENCH_scale.json` and `BENCH_live.json` when every gate passes.
+/// `PH_CI_MILLION=1` also re-measures the 1M-node run.
+fn run_gate() -> ExitCode {
+    let remeasure_million = std::env::var("PH_CI_MILLION").is_ok_and(|v| v == "1");
+    let reports = match gate::run(&alloc_count, remeasure_million) {
+        Ok(reports) => reports,
+        Err(e) => {
+            eprintln!("gate could not run: {e}");
+            return ExitCode::FAILURE;
         }
+    };
+    for (passed, name, seen) in gate::verdicts(&reports) {
+        println!("{} {name}: {seen}", if passed { "ok  " } else { "FAIL" });
     }
-    if !selfcheck_ok {
-        eprintln!("crowd selfcheck FAILED: parallel trace digest diverged from serial");
+    let failures = gate::check(&reports);
+    if !failures.is_empty() {
+        eprintln!("gate: {} check(s) failed", failures.len());
+        return ExitCode::FAILURE;
     }
-    selfcheck_ok
+    if let Err(e) = gate::write_artifacts(&reports) {
+        eprintln!("gate could not write its artifacts: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("gate: every check passed; wrote BENCH_scale.json and BENCH_live.json");
+    ExitCode::SUCCESS
+}
+
+fn alloc_count() -> u64 {
+    use std::sync::atomic::Ordering;
+    counting_alloc::ALLOCS.load(Ordering::Relaxed)
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<u64> {
@@ -569,9 +510,6 @@ fn print_help() {
                                                pure sharding, digests identical\n\
                                [--region-edge M] spatial region edge in metres\n\
                                                (0 = default 80); digests identical\n\
-                               [--selfcheck]   rerun on the serial-merge engine\n\
-                                               (and resharded, <=10k nodes); fail\n\
-                                               on any digest drift\n\
                                [--faults P]    inject a named fault profile\n\
                                                (none | lossy: 10% BT frame loss +\n\
                                                burst episodes, recovery enabled)\n\
@@ -582,6 +520,12 @@ fn print_help() {
                                [--shards N] [--queue-cap BYTES] [--stalled N]\n\
                                [--json]\n\
          \n\
-           all                 everything above (crowd/live excluded; run directly)"
+         ci gate:\n\
+           gate                every scale, fault, gossip and live arm in-process;\n\
+                               fails naming each broken check, else rewrites\n\
+                               BENCH_scale.json and BENCH_live.json\n\
+         \n\
+           all                 everything above (crowd/live/gate excluded; run\n\
+                               directly)"
     );
 }

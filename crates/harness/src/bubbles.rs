@@ -16,8 +16,8 @@
 //! and latency distributions, duplicate overhead per delivered payload,
 //! and membership convergence of the interest group spanning all
 //! bubbles — plus the usual order-sensitive trace digest, which must be
-//! bit-identical for any worker or lane count (`repro bubbles` and the
-//! `ci.sh` gossip smoke gate on this).
+//! bit-identical for any worker or lane count (`repro gate` checks this
+//! at one and four threads, fault-free and under `lossy`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -287,7 +287,7 @@ pub fn build(config: &BubblesConfig) -> Result<BubblesScenario, BubblesError> {
 }
 
 /// Result of one multi-bubble run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BubblesReport {
     /// Bubble count.
     pub bubbles: usize,

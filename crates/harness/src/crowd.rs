@@ -277,7 +277,7 @@ impl Application for CrowdApp {
 }
 
 /// Result of one crowd run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CrowdReport {
     /// Number of devices.
     pub nodes: usize,
@@ -342,6 +342,12 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
+}
+
+/// The host's hardware thread count (1 when unknown). Parallel speedups
+/// mean little below 4.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 impl CrowdReport {
@@ -639,6 +645,36 @@ pub fn sweep(base: &CrowdConfig, sizes: &[usize]) -> Result<Vec<CrowdReport>, Cr
             })
         })
         .collect()
+}
+
+/// A sweep as one JSON document (`repro crowd --json`): the shared
+/// settings of `base`, the fault profile's name, every run, and the
+/// `(events, allocations)` of a [`trace_alloc_burst`].
+pub fn sweep_json(
+    base: &CrowdConfig,
+    faults: &str,
+    reports: &[CrowdReport],
+    burst: (u64, u64),
+) -> Json {
+    let (events, allocations) = burst;
+    Json::obj()
+        .field("scenario", "crowd")
+        .field("seed", base.seed)
+        .field("horizon_secs", base.horizon.as_secs())
+        .field("threads", base.threads)
+        .field("nproc", host_cores())
+        .field("faults", faults)
+        .field(
+            "runs",
+            reports.iter().map(CrowdReport::to_json).collect::<Vec<_>>(),
+        )
+        .field(
+            "trace_alloc_burst",
+            Json::obj()
+                .field("events", events)
+                .field("allocations", allocations)
+                .field("allocs_per_event", allocations as f64 / events as f64),
+        )
 }
 
 /// Renders a sweep as an aligned text table.
@@ -1078,10 +1114,10 @@ mod tests {
     }
 
     /// 100k leg of the differential matrix — minutes in a debug build, so
-    /// `#[ignore]`d; `ci.sh` gates the release-build equivalent on every
-    /// run via `repro crowd`.
+    /// `#[ignore]`d; `repro gate` checks the release-build equivalent
+    /// (serial, `--threads 4` and the serial-merge rerun at 100k nodes).
     #[test]
-    #[ignore = "release-scale: run with --ignored (ci.sh gates the release build)"]
+    #[ignore = "release-scale: run with --ignored (`repro gate` checks the release build)"]
     fn epoch_engine_matches_pure_dispatch_at_100k() {
         let base = CrowdConfig {
             nodes: 100_000,
@@ -1112,7 +1148,7 @@ mod tests {
     #[test]
     fn alloc_burst_counts_against_the_probe() {
         // With a flat probe the delta is zero by construction; the repro
-        // binary and the scale bench install a real counting allocator.
+        // binary installs a real counting allocator.
         let (events, allocs) = trace_alloc_burst(&|| 0);
         assert_eq!(events, 65_536);
         assert_eq!(allocs, 0);

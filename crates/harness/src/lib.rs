@@ -12,6 +12,7 @@ pub mod ablations;
 pub mod bubbles;
 pub mod crowd;
 pub mod functionality;
+pub mod gate;
 pub mod live;
 pub mod msc;
 pub mod report;

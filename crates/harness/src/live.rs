@@ -9,8 +9,8 @@
 //! request latency plus throughput. Optionally some clients **stall**
 //! (send but never read) to exercise the reactor's backpressure shedding.
 //!
-//! `repro live` is the command-line entry point; `ci.sh` runs a small
-//! smoke configuration and merges the JSON report into `BENCH_live.json`.
+//! `repro live` is the command-line entry point; `repro gate` runs a
+//! small smoke configuration and writes its report to `BENCH_live.json`.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -203,7 +203,7 @@ impl LiveLoadConfig {
 }
 
 /// The outcome of one live load run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LiveLoadReport {
     /// Responsive clients driven.
     pub clients: usize,
@@ -258,8 +258,8 @@ impl LiveLoadReport {
         )
     }
 
-    /// Machine-readable report (one JSON object).
-    pub fn to_json(&self) -> String {
+    /// The report as a JSON object.
+    pub fn to_json(&self) -> Json {
         Json::obj()
             .field("clients", self.clients as u64)
             .field("stalled", self.stalled as u64)
@@ -283,7 +283,6 @@ impl LiveLoadReport {
                     .field("frames_in", self.server.frames_in)
                     .field("frames_out", self.server.frames_out),
             )
-            .to_string_pretty()
     }
 }
 

@@ -13,8 +13,8 @@
 //! pop stream — and therefore every trace digest downstream — is bit-identical
 //! for *any* lane count and *any* region-to-lane mapping. That invariant is
 //! pinned by differential tests against a single-queue reference
-//! (`EventQueue`, compiled for tests only) in this module and by the crowd
-//! digest selfchecks in the harness.
+//! (`EventQueue`, compiled for tests only) in this module and by the
+//! resharded crowd reruns of `repro gate`.
 //!
 //! Boundary handoff falls out of the same design: when a node crosses from
 //! one region to another, newly scheduled events simply route to the new

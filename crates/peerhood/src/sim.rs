@@ -431,7 +431,7 @@ impl<A: Application> Cluster<A> {
     /// partitioned by home node, effects buffered per worker and committed
     /// in canonical batch order — so the trace digest is bit-identical for
     /// every worker count (see the engine comment below). `ph-harness`
-    /// enforces this with digest-equality tests and `ci.sh` gates on it.
+    /// enforces this with digest-equality tests and `repro gate` checks it.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
@@ -761,7 +761,7 @@ impl<A: Application> Cluster<A> {
 // callback. Crash state is a per-node flag read only for the node whose
 // daemon is fed, so no shared state is ever mutable inside an epoch. The
 // trace digest is therefore bit-identical for any worker count, lane count
-// and fault plan; `ci.sh` and the differential tests enforce that.
+// and fault plan; `repro gate` and the differential tests enforce that.
 
 /// Buffered effects of one epoch worker, replayed serially at commit.
 #[derive(Default)]

@@ -232,9 +232,9 @@ fn post_churn_clique_converges() {
 
 #[test]
 fn view_bounds_are_plain_assertions_not_lint_rules() {
-    // ci.sh advertises a `gossip-view-bound` check; the bound is a runtime
-    // property of the state machine (not a syntactic pattern), so it lives
-    // here as a direct assertion instead of a ph-lint rule. Saturate one
+    // The view bound is a runtime property of the state machine (not a
+    // syntactic pattern), so it lives here as a direct assertion instead
+    // of a ph-lint rule. Saturate one
     // node far past both bounds and check the caps directly.
     let cfg = GossipConfig::default().active_view(3).passive_view(7);
     let mut g = Gossip::new("me", cfg.clone());

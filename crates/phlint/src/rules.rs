@@ -16,7 +16,7 @@
 //! zero-dependency pass that runs in milliseconds. Every heuristic is
 //! documented at its rule, and misses fail *safe* for the repo's claims:
 //! a rule that cannot prove a site is hash iteration stays silent, while
-//! the runtime digest checks in `ci.sh` remain the backstop. The
+//! the runtime digest checks of `repro gate` remain the backstop. The
 //! call-graph rules lean the other way — name resolution over-approximates
 //! (see `graph.rs`), so they may flag a hair too much, and `lint.allow`
 //! records why each intentional site is fine.

@@ -1,11 +1,11 @@
 //! Pinned trace digests: the behaviour contract of the simulator.
 //!
-//! `ci.sh` checks that serial and parallel runs agree, which a change
-//! altering every run the same way — say, a neighbor-query kernel that
-//! drops boundary nodes — would still pass. These tests pin absolute
+//! `repro gate` checks that serial and parallel runs agree, which a
+//! change altering every run the same way — say, a neighbor-query kernel
+//! that drops boundary nodes — would still pass. These tests pin absolute
 //! digests instead:
 //!
-//! * the `ci.sh` crowds — 100 and 1,000 nodes, 30 s virtual, seed 2008,
+//! * the gate's crowds — 100 and 1,000 nodes, 30 s virtual, seed 2008,
 //!   one thread, fault-free and under the `lossy` profile;
 //! * the default `repro bubbles` run, fault-free and under `lossy`, which
 //!   drives the connect, frame and gossip paths;
@@ -18,7 +18,7 @@
 //!   `CommunityApp::first_group_at`.
 //!
 //! Every digest except the mixed-fault one is also committed in
-//! `BENCH_scale.json`, which `ci.sh` regenerates.
+//! `BENCH_scale.json`, which `repro gate` regenerates.
 
 use std::time::Duration;
 
