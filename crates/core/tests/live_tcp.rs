@@ -1,10 +1,11 @@
-//! The community application over the live TCP drivers: same state
+//! The community application over the live TCP driver: same state
 //! machines, real sockets, wall-clock time.
 //!
-//! Covers both drivers: the in-process demo network (`LiveNet`, built via
-//! `LiveConfig::network`) and the production serving reactor
-//! (`LiveServer`), including its backpressure shedding, slow-client
-//! isolation and journal-based restart resume.
+//! Covers the reactor (`LiveServer`) both as an in-process neighborhood of
+//! full peers that dial each other (`LiveNet`, built via
+//! `LiveConfig::network`) and serving thin clients on its own, including
+//! its backpressure shedding, slow-client isolation and journal-based
+//! restart resume.
 
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -13,7 +14,7 @@ use std::time::{Duration, Instant};
 use codec::Wire;
 use peerhood::error::ErrorKind;
 use peerhood::live::wire::{frame, parse_farewell, FrameBuf, Handshake, VERDICT_ACCEPT};
-use peerhood::live::{LiveConfig, LiveServer};
+use peerhood::live::{LiveConfig, LiveNet, LiveServer};
 use peerhood::types::DeviceId;
 use ph_community::node::CommunityApp;
 use ph_community::profile::Profile;
@@ -43,12 +44,11 @@ fn three_member_community_over_real_sockets() {
     let _carol = net
         .spawn("carol-host", member("carol", &["rust", "sauna"]))
         .expect("bind");
-    net.start();
 
     // Dynamic groups form across real TCP connections.
     assert!(
         net.run_until(Duration::from_secs(15), |n| {
-            let groups = n.app(alice).groups();
+            let groups = n.with_app(alice, |app, _| app.groups());
             groups
                 .iter()
                 .any(|g| g.key == "rust" && g.members.len() == 3)
@@ -57,17 +57,19 @@ fn three_member_community_over_real_sockets() {
                     .any(|g| g.key == "sauna" && g.members.len() == 2)
         }),
         "groups: {:?}",
-        net.app(alice).groups()
+        net.with_app(alice, |app, _| app.groups())
     );
+    let outcome = move |n: &LiveNet<CommunityApp>, op| {
+        n.with_app(alice, move |app, _| {
+            app.outcome(op).map(|o| o.result.clone())
+        })
+    };
 
     // A fan-out operation over the sockets.
     let op = net.with_app(alice, |app, ctx| app.get_member_list(ctx));
-    assert!(net.run_until(Duration::from_secs(10), |n| n
-        .app(alice)
-        .outcome(op)
-        .is_some()));
-    match &net.app(alice).outcome(op).expect("completed").result {
-        OpResult::Members(names) => assert_eq!(names, &["bob", "carol"]),
+    assert!(net.run_until(Duration::from_secs(10), |n| outcome(n, op).is_some()));
+    match outcome(&net, op).expect("completed") {
+        OpResult::Members(names) => assert_eq!(names, ["bob", "carol"]),
         other => panic!("unexpected {other:?}"),
     }
 
@@ -75,12 +77,9 @@ fn three_member_community_over_real_sockets() {
     let op = net.with_app(alice, |app, ctx| {
         app.send_message("carol", "hi", "tcp!", ctx)
     });
-    assert!(net.run_until(Duration::from_secs(10), |n| n
-        .app(alice)
-        .outcome(op)
-        .is_some()));
+    assert!(net.run_until(Duration::from_secs(10), |n| outcome(n, op).is_some()));
     assert_eq!(
-        net.app(alice).outcome(op).expect("completed").result,
+        outcome(&net, op).expect("completed"),
         OpResult::MessageResult { written: true }
     );
 }

@@ -23,12 +23,14 @@ use crate::live::{self, LiveLoadConfig, LiveLoadReport};
 use crate::scenario::fault_profile;
 
 /// Events/s floor of the 100-node fault-free serial crowd: 65% of the
-/// 600k baseline. The 2-core reference container jitters roughly 400k
-/// (cold cache) to 940k run to run, so the floor trips on real
-/// regressions, not scheduler noise.
+/// 600k baseline. Ten `repro gate` runs on the 2-core reference
+/// container measured 470k–750k; the committed `BENCH_scale.json` run
+/// measured 1.45M. The floor sits 17% under the slowest run, so a 2x
+/// slowdown trips it.
 pub const SERIAL_FLOOR: f64 = 600_000.0 * 0.65;
 /// Events/s floor of the 100k-node serial crowd: 60% of the 250k
-/// baseline (measured 240k–260k).
+/// baseline. The same ten runs measured 245k–376k (`BENCH_scale.json`:
+/// 629k).
 pub const FLOOR_100K: f64 = 250_000.0 * 0.60;
 /// Least `--threads 4` over serial events/s ratio at 100k nodes. The
 /// acceptance target is 2x; the floor leaves room for noisy runners.

@@ -1,22 +1,19 @@
 //! Zero-dependency fork/join helpers for the deterministic epoch engine.
 //!
-//! The simulator parallelises only *pure* per-node work (mobility position
-//! sampling, grid neighbor queries) inside a timestamp batch, then merges
-//! the results **in node-id order** before any state mutation or trace
-//! record happens. These helpers encode that discipline:
+//! The lane-epoch engine runs the events of one timestamp batch on
+//! disjoint ranges of per-node state, then commits the workers' outboxes
+//! **in chunk order** before any shared state mutation or trace record
+//! happens. [`map_chunks_mut_with`] encodes that discipline:
 //!
-//! * work is split into contiguous index chunks, one scoped worker per
-//!   chunk ([`std::thread::scope`] — no `unsafe`, no external crates);
-//! * [`map_indexed`] joins workers in spawn order, so the merged output is
-//!   exactly `f(0), f(1), …, f(n-1)` regardless of which worker finished
-//!   first — the caller observes a serial-order result;
-//! * a worker count of 1 (or trivially small inputs) short-circuits to a
-//!   plain loop, so the serial and parallel code paths share one body.
+//! * each chunk is a contiguous `&mut` range, run on one scoped worker
+//!   ([`std::thread::scope`] — no `unsafe`, no external crates);
+//! * workers are joined in spawn order, so the merged output is in chunk
+//!   order regardless of which worker finished first;
+//! * a single chunk short-circuits to a plain call, so the serial and
+//!   parallel engines share one body.
 //!
-//! Determinism therefore does not depend on scheduling luck: as long as `f`
-//! itself is a pure function of its index, the output is bit-identical to
-//! a serial evaluation. The trace-digest equality tests in `ph-harness`
-//! verify this end to end.
+//! Determinism therefore does not depend on scheduling luck: the trace
+//! digests of serial and parallel runs are compared by `repro gate`.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -47,188 +44,16 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Minimum items handed to one worker. Scoped spawns cost tens of
-/// microseconds each, so fanning out fewer items than this per worker is
-/// a net loss; small inputs degrade gracefully toward the serial path.
-/// Worker count never changes results — only how the index range is cut.
-const MIN_ITEMS_PER_WORKER: usize = 64;
-
-/// Number of workers actually worth spawning for `n` items.
-fn worker_count(n: usize, threads: usize) -> usize {
-    effective_threads(threads)
-        .min(n.div_ceil(MIN_ITEMS_PER_WORKER))
-        .max(1)
-}
-
-/// Contiguous chunk length that spreads `n` items over `workers`.
-fn chunk_len(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers.max(1)).max(1)
-}
-
-/// Applies `f(index, &mut item)` to every item, fanned across at most
-/// `threads` scoped workers (0 = auto). Chunks are contiguous, so each
-/// worker owns a disjoint index range; `f` must not depend on cross-item
-/// ordering — it runs concurrently.
-pub fn for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = worker_count(items.len(), threads);
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = chunk_len(items.len(), workers);
-    thread::scope(|s| {
-        for (ci, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                let base = ci * chunk;
-                for (j, item) in chunk_items.iter_mut().enumerate() {
-                    f(base + j, item);
-                }
-            });
-        }
-    });
-}
-
-/// Applies `f(index, &mut a[index], &mut b[index])` over two equal-length
-/// slices, fanned across at most `threads` scoped workers (0 = auto) in
-/// contiguous chunks. Used to write per-item results (`b`) computed from
-/// per-item state (`a`) without sharing either slice between workers.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn zip_for_each_mut<T, U, F>(a: &mut [T], b: &mut [U], threads: usize, f: F)
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut T, &mut U) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "zip_for_each_mut: length mismatch");
-    let workers = worker_count(a.len(), threads);
-    if workers <= 1 {
-        for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            f(i, x, y);
-        }
-        return;
-    }
-    let chunk = chunk_len(a.len(), workers);
-    thread::scope(|s| {
-        for (ci, (ca, cb)) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                let base = ci * chunk;
-                for (j, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                    f(base + j, x, y);
-                }
-            });
-        }
-    });
-}
-
-/// Evaluates `f(0), …, f(n-1)` across at most `threads` scoped workers
-/// (0 = auto) and returns the results **in index order** — workers are
-/// joined in spawn order, so the merge is deterministic even though the
-/// evaluation is not.
-pub fn map_indexed<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = worker_count(n, threads);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = chunk_len(n, workers);
-    let mut out = Vec::with_capacity(n);
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(n);
-                let f = &f;
-                s.spawn(move || (start..end).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("epoch worker panicked"));
-        }
-    });
-    out
-}
-
-/// Like [`map_indexed`], but each worker first builds private scratch
-/// state with `init` and threads it through its chunk — the pattern for
-/// queries that reuse a gather buffer without allocating per item. Results
-/// are still merged in index order.
-pub fn map_indexed_with<S, R, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let workers = worker_count(n, threads);
-    if workers <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let chunk = chunk_len(n, workers);
-    let mut out = Vec::with_capacity(n);
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(n);
-                let (init, f) = (&init, &f);
-                s.spawn(move || {
-                    let mut state = init();
-                    (start..end).map(|i| f(&mut state, i)).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("epoch worker panicked"));
-        }
-    });
-    out
-}
-
 /// Splits `items` into contiguous chunks at the given `bounds` (ascending,
-/// starting at 0 and ending at `items.len()`) and runs
-/// `f(chunk_index, base_offset, chunk)` on one scoped worker per chunk,
-/// returning the per-chunk results **in chunk order** (spawn-order join).
+/// starting at 0 and ending at `items.len()`), moves one owned payload into
+/// each worker (`payloads[i]` goes to chunk `i`) and runs
+/// `f(chunk_index, base_offset, chunk, payload)` on one scoped worker per
+/// chunk, returning the per-chunk results **in chunk order**.
 ///
-/// This is the outbox-carrying worker variant used by the parallel
-/// lane-epoch engine: each chunk is a disjoint `&mut` range of per-node
-/// state, `f` executes that range's events locally and returns the chunk's
-/// outbox (buffered cross-lane effects), and the caller commits the merged
-/// outboxes serially in canonical order. A single chunk short-circuits to a
-/// plain call, so the serial and parallel engines share one body.
-///
-/// # Panics
-///
-/// Panics if `bounds` is not an ascending partition of `items`.
-pub fn map_chunks_mut<T, R, F>(items: &mut [T], bounds: &[usize], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, usize, &mut [T]) -> R + Sync,
-{
-    let payloads = vec![(); bounds.len().saturating_sub(1)];
-    map_chunks_mut_with(items, bounds, payloads, |ci, base, chunk, ()| {
-        f(ci, base, chunk)
-    })
-}
-
-/// Like [`map_chunks_mut`], but additionally moves one owned payload into
-/// each worker (`payloads[i]` goes to chunk `i`). The lane-epoch engine uses
-/// this to hand each worker its share of the drained event batch *by value*
-/// alongside the `&mut` node range the events target.
+/// The lane-epoch engine hands each worker its share of the drained event
+/// batch *by value* alongside the `&mut` node range the events target; `f`
+/// returns the chunk's outbox, which the caller commits serially in
+/// canonical order.
 ///
 /// # Panics
 ///
@@ -251,7 +76,7 @@ where
             && bounds[0] == 0
             && *bounds.last().unwrap() == items.len()
             && bounds.windows(2).all(|w| w[0] <= w[1]),
-        "map_chunks_mut: bounds must ascend from 0 to items.len()"
+        "map_chunks_mut_with: bounds must ascend from 0 to items.len()"
     );
     let chunks = bounds.len() - 1;
     assert_eq!(
@@ -288,32 +113,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn map_indexed_matches_serial_for_any_thread_count() {
-        let serial: Vec<usize> = (0..97).map(|i| i * i).collect();
-        for threads in [0, 1, 2, 3, 4, 7, 16, 200] {
-            assert_eq!(
-                map_indexed(97, threads, |i| i * i),
-                serial,
-                "threads={threads}"
-            );
-        }
-        assert_eq!(map_indexed(0, 4, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        let calls = AtomicUsize::new(0);
-        let mut items: Vec<u64> = vec![0; 1003];
-        for_each_mut(&mut items, 4, |i, item| {
-            *item = i as u64 + 1;
-            calls.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 1003);
-        assert!(items.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
-    }
 
     #[test]
     fn effective_threads_resolves_auto() {
@@ -322,32 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn zip_for_each_mut_pairs_indices() {
-        let mut state: Vec<u64> = (0..501).collect();
-        let mut out: Vec<u64> = vec![0; 501];
-        zip_for_each_mut(&mut state, &mut out, 5, |i, s, o| {
-            *s += 1;
-            *o = *s * 2 + i as u64;
-        });
-        assert!(out
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| v == (i as u64 + 1) * 2 + i as u64));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn zip_for_each_mut_rejects_uneven_slices() {
-        let mut a = [1u8; 3];
-        let mut b = [1u8; 4];
-        zip_for_each_mut(&mut a, &mut b, 2, |_, _, _| {});
-    }
-
-    #[test]
-    fn map_chunks_mut_partitions_disjointly_in_order() {
+    fn map_chunks_mut_with_partitions_disjointly_in_order() {
         let mut items: Vec<u64> = (0..100).collect();
         let bounds = [0usize, 17, 17, 60, 100];
-        let got = map_chunks_mut(&mut items, &bounds, |ci, base, chunk| {
+        let got = map_chunks_mut_with(&mut items, &bounds, vec![(); 4], |ci, base, chunk, ()| {
             for (j, item) in chunk.iter_mut().enumerate() {
                 assert_eq!(*item, (base + j) as u64, "chunk {ci} sees its own range");
                 *item += 1000;
@@ -356,11 +133,6 @@ mod tests {
         });
         assert_eq!(got, vec![(0, 0, 17), (1, 17, 0), (2, 17, 43), (3, 60, 40)]);
         assert!(items.iter().enumerate().all(|(i, &v)| v == i as u64 + 1000));
-        // Single chunk runs inline and still reports its result.
-        let whole = map_chunks_mut(&mut items, &[0, 100], |ci, base, chunk| {
-            (ci, base, chunk.len())
-        });
-        assert_eq!(whole, vec![(0, 0, 100)]);
     }
 
     #[test]
@@ -392,25 +164,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "bounds must ascend")]
-    fn map_chunks_mut_rejects_bad_bounds() {
+    fn map_chunks_mut_with_rejects_bad_bounds() {
         let mut items = [1u8; 4];
-        map_chunks_mut(&mut items, &[0, 3], |_, _, _| ());
-    }
-
-    #[test]
-    fn map_indexed_with_reuses_worker_scratch() {
-        // The scratch must be private per worker: a shared one would race.
-        let got = map_indexed_with(200, 4, Vec::new, |scratch: &mut Vec<usize>, i| {
-            scratch.push(i);
-            scratch.len()
-        });
-        // Each worker's scratch grows from 1 within its contiguous chunk.
-        assert_eq!(got[0], 1);
-        assert!(got.windows(2).all(|w| w[1] == w[0] + 1 || w[1] == 1));
-        let serial = map_indexed_with(200, 1, Vec::new, |s: &mut Vec<usize>, i| {
-            s.push(i);
-            i
-        });
-        assert_eq!(serial, (0..200).collect::<Vec<_>>());
+        map_chunks_mut_with(&mut items, &[0, 3], vec![()], |_, _, _, ()| ());
     }
 }

@@ -657,27 +657,6 @@ impl World {
         }
     }
 
-    /// Computes `neighbors` for every `(seeker, technology)` query at `t`,
-    /// returning results **in query order** — the deterministic merge the
-    /// region engine relies on. The pure candidate filter fans out across
-    /// `threads` scoped workers (0 = auto) over one [`EpochView`], so the
-    /// answers are those of one-by-one [`EpochView::neighbors`] calls for
-    /// any thread count — pinned by
-    /// `neighbors_batch_matches_serial_for_any_thread_count`.
-    pub fn neighbors_batch(
-        &mut self,
-        queries: &[(NodeId, Technology)],
-        t: SimTime,
-        threads: usize,
-    ) -> Vec<Vec<NodeId>> {
-        self.prepare_epoch(t);
-        let view = self.epoch_view(t);
-        crate::par::map_indexed_with(queries.len(), threads, GatherBuf::default, |scratch, qi| {
-            let (id, tech) = queries[qi];
-            view.neighbors(id, tech, scratch)
-        })
-    }
-
     /// The node's position at time `t`.
     pub fn position(&mut self, id: NodeId, t: SimTime) -> Point2 {
         self.sample_pos(id.index(), t)
@@ -1228,71 +1207,6 @@ mod tests {
             neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO),
             vec![b]
         );
-    }
-
-    #[test]
-    fn neighbors_batch_matches_serial_for_any_thread_count() {
-        use crate::geometry::Rect;
-        use crate::mobility::RandomWaypoint;
-        use std::time::Duration;
-
-        let build = || {
-            let mut w = World::new();
-            let area = Rect::sized(400.0, 400.0);
-            for i in 0..120 {
-                let start = Point2::new(
-                    10.0 + (i as f64 * 37.0) % 380.0,
-                    10.0 + (i as f64 * 53.0) % 380.0,
-                );
-                let techs: Vec<Technology> = match i % 4 {
-                    0 => vec![Technology::Bluetooth, Technology::Wlan, Technology::Gprs],
-                    1 => vec![Technology::Bluetooth],
-                    2 => vec![Technology::Wlan, Technology::Gprs],
-                    _ => vec![Technology::Wlan],
-                };
-                w.add_node(
-                    NodeBuilder::new(format!("n{i}"))
-                        .moving(RandomWaypoint::new(
-                            area,
-                            start,
-                            (0.5, 2.0),
-                            (Duration::ZERO, Duration::from_secs(4)),
-                            SimRng::from_seed(1000 + i),
-                        ))
-                        .with_technologies(techs),
-                );
-            }
-            w
-        };
-
-        let queries: Vec<(NodeId, Technology)> = (0..120)
-            .map(|i| {
-                (
-                    NodeId::from_index(i),
-                    Technology::ALL[i % Technology::ALL.len()],
-                )
-            })
-            .collect();
-
-        for t in [
-            SimTime::ZERO,
-            SimTime::from_secs(30),
-            SimTime::from_secs(77),
-        ] {
-            let mut serial_world = build();
-            let serial: Vec<Vec<NodeId>> = queries
-                .iter()
-                .map(|&(id, tech)| neighbors(&mut serial_world, id, tech, t))
-                .collect();
-            for threads in [0, 1, 2, 4, 9] {
-                let mut par_world = build();
-                assert_eq!(
-                    par_world.neighbors_batch(&queries, t, threads),
-                    serial,
-                    "t={t} threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Configuration of the live TCP drivers.
+//! Configuration of the live TCP driver.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -7,9 +7,9 @@ use std::time::Duration;
 use crate::config::RecoveryPolicy;
 use crate::gossip::GossipConfig;
 
-/// Configuration of a live TCP driver, shared by the in-process demo
-/// network ([`LiveNet`](super::LiveNet)) and the production serving reactor
-/// ([`LiveServer`](super::LiveServer)).
+/// Configuration of the live reactor ([`LiveServer`](super::LiveServer)),
+/// whether it serves alone or as a member of an in-process
+/// [`LiveNet`](super::LiveNet).
 ///
 /// Mirrors the builder conventions of
 /// [`DaemonConfig`](crate::config::DaemonConfig) and `netsim::RadioEnv`:
@@ -30,14 +30,14 @@ use crate::gossip::GossipConfig;
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct LiveConfig {
-    /// Address the reactor listens on (`LiveNet` nodes always bind
-    /// ephemeral loopback ports and ignore this). Port 0 picks an
+    /// Address the reactor listens on (the members of a `LiveNet` always
+    /// bind ephemeral loopback ports and ignore this). Port 0 picks an
     /// ephemeral port; the bound address is reported by
     /// [`LiveServer::addr`](super::LiveServer::addr).
     pub listen: SocketAddr,
     /// Number of reactor I/O shards: each shard is one thread owning a
     /// clone of the listener (so accepts are spread) and a disjoint set of
-    /// client connections it polls non-blockingly.
+    /// connections, accepted or dialed, that it polls non-blockingly.
     pub listen_shards: usize,
     /// Per-connection bound on queued outbound bytes. When the peer's
     /// socket stops draining and this many bytes pile up, the connection
@@ -56,15 +56,16 @@ pub struct LiveConfig {
     /// handshake frame before it is dropped (also
     /// `RecoveryPolicy::default().connect_timeout` by default).
     pub handshake_timeout: Duration,
-    /// How often a daemon starts a discovery round. `LiveNet` answers
-    /// rounds in-process (peers are the other in-process nodes);
-    /// `LiveServer` completes them immediately (thin clients are not
-    /// discoverable), so serving setups want this long.
+    /// How often a daemon starts a discovery round. A round answers with
+    /// the other members of the server's `LiveNet`; a standalone
+    /// `LiveServer` has none (thin clients are not discoverable), so
+    /// serving setups want this long.
     pub inquiry_interval: Duration,
     /// How long a neighbor stays known without answering discovery.
     pub neighbor_ttl: Duration,
-    /// Automatically query the service lists of appearing devices. Off by
-    /// default for the reactor path: thin live clients expose no services.
+    /// Automatically query the service lists of appearing devices. Only
+    /// `LiveNet` members appear, so a standalone server never queries;
+    /// serving setups turn it off to say so.
     pub auto_service_discovery: bool,
     /// Optional daemon timeout/retry/backoff policy, forwarded to
     /// [`DaemonConfig::with_recovery`](crate::config::DaemonConfig::with_recovery).

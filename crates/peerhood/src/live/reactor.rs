@@ -1,5 +1,5 @@
-//! The production live-serving reactor: a non-blocking multi-client TCP
-//! daemon around the sans-IO core.
+//! The live reactor: a non-blocking TCP daemon around the sans-IO core
+//! that serves thin clients and dials its neighbors.
 //!
 //! # Architecture
 //!
@@ -7,18 +7,32 @@
 //!
 //! * **Shard threads** (`ph-live-shard-N`) each own a clone of the
 //!   non-blocking listener (accepts spread across shards) plus a disjoint
-//!   set of client connections. A shard does *only* socket work: accept,
-//!   read, frame-reassemble, write — never application logic — so one
-//!   shard round stays short and no client can block another with slow
-//!   reads or writes.
+//!   set of connections, accepted or dialed. A shard does *only* socket
+//!   work: accept, dial, read, frame-reassemble, write — never application
+//!   logic — so one shard round stays short and no peer can block another
+//!   with slow reads or writes.
 //! * The **core thread** (`ph-live-core`) owns the [`Daemon`] state
 //!   machine, the served [`Application`], its [`Library`] and timers. It
-//!   sleeps on a channel of batched shard messages with a timeout derived
-//!   from the next daemon wake / app timer / checkpoint deadline.
+//!   sleeps on a channel of batched messages (from its shards, from
+//!   neighbor cores and from [`LiveServer::with_app`]) with a timeout
+//!   derived from the next daemon wake / app timer / checkpoint deadline.
 //!
 //! The split keeps the daemon core single-threaded (exactly like the
 //! simulator driver) while socket readiness is handled concurrently — the
 //! sans-IO contract is the channel protocol between the two halves.
+//!
+//! # Neighbors
+//!
+//! Every server is listed in a [`Directory`] of `(device, name, listen
+//! address, core channel)`. A standalone server's directory holds only
+//! itself, so its inquiries complete empty and its dials and service
+//! queries fail: thin clients are neither discoverable nor dialable. The
+//! servers of one [`LiveNet`](super::LiveNet) share a directory: an
+//! inquiry answers with the other members, service queries and replies
+//! travel from core to core, and `OpenConnection` makes a shard dial the
+//! peer's listener. The first frame back is the verdict; from then on the
+//! dialed link is an ordinary connection with the same queue cap, shedding
+//! and deadlines as an accepted one.
 //!
 //! # Backpressure contract
 //!
@@ -30,6 +44,11 @@
 //! connections (no inbound traffic for [`LiveConfig::idle_timeout`]) are
 //! closed the same way with [`ErrorKind::Timeout`]. In both cases the
 //! daemon observes a plain `LinkDown`, exactly as if the radio had faded.
+//!
+//! A closing connection flushes its queue, half-closes its write side and
+//! discards input until the peer's EOF or [`FAREWELL_LINGER`]: closing a
+//! socket with unread input makes the kernel reset the connection, which
+//! would destroy the farewell in flight.
 //!
 //! # Persistence
 //!
@@ -43,7 +62,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,16 +76,20 @@ use crate::daemon::{Daemon, DaemonInput, DaemonOutput};
 use crate::error::ErrorKind;
 use crate::library::Library;
 use crate::plugin::{PluginCommand, PluginEvent};
-use crate::types::{DeviceId, DeviceInfo, LinkId};
+use crate::service::ServiceInfo;
+use crate::types::{AttemptId, DeviceId, DeviceInfo, LinkId};
 
 use super::config::LiveConfig;
-use super::wire::{farewell, frame, FrameBuf, Handshake, VERDICT_ACCEPT, VERDICT_REJECT};
+use super::wire::{
+    farewell, frame, parse_farewell, FrameBuf, Handshake, VERDICT_ACCEPT, VERDICT_REJECT,
+};
 
 /// Upper bits of a connection id hold the owning shard index.
 const SHARD_SHIFT: u32 = 48;
-/// How long a dying connection may linger to flush its farewell frame.
-/// Generous on purpose: a shed client's kernel buffers are by definition
-/// full, and the farewell is only observable once the client drains them.
+/// How long a dying connection may linger to flush its farewell frame and
+/// wait for the peer's EOF. Generous on purpose: a shed client's kernel
+/// buffers are by definition full, and the farewell is only observable
+/// once the client drains them.
 const FAREWELL_LINGER: Duration = Duration::from_secs(5);
 /// Longest core-thread sleep (bounds shutdown latency).
 const CORE_NAP_MAX: Duration = Duration::from_millis(25);
@@ -150,30 +173,72 @@ impl Counters {
     }
 }
 
-/// Shard → core notifications (batched: one `Vec` per shard round).
-enum CoreMsg {
+/// A closure run against the application on the core thread.
+type AppCall<A> = Box<dyn FnOnce(&mut A, &mut AppCtx<'_>) + Send>;
+
+/// Messages to a core thread, batched one `Vec` per sender round: from its
+/// shards, from neighbor cores and from [`LiveServer::with_app`].
+pub(super) enum CoreMsg<A> {
     /// A socket completed its handshake frame.
     Hello { conn: u64, hs: Handshake },
     /// An application frame arrived on an established connection.
     Frame { conn: u64, payload: Vec<u8> },
     /// The connection is gone (announced connections only).
     Gone { conn: u64, cause: GoneCause },
+    /// A dial finished: the established connection, or why it failed.
+    Dialed {
+        attempt: AttemptId,
+        result: Result<u64, String>,
+    },
+    /// A neighbor asks for our services.
+    ServiceQuery { from: DeviceId },
+    /// A neighbor answers our service query.
+    ServiceReply {
+        from: DeviceId,
+        services: Vec<ServiceInfo>,
+    },
+    /// Run a closure against the application.
+    Call(AppCall<A>),
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum GoneCause {
+pub(super) enum GoneCause {
     /// Orderly EOF from the peer.
     Eof,
-    /// Socket error.
+    /// Socket error, framing violation or farewell from the peer.
     Error,
     /// Shed by backpressure.
     Shed,
-    /// Closed for inbound idleness.
+    /// Closed for inbound idleness, or a handshake past its deadline.
     Idle,
+}
+
+/// One server's entry in a [`Directory`].
+pub(super) struct Member<A> {
+    pub(super) id: DeviceId,
+    pub(super) name: String,
+    pub(super) addr: SocketAddr,
+    pub(super) core: Sender<Vec<CoreMsg<A>>>,
+}
+
+/// The servers that can discover, query and dial each other (see the
+/// [module docs](self)).
+pub(super) type Directory<A> = Arc<Mutex<Vec<Member<A>>>>;
+
+/// Locks a directory. Entries are plain data, so a panic elsewhere cannot
+/// leave them torn and a poisoned lock is still usable.
+pub(super) fn listed<A>(dir: &Directory<A>) -> MutexGuard<'_, Vec<Member<A>>> {
+    dir.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Core → shard commands (batched: one `Vec` per core round).
 enum ShardCmd {
+    /// Connect to a neighbor's listener and send it `hello`.
+    Dial {
+        attempt: AttemptId,
+        addr: SocketAddr,
+        hello: Vec<u8>,
+    },
     /// Answer a pending handshake.
     Verdict {
         conn: u64,
@@ -188,13 +253,17 @@ enum ShardCmd {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ConnState {
-    /// Waiting for the handshake frame.
+    /// Accepted; waiting for the handshake frame.
     Greeting,
     /// Handshake forwarded to the core; awaiting the daemon's verdict.
     AwaitingVerdict,
-    /// Verdict sent, application traffic flowing.
+    /// Dialed; our handshake is queued and the peer's first frame is its
+    /// verdict.
+    Dialing { attempt: AttemptId },
+    /// Verdict sent or received, application traffic flowing.
     Established,
-    /// Flushing final bytes (farewell or orderly close), reads ignored.
+    /// Flushing final bytes, then waiting for the peer's EOF; input is
+    /// discarded.
     Dying { deadline: Instant },
 }
 
@@ -208,12 +277,14 @@ struct Conn {
     /// Total unwritten bytes across `out` — the backpressure gauge.
     queued: usize,
     state: ConnState,
+    /// Set once the write side is shut down after the final flush.
+    write_shut: bool,
     opened: Instant,
     last_in: Instant,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> io::Result<Self> {
+    fn new(stream: TcpStream, state: ConnState) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         let now = Instant::now();
@@ -223,7 +294,8 @@ impl Conn {
             out: VecDeque::new(),
             front_off: 0,
             queued: 0,
-            state: ConnState::Greeting,
+            state,
+            write_shut: false,
             opened: now,
             last_in: now,
         })
@@ -234,14 +306,33 @@ impl Conn {
         self.out.push_back(msg);
     }
 
-    /// Reads everything available; `Ok(true)` on orderly EOF.
+    fn die(&mut self) {
+        self.state = ConnState::Dying {
+            deadline: Instant::now() + FAREWELL_LINGER,
+        };
+    }
+
+    /// Drops the queued output, queues a farewell carrying `kind` and
+    /// starts dying. A partly written front frame is kept whole: cutting
+    /// it would land the farewell in the middle of a frame.
+    fn close_with(&mut self, kind: ErrorKind) {
+        self.out.truncate(usize::from(self.front_off > 0));
+        self.queued = self.out.front().map_or(0, |f| f.len() - self.front_off);
+        self.push(frame(&farewell(kind)));
+        self.die();
+    }
+
+    /// Reads everything available; `Ok(true)` on orderly EOF. A dying
+    /// connection discards what it reads.
     fn read_pump(&mut self, counters: &Counters) -> io::Result<bool> {
         let mut tmp = [0u8; 16 * 1024];
         loop {
             match self.stream.read(&mut tmp) {
                 Ok(0) => return Ok(true),
                 Ok(n) => {
-                    self.inbuf.extend(&tmp[..n]);
+                    if !matches!(self.state, ConnState::Dying { .. }) {
+                        self.inbuf.extend(&tmp[..n]);
+                    }
                     self.last_in = Instant::now();
                     counters.bytes_in.fetch_add(n as u64, Ordering::SeqCst);
                 }
@@ -278,15 +369,144 @@ impl Conn {
         Ok(())
     }
 
-    /// True once this connection was announced to the core (it must then
-    /// also be told when the connection goes away).
-    fn announced(&self) -> bool {
-        !matches!(self.state, ConnState::Greeting)
+    /// One round of socket work. `Ok(active)` keeps the connection and
+    /// says whether anything happened; `Err(cause)` means drop it now.
+    fn service<A>(
+        &mut self,
+        id: u64,
+        counters: &Counters,
+        (handshake_timeout, idle_timeout): (Duration, Duration),
+        msgs: &mut Vec<CoreMsg<A>>,
+    ) -> Result<bool, GoneCause> {
+        if let ConnState::Dying { deadline } = self.state {
+            return self.linger(deadline, counters);
+        }
+        let eof = self.read_pump(counters).map_err(|_| GoneCause::Error)?;
+        let mut active = false;
+        // Early frames stay buffered until the verdict.
+        while !matches!(
+            self.state,
+            ConnState::AwaitingVerdict | ConnState::Dying { .. }
+        ) {
+            let f = match self.inbuf.pop() {
+                Ok(Some(f)) => f,
+                Ok(None) => break,
+                // An oversized length claim: the stream offset is
+                // unrecoverable.
+                Err(_) => return Err(self.broken(counters)),
+            };
+            active = true;
+            match self.state {
+                ConnState::Greeting => {
+                    let hs = Handshake::decode_exact(&f).map_err(|_| self.broken(counters))?;
+                    self.state = ConnState::AwaitingVerdict;
+                    msgs.push(CoreMsg::Hello { conn: id, hs });
+                }
+                ConnState::Dialing { attempt } if f.first() == Some(&VERDICT_ACCEPT) => {
+                    self.state = ConnState::Established;
+                    self.last_in = Instant::now();
+                    msgs.push(CoreMsg::Dialed {
+                        attempt,
+                        result: Ok(id),
+                    });
+                }
+                ConnState::Dialing { attempt } => {
+                    let reason = String::from_utf8_lossy(f.get(1..).unwrap_or_default());
+                    msgs.push(CoreMsg::Dialed {
+                        attempt,
+                        result: Err(reason.into_owned()),
+                    });
+                    self.die();
+                }
+                // A neighbor's farewell ends the link like a fade.
+                _ if parse_farewell(&f).is_some() => return Err(GoneCause::Error),
+                _ => {
+                    Counters::bump(&counters.frames_in);
+                    msgs.push(CoreMsg::Frame {
+                        conn: id,
+                        payload: f,
+                    });
+                }
+            }
+        }
+        if eof {
+            return Err(GoneCause::Eof);
+        }
+
+        match self.state {
+            ConnState::Greeting | ConnState::AwaitingVerdict | ConnState::Dialing { .. }
+                if self.opened.elapsed() >= handshake_timeout =>
+            {
+                Counters::bump(&counters.handshake_failures);
+                return Err(GoneCause::Idle);
+            }
+            ConnState::Established if self.last_in.elapsed() >= idle_timeout => {
+                self.close_with(ErrorKind::Timeout);
+                Counters::bump(&counters.idle_closed);
+                msgs.push(CoreMsg::Gone {
+                    conn: id,
+                    cause: GoneCause::Idle,
+                });
+                active = true;
+            }
+            _ => {}
+        }
+
+        // Flush queued output. A failed write is a dead socket.
+        let had_out = !self.out.is_empty();
+        self.write_pump(counters).map_err(|_| GoneCause::Error)?;
+        Ok(active || had_out)
+    }
+
+    /// A framing or handshake violation; counted when the handshake had
+    /// not completed yet.
+    fn broken(&self, counters: &Counters) -> GoneCause {
+        if self.state != ConnState::Established {
+            Counters::bump(&counters.handshake_failures);
+        }
+        GoneCause::Error
+    }
+
+    /// A dying connection's round: flush, then half-close and discard
+    /// input until the peer's EOF or the deadline.
+    fn linger(&mut self, deadline: Instant, counters: &Counters) -> Result<bool, GoneCause> {
+        if Instant::now() >= deadline {
+            return Err(GoneCause::Idle);
+        }
+        self.write_pump(counters).map_err(|_| GoneCause::Error)?;
+        if !self.out.is_empty() {
+            return Ok(false);
+        }
+        if !self.write_shut {
+            self.write_shut = true;
+            let _ = self.stream.shutdown(Shutdown::Write);
+        }
+        match self.read_pump(counters) {
+            Ok(false) => Ok(false),
+            Ok(true) | Err(_) => Err(GoneCause::Eof),
+        }
+    }
+
+    /// What the core must hear when this connection is dropped.
+    fn lost<A>(&self, id: u64, cause: GoneCause) -> Option<CoreMsg<A>> {
+        match self.state {
+            ConnState::Greeting | ConnState::Dying { .. } => None,
+            ConnState::AwaitingVerdict | ConnState::Established => {
+                Some(CoreMsg::Gone { conn: id, cause })
+            }
+            ConnState::Dialing { attempt } => Some(CoreMsg::Dialed {
+                attempt,
+                result: Err(match cause {
+                    GoneCause::Idle => "handshake timed out".into(),
+                    _ => "connection lost during setup".into(),
+                }),
+            }),
+        }
     }
 }
 
 /// Everything one shard thread needs.
-struct Shard {
+struct Shard<A> {
     idx: u64,
     listener: TcpListener,
     conns: BTreeMap<u64, Conn>,
@@ -295,15 +515,11 @@ struct Shard {
     idle_timeout: Duration,
     handshake_timeout: Duration,
     counters: Arc<Counters>,
+    core_tx: Sender<Vec<CoreMsg<A>>>,
 }
 
-impl Shard {
-    fn run(
-        mut self,
-        cmd_rx: Receiver<Vec<ShardCmd>>,
-        core_tx: Sender<Vec<CoreMsg>>,
-        stop: Arc<AtomicBool>,
-    ) {
+impl<A> Shard<A> {
+    fn run(mut self, cmd_rx: Receiver<Vec<ShardCmd>>, stop: Arc<AtomicBool>) {
         while !stop.load(Ordering::SeqCst) {
             let mut msgs = Vec::new();
             let mut active = false;
@@ -323,20 +539,11 @@ impl Shard {
             }
 
             // 2. Accept new sockets.
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        active = true;
-                        if let Ok(conn) = Conn::new(stream) {
-                            let id = (self.idx << SHARD_SHIFT) | self.next_id;
-                            self.next_id += 1;
-                            self.conns.insert(id, conn);
-                            Counters::bump(&self.counters.accepted);
-                            Counters::bump(&self.counters.active);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+            while let Ok((stream, _)) = self.listener.accept() {
+                active = true;
+                if let Ok(conn) = Conn::new(stream, ConnState::Greeting) {
+                    self.insert(conn);
+                    Counters::bump(&self.counters.accepted);
                 }
             }
 
@@ -348,7 +555,7 @@ impl Shard {
 
             if !msgs.is_empty() {
                 active = true;
-                if core_tx.send(msgs).is_err() {
+                if self.core_tx.send(msgs).is_err() {
                     return;
                 }
             }
@@ -358,241 +565,111 @@ impl Shard {
         }
     }
 
-    /// One round of socket work for one connection. Returns whether
-    /// anything happened.
-    fn service(&mut self, id: u64, msgs: &mut Vec<CoreMsg>) -> bool {
-        let idle_timeout = self.idle_timeout;
-        let handshake_timeout = self.handshake_timeout;
-        let mut active = false;
-        let mut drop_it = false;
-
-        {
-            let counters = &self.counters;
-            let Some(c) = self.conns.get_mut(&id) else {
-                return false;
-            };
-
-            if let ConnState::Dying { deadline } = c.state {
-                // Dying connections only flush; reads are ignored.
-                let dead = c.write_pump(counters).is_err();
-                if dead || c.out.is_empty() || Instant::now() >= deadline {
-                    drop_it = true;
-                    active = true;
-                }
-            } else {
-                match c.read_pump(counters) {
-                    Ok(eof) => {
-                        // Drain complete frames according to state.
-                        loop {
-                            match c.state {
-                                ConnState::Greeting => match c.inbuf.pop() {
-                                    Ok(Some(f)) => match Handshake::decode_exact(&f) {
-                                        Ok(hs) => {
-                                            c.state = ConnState::AwaitingVerdict;
-                                            msgs.push(CoreMsg::Hello { conn: id, hs });
-                                            active = true;
-                                        }
-                                        Err(_) => {
-                                            Counters::bump(&counters.handshake_failures);
-                                            drop_it = true;
-                                            active = true;
-                                            break;
-                                        }
-                                    },
-                                    Ok(None) => break,
-                                    // Oversized length claim before the
-                                    // handshake even parsed: hostile peer.
-                                    Err(_) => {
-                                        Counters::bump(&counters.handshake_failures);
-                                        drop_it = true;
-                                        active = true;
-                                        break;
-                                    }
-                                },
-                                // Early frames stay buffered until the verdict.
-                                ConnState::AwaitingVerdict => break,
-                                ConnState::Established => match c.inbuf.pop() {
-                                    Ok(Some(f)) => {
-                                        Counters::bump(&counters.frames_in);
-                                        msgs.push(CoreMsg::Frame {
-                                            conn: id,
-                                            payload: f,
-                                        });
-                                        active = true;
-                                    }
-                                    Ok(None) => break,
-                                    // A framing violation mid-session: the
-                                    // stream offset is unrecoverable, so the
-                                    // connection goes down as an error.
-                                    Err(_) => {
-                                        if c.announced() {
-                                            msgs.push(CoreMsg::Gone {
-                                                conn: id,
-                                                cause: GoneCause::Error,
-                                            });
-                                        }
-                                        drop_it = true;
-                                        active = true;
-                                        break;
-                                    }
-                                },
-                                ConnState::Dying { .. } => break,
-                            }
-                        }
-                        if !drop_it && eof {
-                            if c.announced() {
-                                msgs.push(CoreMsg::Gone {
-                                    conn: id,
-                                    cause: GoneCause::Eof,
-                                });
-                            }
-                            drop_it = true;
-                            active = true;
-                        }
-                    }
-                    Err(_) => {
-                        if c.announced() {
-                            msgs.push(CoreMsg::Gone {
-                                conn: id,
-                                cause: GoneCause::Error,
-                            });
-                        }
-                        drop_it = true;
-                        active = true;
-                    }
-                }
-
-                // Deadlines.
-                if !drop_it {
-                    match c.state {
-                        ConnState::Greeting | ConnState::AwaitingVerdict
-                            if c.opened.elapsed() >= handshake_timeout =>
-                        {
-                            Counters::bump(&counters.handshake_failures);
-                            if c.announced() {
-                                msgs.push(CoreMsg::Gone {
-                                    conn: id,
-                                    cause: GoneCause::Error,
-                                });
-                            }
-                            drop_it = true;
-                            active = true;
-                        }
-                        ConnState::Established if c.last_in.elapsed() >= idle_timeout => {
-                            c.out.clear();
-                            c.front_off = 0;
-                            c.queued = 0;
-                            c.push(frame(&farewell(ErrorKind::Timeout)));
-                            c.state = ConnState::Dying {
-                                deadline: Instant::now() + FAREWELL_LINGER,
-                            };
-                            Counters::bump(&counters.idle_closed);
-                            msgs.push(CoreMsg::Gone {
-                                conn: id,
-                                cause: GoneCause::Idle,
-                            });
-                            active = true;
-                        }
-                        _ => {}
-                    }
-                }
-
-                // Flush queued output. A failed write is a dead socket.
-                if !drop_it {
-                    let had_out = !c.out.is_empty();
-                    if c.write_pump(counters).is_err() {
-                        if c.announced() {
-                            msgs.push(CoreMsg::Gone {
-                                conn: id,
-                                cause: GoneCause::Error,
-                            });
-                        }
-                        drop_it = true;
-                    }
-                    active |= had_out;
-                }
-            }
-        }
-
-        if drop_it {
-            self.drop_conn(id);
-        }
-        active
+    fn insert(&mut self, conn: Conn) {
+        let id = (self.idx << SHARD_SHIFT) | self.next_id;
+        self.next_id += 1;
+        self.conns.insert(id, conn);
+        Counters::bump(&self.counters.active);
     }
 
-    fn apply(&mut self, cmd: ShardCmd, msgs: &mut Vec<CoreMsg>) {
+    /// One round of socket work for one connection. Returns whether
+    /// anything happened.
+    fn service(&mut self, id: u64, msgs: &mut Vec<CoreMsg<A>>) -> bool {
+        let Some(c) = self.conns.get_mut(&id) else {
+            return false;
+        };
+        let deadlines = (self.handshake_timeout, self.idle_timeout);
+        match c.service(id, &self.counters, deadlines, msgs) {
+            Ok(active) => active,
+            Err(cause) => {
+                msgs.extend(c.lost(id, cause));
+                if let Some(c) = self.conns.remove(&id) {
+                    let _ = c.stream.shutdown(Shutdown::Both);
+                    self.counters.active.fetch_sub(1, Ordering::SeqCst);
+                }
+                true
+            }
+        }
+    }
+
+    fn apply(&mut self, cmd: ShardCmd, msgs: &mut Vec<CoreMsg<A>>) {
         match cmd {
+            ShardCmd::Dial {
+                attempt,
+                addr,
+                hello,
+            } => {
+                let dialed = TcpStream::connect_timeout(&addr, self.handshake_timeout)
+                    .and_then(|s| Conn::new(s, ConnState::Dialing { attempt }));
+                match dialed {
+                    Ok(mut conn) => {
+                        conn.push(frame(&hello));
+                        self.insert(conn);
+                    }
+                    Err(e) => msgs.push(CoreMsg::Dialed {
+                        attempt,
+                        result: Err(format!("tcp connect failed: {e}")),
+                    }),
+                }
+            }
             ShardCmd::Verdict {
                 conn,
                 accept,
                 reason,
             } => {
-                if let Some(c) = self.conns.get_mut(&conn) {
-                    if c.state != ConnState::AwaitingVerdict {
-                        return;
-                    }
-                    if accept {
-                        c.push(frame(&[VERDICT_ACCEPT]));
-                        c.state = ConnState::Established;
-                        c.last_in = Instant::now();
-                    } else {
-                        let mut v = vec![VERDICT_REJECT];
-                        v.extend_from_slice(reason.as_bytes());
-                        c.push(frame(&v));
-                        c.state = ConnState::Dying {
-                            deadline: Instant::now() + FAREWELL_LINGER,
-                        };
-                    }
+                let Some(c) = self.conns.get_mut(&conn) else {
+                    return;
+                };
+                if c.state != ConnState::AwaitingVerdict {
+                    return;
+                }
+                if accept {
+                    c.push(frame(&[VERDICT_ACCEPT]));
+                    c.state = ConnState::Established;
+                    c.last_in = Instant::now();
+                } else {
+                    let mut v = vec![VERDICT_REJECT];
+                    v.extend_from_slice(reason.as_bytes());
+                    c.push(frame(&v));
+                    c.die();
                 }
             }
             ShardCmd::Send { conn, payload } => {
-                if let Some(c) = self.conns.get_mut(&conn) {
-                    if c.state != ConnState::Established {
-                        return; // already dying or mid-handshake: drop silently
-                    }
-                    let msg = frame(&payload);
-                    if self.queue_cap > 0 && c.queued + msg.len() > self.queue_cap {
-                        // Backpressure: shed this peer rather than queue
-                        // without bound or block the shard.
-                        c.out.clear();
-                        c.front_off = 0;
-                        c.queued = 0;
-                        c.push(frame(&farewell(ErrorKind::Overloaded)));
-                        c.state = ConnState::Dying {
-                            deadline: Instant::now() + FAREWELL_LINGER,
-                        };
-                        Counters::bump(&self.counters.shed);
-                        msgs.push(CoreMsg::Gone {
-                            conn,
-                            cause: GoneCause::Shed,
-                        });
-                    } else {
-                        c.push(msg);
-                    }
+                let Some(c) = self.conns.get_mut(&conn) else {
+                    return;
+                };
+                if c.state != ConnState::Established {
+                    return; // already dying or mid-handshake: drop silently
+                }
+                let msg = frame(&payload);
+                if self.queue_cap > 0 && c.queued + msg.len() > self.queue_cap {
+                    // Backpressure: shed this peer rather than queue
+                    // without bound or block the shard.
+                    c.close_with(ErrorKind::Overloaded);
+                    Counters::bump(&self.counters.shed);
+                    msgs.push(CoreMsg::Gone {
+                        conn,
+                        cause: GoneCause::Shed,
+                    });
+                } else {
+                    c.push(msg);
                 }
             }
             ShardCmd::Close { conn } => {
                 if let Some(c) = self.conns.get_mut(&conn) {
                     if !matches!(c.state, ConnState::Dying { .. }) {
-                        c.state = ConnState::Dying {
-                            deadline: Instant::now() + FAREWELL_LINGER,
-                        };
+                        c.die();
                     }
                 }
             }
-        }
-    }
-
-    fn drop_conn(&mut self, id: u64) {
-        if let Some(c) = self.conns.remove(&id) {
-            let _ = c.stream.shutdown(Shutdown::Both);
-            self.counters.active.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
 /// The core thread's state: daemon, application, library, timers.
 struct Core<A> {
+    id: DeviceId,
+    dir: Directory<A>,
     daemon: Daemon,
     app: A,
     lib: Library,
@@ -603,32 +680,62 @@ struct Core<A> {
     work: VecDeque<DaemonInput>,
     /// Outgoing command batch per shard, flushed once per round.
     cmds: Vec<Vec<ShardCmd>>,
+    txs: Vec<Sender<Vec<ShardCmd>>>,
     counters: Arc<Counters>,
     persist: Option<Box<dyn LivePersist<A>>>,
 }
 
 impl<A: Application> Core<A> {
+    fn new(
+        config: &LiveConfig,
+        member: (DeviceId, String),
+        app: A,
+        dir: Directory<A>,
+        txs: Vec<Sender<Vec<ShardCmd>>>,
+        counters: Arc<Counters>,
+    ) -> Self {
+        let (id, name) = member;
+        let mut daemon_config =
+            DaemonConfig::new(DeviceInfo::new(id, name.clone(), [Technology::Wlan]))
+                .with_inquiry_interval(Technology::Wlan, config.inquiry_interval)
+                .with_neighbor_ttl(config.neighbor_ttl)
+                .with_auto_service_discovery(config.auto_service_discovery);
+        if let Some(policy) = config.recovery {
+            daemon_config = daemon_config.with_recovery(policy);
+        }
+        if let Some(gossip) = config.gossip.clone() {
+            daemon_config = daemon_config.with_gossip(gossip);
+        }
+        Core {
+            id,
+            dir,
+            daemon: Daemon::new(daemon_config),
+            app,
+            lib: Library::new(),
+            name,
+            timers: Vec::new(),
+            wake_at: Some(SimTime::ZERO),
+            start: Instant::now(),
+            work: VecDeque::new(),
+            cmds: txs.iter().map(|_| Vec::new()).collect(),
+            txs,
+            counters,
+            persist: None,
+        }
+    }
+
     fn now(&self) -> SimTime {
         SimTime::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
-    fn run(
-        mut self,
-        rx: Receiver<Vec<CoreMsg>>,
-        txs: Vec<Sender<Vec<ShardCmd>>>,
-        cadence: Duration,
-        stop: Arc<AtomicBool>,
-    ) -> A {
+    fn run(mut self, rx: Receiver<Vec<CoreMsg<A>>>, cadence: Duration, stop: Arc<AtomicBool>) -> A {
         let mut next_checkpoint = self.persist.as_ref().map(|_| Instant::now() + cadence);
 
         self.app_callback(|app, ctx| app.on_start(ctx));
         self.run_work();
-        self.flush(&txs);
+        self.flush();
 
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
+        while !stop.load(Ordering::SeqCst) {
             match rx.recv_timeout(self.nap(next_checkpoint)) {
                 Ok(batch) => {
                     self.ingest(batch);
@@ -648,7 +755,7 @@ impl<A: Application> Core<A> {
             }
             self.run_work();
             self.fire_timers();
-            self.flush(&txs);
+            self.flush();
 
             if let Some(due) = next_checkpoint {
                 if Instant::now() >= due {
@@ -686,39 +793,62 @@ impl<A: Application> Core<A> {
         t.max(Duration::from_micros(100))
     }
 
-    fn ingest(&mut self, batch: Vec<CoreMsg>) {
+    fn plugin(&mut self, ev: PluginEvent) {
+        self.work.push_back(DaemonInput::Plugin(ev));
+    }
+
+    fn ingest(&mut self, batch: Vec<CoreMsg<A>>) {
         for msg in batch {
             match msg {
                 CoreMsg::Hello { conn, hs } => {
-                    let device = DeviceInfo::new(hs.from, hs.from.to_string(), [Technology::Wlan]);
-                    self.work
-                        .push_back(DaemonInput::Plugin(PluginEvent::IncomingConnection {
-                            link: LinkId::new(conn),
-                            device,
-                            service: hs.service,
-                            technology: Technology::Wlan,
-                            resume: hs.resume,
-                        }));
+                    let name = self.peer(hs.from, |m| m.name.clone());
+                    let name = name.unwrap_or_else(|| hs.from.to_string());
+                    self.plugin(PluginEvent::IncomingConnection {
+                        link: LinkId::new(conn),
+                        device: DeviceInfo::new(hs.from, name, [Technology::Wlan]),
+                        service: hs.service,
+                        technology: Technology::Wlan,
+                        resume: hs.resume,
+                    });
                 }
                 CoreMsg::Frame { conn, payload } => {
                     let now = self.now();
                     if let Some(p) = self.persist.as_mut() {
                         p.record(&payload, now);
                     }
-                    self.work.push_back(DaemonInput::Plugin(PluginEvent::Frame {
+                    self.plugin(PluginEvent::Frame {
                         link: LinkId::new(conn),
                         payload: Bytes::from(payload),
-                    }));
+                    });
                 }
                 CoreMsg::Gone { conn, cause } => {
                     let link = LinkId::new(conn);
-                    let ev = match cause {
+                    self.plugin(match cause {
                         GoneCause::Eof => PluginEvent::PeerClosed { link },
                         GoneCause::Error | GoneCause::Shed | GoneCause::Idle => {
                             PluginEvent::LinkDown { link }
                         }
-                    };
-                    self.work.push_back(DaemonInput::Plugin(ev));
+                    });
+                }
+                CoreMsg::Dialed { attempt, result } => {
+                    self.plugin(PluginEvent::ConnectResult {
+                        attempt,
+                        result: result.map(LinkId::new),
+                    });
+                }
+                CoreMsg::ServiceQuery { from } => {
+                    self.plugin(PluginEvent::ServiceQuery { device: from });
+                }
+                CoreMsg::ServiceReply { from, services } => {
+                    self.plugin(PluginEvent::ServiceReply {
+                        device: from,
+                        services,
+                    });
+                }
+                CoreMsg::Call(f) => {
+                    // The call sees every input that arrived before it.
+                    self.run_work();
+                    self.app_callback(f);
                 }
             }
         }
@@ -775,32 +905,71 @@ impl<A: Application> Core<A> {
         r
     }
 
-    /// Routes one daemon plugin command. Discovery is completed inline
-    /// (thin live clients are not discoverable peers); connection commands
-    /// become shard commands.
+    /// Runs `f` on the directory entry of neighbor `id` (never ourselves).
+    fn peer<R>(&self, id: DeviceId, f: impl FnOnce(&Member<A>) -> R) -> Option<R> {
+        let me = self.id;
+        listed(&self.dir)
+            .iter()
+            .find(|m| m.id == id && m.id != me)
+            .map(f)
+    }
+
+    /// Routes one daemon plugin command: discovery and service queries
+    /// through the directory, connection commands to the shards.
     fn exec(&mut self, cmd: PluginCommand) {
         match cmd {
             PluginCommand::StartInquiry { technology } => {
-                self.work
-                    .push_back(DaemonInput::Plugin(PluginEvent::InquiryComplete {
-                        technology,
-                    }));
+                let me = self.id;
+                let found: Vec<DeviceInfo> = listed(&self.dir)
+                    .iter()
+                    .filter(|m| m.id != me)
+                    .map(|m| DeviceInfo::new(m.id, m.name.clone(), [Technology::Wlan]))
+                    .collect();
+                for device in found {
+                    self.plugin(PluginEvent::InquiryResponse { technology, device });
+                }
+                self.plugin(PluginEvent::InquiryComplete { technology });
             }
             PluginCommand::QueryServices { device, .. } => {
-                self.work
-                    .push_back(DaemonInput::Plugin(PluginEvent::ServiceReply {
+                let from = self.id;
+                let query = |m: &Member<A>| m.core.send(vec![CoreMsg::ServiceQuery { from }]);
+                if !matches!(self.peer(device, query), Some(Ok(()))) {
+                    self.plugin(PluginEvent::ServiceReply {
                         device,
                         services: Vec::new(),
-                    }));
+                    });
+                }
             }
-            PluginCommand::ServiceQueryReply { .. } => {}
-            PluginCommand::OpenConnection { attempt, .. } => {
-                self.work
-                    .push_back(DaemonInput::Plugin(PluginEvent::ConnectResult {
+            PluginCommand::ServiceQueryReply { device, services } => {
+                let from = self.id;
+                let reply = CoreMsg::ServiceReply { from, services };
+                self.peer(device, |m| m.core.send(vec![reply]));
+            }
+            PluginCommand::OpenConnection {
+                attempt,
+                device,
+                service,
+                resume,
+                ..
+            } => match self.peer(device, |m| m.addr) {
+                Some(addr) => {
+                    let hs = Handshake {
+                        from: self.id,
+                        service,
+                        resume,
+                    };
+                    let shard = attempt.raw() as usize % self.cmds.len();
+                    self.cmds[shard].push(ShardCmd::Dial {
                         attempt,
-                        result: Err("live server cannot dial thin clients".into()),
-                    }));
-            }
+                        addr,
+                        hello: hs.encode(),
+                    });
+                }
+                None => self.plugin(PluginEvent::ConnectResult {
+                    attempt,
+                    result: Err("live server cannot dial thin clients".into()),
+                }),
+            },
             PluginCommand::AcceptConnection { link } => self.cmd(
                 link,
                 ShardCmd::Verdict {
@@ -843,29 +1012,32 @@ impl<A: Application> Core<A> {
         }
     }
 
-    fn flush(&mut self, txs: &[Sender<Vec<ShardCmd>>]) {
-        for (i, batch) in self.cmds.iter_mut().enumerate() {
+    fn flush(&mut self) {
+        for (batch, tx) in self.cmds.iter_mut().zip(&self.txs) {
             if !batch.is_empty() {
-                let _ = txs[i].send(std::mem::take(batch));
+                let _ = tx.send(std::mem::take(batch));
             }
         }
     }
 }
 
-/// A running live-serving daemon: `listen_shards` socket threads plus one
-/// core thread around the sans-IO [`Daemon`] and the served
-/// [`Application`].
+/// A running live daemon: `listen_shards` socket threads plus one core
+/// thread around the sans-IO [`Daemon`] and the served [`Application`].
 ///
 /// Built from a [`LiveConfig`] via [`LiveServer::spawn`] (or
-/// [`LiveConfig::serve`]); stopped with [`LiveServer::shutdown`], which
-/// returns the application (with all the state it accumulated).
+/// [`LiveConfig::serve`]), or as a member of a
+/// [`LiveNet`](super::LiveNet); stopped with [`LiveServer::shutdown`],
+/// which returns the application (with all the state it accumulated).
 ///
 /// See the [module docs](self) for the reactor model and the
 /// backpressure/persistence contracts.
 pub struct LiveServer<A> {
+    id: DeviceId,
     addr: SocketAddr,
     stats: Arc<Counters>,
     stop: Arc<AtomicBool>,
+    dir: Directory<A>,
+    core_tx: Sender<Vec<CoreMsg<A>>>,
     shards: Vec<JoinHandle<()>>,
     core: JoinHandle<A>,
 }
@@ -893,19 +1065,30 @@ impl<A: Application + Send + 'static> LiveServer<A> {
         app: A,
         persist: Option<Box<dyn LivePersist<A>>>,
     ) -> io::Result<Self> {
-        let name = name.into();
+        let member = (DeviceId::new(0), name.into());
+        Self::spawn_in(config, member, app, persist, Directory::default())
+    }
+
+    /// Starts a server as device `member.0` and lists it in `dir`.
+    pub(super) fn spawn_in(
+        config: LiveConfig,
+        member: (DeviceId, String),
+        app: A,
+        persist: Option<Box<dyn LivePersist<A>>>,
+        dir: Directory<A>,
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(config.listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let counters = Arc::new(Counters::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let (core_tx, core_rx) = mpsc::channel::<Vec<CoreMsg>>();
+        let (core_tx, core_rx) = mpsc::channel();
 
         let mut shard_txs = Vec::new();
         let mut shards = Vec::new();
-        for idx in 0..config.listen_shards {
-            let (tx, rx) = mpsc::channel::<Vec<ShardCmd>>();
+        for idx in 0..config.listen_shards.max(1) {
+            let (tx, rx) = mpsc::channel();
             shard_txs.push(tx);
             let shard = Shard {
                 idx: idx as u64,
@@ -916,60 +1099,73 @@ impl<A: Application + Send + 'static> LiveServer<A> {
                 idle_timeout: config.idle_timeout,
                 handshake_timeout: config.handshake_timeout,
                 counters: Arc::clone(&counters),
+                core_tx: core_tx.clone(),
             };
-            let core_tx = core_tx.clone();
             let stop = Arc::clone(&stop);
             shards.push(
                 std::thread::Builder::new()
                     .name(format!("ph-live-shard-{idx}"))
-                    .spawn(move || shard.run(rx, core_tx, stop))?,
+                    .spawn(move || shard.run(rx, stop))?,
             );
         }
-        drop(core_tx);
 
-        let mut daemon_config = DaemonConfig::new(DeviceInfo::new(
-            DeviceId::new(0),
-            name.clone(),
-            [Technology::Wlan],
-        ))
-        .with_inquiry_interval(Technology::Wlan, config.inquiry_interval)
-        .with_neighbor_ttl(config.neighbor_ttl)
-        .with_auto_service_discovery(config.auto_service_discovery);
-        if let Some(policy) = config.recovery {
-            daemon_config = daemon_config.with_recovery(policy);
-        }
-        if let Some(gossip) = config.gossip.clone() {
-            daemon_config = daemon_config.with_gossip(gossip);
-        }
-
-        let core = Core {
-            daemon: Daemon::new(daemon_config),
+        let (id, name) = member;
+        let mut core = Core::new(
+            &config,
+            (id, name.clone()),
             app,
-            lib: Library::new(),
-            name,
-            timers: Vec::new(),
-            wake_at: Some(SimTime::ZERO),
-            start: Instant::now(),
-            work: VecDeque::new(),
-            cmds: (0..config.listen_shards).map(|_| Vec::new()).collect(),
-            counters: Arc::clone(&counters),
-            persist,
-        };
+            Arc::clone(&dir),
+            shard_txs,
+            Arc::clone(&counters),
+        );
+        core.persist = persist;
         let cadence = config.snapshot_cadence;
         let core_stop = Arc::clone(&stop);
         let core = std::thread::Builder::new()
             .name("ph-live-core".into())
-            .spawn(move || core.run(core_rx, shard_txs, cadence, core_stop))?;
+            .spawn(move || core.run(core_rx, cadence, core_stop))?;
 
+        listed(&dir).push(Member {
+            id,
+            name,
+            addr,
+            core: core_tx.clone(),
+        });
         Ok(LiveServer {
+            id,
             addr,
             stats: counters,
             stop,
+            dir,
+            core_tx,
             shards,
             core,
         })
     }
 
+    /// Runs `f` against the served application on the core thread and
+    /// returns its result. Requests `f` makes through the context run
+    /// right after it, exactly as if an application callback made them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core thread has died (an application panic).
+    pub fn with_app<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R + Send + 'static,
+    ) -> R {
+        let (tx, rx) = mpsc::channel();
+        let call: AppCall<A> = Box::new(move |app, ctx| {
+            let _ = tx.send(f(app, ctx));
+        });
+        let sent = self.core_tx.send(vec![CoreMsg::Call(call)]);
+        sent.ok()
+            .and_then(|()| rx.recv().ok())
+            .expect("live core thread died")
+    }
+}
+
+impl<A> LiveServer<A> {
     /// The actual bound listen address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -983,6 +1179,7 @@ impl<A: Application + Send + 'static> LiveServer<A> {
     /// Stops the reactor (final checkpoint included) and returns the
     /// served application with all its accumulated state.
     pub fn shutdown(self) -> A {
+        listed(&self.dir).retain(|m| m.id != self.id);
         self.stop.store(true, Ordering::SeqCst);
         for h in self.shards {
             let _ = h.join();
@@ -993,7 +1190,6 @@ impl<A: Application + Send + 'static> LiveServer<A> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::wire::parse_farewell;
     use super::*;
     use crate::api::AppEvent;
     use crate::service::ServiceInfo;
@@ -1148,5 +1344,97 @@ mod tests {
             "shed client must observe the Overloaded farewell"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn shedding_keeps_a_partly_written_frame_whole() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut c = Conn::new(listener.accept().unwrap().0, ConnState::Established).unwrap();
+        let first: Vec<u8> = (0..=255).collect();
+        c.push(frame(&first));
+        c.push(frame(b"never sent"));
+        // A short write: ten bytes of the front frame already went out.
+        let written = (&c.stream).write(&c.out[0][..10]).unwrap();
+        assert_eq!(written, 10);
+        c.front_off = 10;
+        c.queued -= 10;
+
+        c.close_with(ErrorKind::Overloaded);
+        let rest = first.len() + 4 - 10;
+        assert_eq!(
+            c.queued,
+            rest + frame(&farewell(ErrorKind::Overloaded)).len()
+        );
+        c.write_pump(&Counters::default()).unwrap();
+        assert!(c.out.is_empty() && c.queued == 0);
+
+        // The peer decodes the rest of that frame, then the farewell.
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut frames = FrameBuf::new();
+        let mut got = Vec::new();
+        let mut tmp = [0u8; 1024];
+        while got.len() < 2 {
+            let n = peer.read(&mut tmp).unwrap();
+            assert!(n > 0, "stream ended after {got:?}");
+            frames.extend(&tmp[..n]);
+            while let Some(f) = frames.pop().unwrap() {
+                got.push(f);
+            }
+        }
+        assert_eq!(got[0], first);
+        assert_eq!(parse_farewell(&got[1]), Some(ErrorKind::Overloaded));
+        assert!(frames.is_empty());
+    }
+
+    #[test]
+    fn standalone_core_answers_inquiries_empty_and_fails_dials() {
+        let dir = Directory::default();
+        let (tx, _rx) = mpsc::channel();
+        let member = (DeviceId::new(0), "solo".to_string());
+        let counters = Arc::new(Counters::default());
+        let config = LiveConfig::default();
+        let mut core = Core::new(&config, member, EchoApp::default(), dir, vec![tx], counters);
+        listed(&core.dir).push(Member {
+            id: core.id,
+            name: core.name.clone(),
+            addr: SocketAddr::from(([127, 0, 0, 1], 1)),
+            core: mpsc::channel().0,
+        });
+        let technology = Technology::Wlan;
+        let device = DeviceId::new(7);
+        core.exec(PluginCommand::StartInquiry { technology });
+        core.exec(PluginCommand::QueryServices { device, technology });
+        // Ourselves included: the directory never routes to its own entry.
+        core.exec(PluginCommand::QueryServices {
+            device: core.id,
+            technology,
+        });
+        let attempt = AttemptId::new(3);
+        core.exec(PluginCommand::OpenConnection {
+            attempt,
+            device,
+            service: "echo".into(),
+            technology,
+            resume: None,
+        });
+        let work: Vec<_> = core.work.drain(..).collect();
+        let expected = [
+            PluginEvent::InquiryComplete { technology },
+            PluginEvent::ServiceReply {
+                device,
+                services: Vec::new(),
+            },
+            PluginEvent::ServiceReply {
+                device: core.id,
+                services: Vec::new(),
+            },
+            PluginEvent::ConnectResult {
+                attempt,
+                result: Err("live server cannot dial thin clients".into()),
+            },
+        ];
+        assert_eq!(work, expected.map(DaemonInput::Plugin));
+        assert!(core.cmds.iter().all(Vec::is_empty), "nothing was dialed");
     }
 }

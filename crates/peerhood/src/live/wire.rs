@@ -1,8 +1,9 @@
 //! The live TCP transport framing, shared by every party on the socket.
 //!
-//! Both live drivers ([`LiveNet`](super::LiveNet) and
-//! [`LiveServer`](super::LiveServer)), the thin clients of the load harness
-//! and the regression tests all speak the same byte stream:
+//! The live reactor ([`LiveServer`](super::LiveServer)), whether it accepts
+//! or dials (the members of a [`LiveNet`](super::LiveNet) dial each other),
+//! the thin clients of the load harness and the regression tests all speak
+//! the same byte stream:
 //!
 //! 1. Every frame is `[u32 big-endian length][payload]`.
 //! 2. The **first** frame of a connection is the initiator's [`Handshake`].
@@ -11,14 +12,15 @@
 //!    reason).
 //! 4. After an accepted verdict, frames carry opaque application payloads
 //!    (for the community service: `Request`/`Response` wire messages).
-//! 5. A responder about to drop the connection *may* send one final
+//! 5. A side about to drop the connection *may* send one final
 //!    **farewell** control frame — [`FAREWELL_TAG`] followed by a stable
 //!    [`ErrorKind`] wire code — so the peer learns *why* it was dropped
 //!    ([`ErrorKind::Overloaded`] for backpressure shedding,
 //!    [`ErrorKind::Timeout`] for idle-connection expiry). The tag byte
 //!    `0xFF` can never open a legitimate application frame: community
 //!    frames start with the protocol version (currently `1`) and verdict
-//!    frames with `0`/`1`.
+//!    frames with `0`/`1`. A reactor that receives a farewell reports
+//!    the link lost.
 
 use codec::{DecodeError, Wire};
 

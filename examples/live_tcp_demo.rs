@@ -9,7 +9,7 @@ use std::time::Duration;
 use community::node::CommunityApp;
 use community::profile::Profile;
 use community::OpResult;
-use peerhood::live::LiveConfig;
+use peerhood::live::{LiveConfig, LiveNet};
 
 fn main() -> std::io::Result<()> {
     let mut net = LiveConfig::default().network();
@@ -29,14 +29,16 @@ fn main() -> std::io::Result<()> {
             Profile::new("Bob").with_interests(["Rust", "sauna"]),
         ),
     )?;
-    net.start();
 
     println!("waiting for discovery + dynamic group formation over loopback TCP...");
+    let has_groups = |n: &LiveNet<CommunityApp>, who| {
+        n.with_app(who, |app: &mut CommunityApp, _| !app.groups().is_empty())
+    };
     let formed = net.run_until(Duration::from_secs(10), |n| {
-        !n.app(alice).groups().is_empty() && !n.app(bob).groups().is_empty()
+        has_groups(n, alice) && has_groups(n, bob)
     });
     assert!(formed, "groups must form over live TCP");
-    for g in net.app(alice).groups() {
+    for g in net.with_app(alice, |app, _| app.groups()) {
         println!("alice sees group {:?}: {:?}", g.label, g.members);
     }
 
@@ -44,22 +46,21 @@ fn main() -> std::io::Result<()> {
     let op = net.with_app(alice, |app, ctx| {
         app.send_message("bob", "live", "these bytes crossed a real TCP socket", ctx)
     });
-    let delivered = net.run_until(Duration::from_secs(10), |n| {
-        n.app(alice).outcome(op).is_some()
-    });
+    let outcome = move |n: &LiveNet<CommunityApp>| {
+        n.with_app(alice, move |app, _| {
+            app.outcome(op).map(|o| o.result.clone())
+        })
+    };
+    let delivered = net.run_until(Duration::from_secs(10), |n| outcome(n).is_some());
     assert!(delivered, "message op must complete");
-    match &net.app(alice).outcome(op).expect("completed").result {
+    match outcome(&net).expect("completed") {
         OpResult::MessageResult { written: true } => println!("alice -> bob: delivered"),
         other => println!("message failed: {other:?}"),
     }
-    let inbox = net
-        .app(bob)
-        .store()
-        .active_account()
-        .expect("logged in")
-        .mailbox
-        .inbox()
-        .to_vec();
+    let inbox = net.with_app(bob, |app, _| {
+        let account = app.store().active_account().expect("logged in");
+        account.mailbox.inbox().to_vec()
+    });
     for mail in inbox {
         println!("bob's inbox: {mail}");
     }
