@@ -100,7 +100,6 @@ fn main() -> ExitCode {
                     flag_value(&args, "--horizon").unwrap_or(600),
                 ),
                 threads: flag_value(&args, "--threads").unwrap_or(1) as usize,
-                region_lanes: flag_value(&args, "--regions").unwrap_or(0) as usize,
                 faults: plan,
                 ..bubbles::BubblesConfig::default()
             };
@@ -128,7 +127,6 @@ fn main() -> ExitCode {
             }
             let horizon = flag_value(&args, "--horizon").unwrap_or(60);
             let threads = flag_value(&args, "--threads").unwrap_or(1) as usize;
-            let regions = flag_value(&args, "--regions").unwrap_or(0) as usize;
             let region_edge = flag_str(&args, "--region-edge")
                 .map(|s| s.parse::<f64>().unwrap_or(-1.0))
                 .unwrap_or(0.0);
@@ -142,7 +140,6 @@ fn main() -> ExitCode {
                 horizon,
                 seed,
                 threads,
-                regions,
                 region_edge,
                 &faults,
                 args.iter().any(|a| a == "--json"),
@@ -342,27 +339,8 @@ fn run_lab(seed: u64, peers: usize, horizon_secs: u64, faults: netsim::FaultPlan
     });
     s.cluster.run_until(SimTime::from_secs(horizon_secs));
     let groups = s.cluster.app(s.observer).groups();
-    if gossip {
-        // Same node-order fold as `harness::bubbles::run`: the digest and
-        // the printed stats then cover the epidemic traffic.
-        let mut sum = peerhood::gossip::GossipStats::default();
-        for &id in std::iter::once(&s.observer).chain(&s.peers) {
-            if let Some(rt) = s.cluster.app(id).gossip() {
-                let st = rt.stats();
-                sum.eager += st.eager;
-                sum.lazy += st.lazy;
-                sum.graft += st.graft;
-                sum.prune += st.prune;
-                sum.duplicate += st.duplicate;
-            }
-        }
-        let stats = s.cluster.trace_mut().stats_mut();
-        stats.gossip_eager += sum.eager;
-        stats.gossip_lazy += sum.lazy;
-        stats.gossip_graft += sum.graft;
-        stats.gossip_prune += sum.prune;
-        stats.gossip_duplicate += sum.duplicate;
-    }
+    let nodes = std::iter::once(s.observer).chain(s.peers.iter().copied());
+    scenario::fold_gossip_stats(&mut s.cluster, nodes);
     println!(
         "Lab scenario — {peers} peers, {horizon_secs}s horizon, gossip {}",
         if gossip { "on" } else { "off" }
@@ -374,13 +352,11 @@ fn run_lab(seed: u64, peers: usize, horizon_secs: u64, faults: netsim::FaultPlan
     println!("  {}", s.cluster.stats());
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_crowd(
     sizes: &[usize],
     horizon_secs: u64,
     seed: u64,
     threads: usize,
-    regions: usize,
     region_edge: f64,
     faults: &str,
     json: bool,
@@ -389,7 +365,6 @@ fn run_crowd(
         seed,
         horizon: std::time::Duration::from_secs(horizon_secs),
         threads,
-        region_lanes: regions,
         region_edge_m: region_edge,
         faults: scenario::fault_profile(faults).expect("profile validated by the caller"),
         ..crowd::CrowdConfig::default()
@@ -497,7 +472,7 @@ fn print_help() {
                                across all bubbles; reports delivery ratio, hop\n\
                                and latency distributions, duplicate overhead\n\
                                [--bubbles K] [--per-bubble N] [--ferries F]\n\
-                               [--horizon SECS] [--threads N] [--regions N]\n\
+                               [--horizon SECS] [--threads N]\n\
                                [--faults none|lossy] [--json]\n\
          \n\
          scale (beyond the thesis):\n\
@@ -506,8 +481,6 @@ fn print_help() {
                                [--nodes N[,N,...]] [--horizon SECS] [--json]\n\
                                [--threads N]   epoch-engine workers (1 = serial,\n\
                                                0 = auto); digests are identical\n\
-                               [--regions N]   region event lanes (0 = default);\n\
-                                               pure sharding, digests identical\n\
                                [--region-edge M] spatial region edge in metres\n\
                                                (0 = default 80); digests identical\n\
                                [--faults P]    inject a named fault profile\n\

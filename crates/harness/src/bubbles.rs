@@ -16,7 +16,7 @@
 //! and latency distributions, duplicate overhead per delivered payload,
 //! and membership convergence of the interest group spanning all
 //! bubbles — plus the usual order-sensitive trace digest, which must be
-//! bit-identical for any worker or lane count (`repro gate` checks this
+//! bit-identical for any worker count (`repro gate` checks this
 //! at one and four threads, fault-free and under `lossy`).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,8 +113,9 @@ pub struct BubblesConfig {
     /// Worker count for the parallel epoch engine (`1` = serial, `0` =
     /// auto). Any value produces a bit-identical trace digest.
     pub threads: usize,
-    /// Region event lanes (`0` = engine default) — a pure sharding knob,
-    /// digests never depend on it.
+    /// Ignored: the simulator runs one event queue. Kept only because
+    /// `perfbench` names it in struct literals; it goes with the next
+    /// benchmark change.
     pub region_lanes: usize,
     /// Fault plan injected into the radio environment (named presets in
     /// [`crate::scenario::fault_profile`]). When not inert every daemon
@@ -224,9 +225,6 @@ pub fn build(config: &BubblesConfig) -> Result<BubblesScenario, BubblesError> {
         config.seed,
         RadioEnv::default().with_faults(config.faults.clone()),
     );
-    if config.region_lanes > 0 {
-        cluster.set_region_lanes(config.region_lanes);
-    }
     let gossip = config.gossip.clone().rng_salt(config.seed);
 
     let add = |cluster: &mut Cluster<CommunityApp>, builder, app: CommunityApp| {
@@ -301,8 +299,6 @@ pub struct BubblesReport {
     pub seed: u64,
     /// Epoch-engine worker count the run used.
     pub threads: usize,
-    /// Region event lanes the run used (actual, after defaulting).
-    pub region_lanes: usize,
     /// Human-readable fault plan (`"no faults"` when inert).
     pub faults: String,
     /// Virtual duration, seconds.
@@ -337,7 +333,7 @@ pub struct BubblesReport {
     /// Daemon/trace counters with the gossip counters folded in.
     pub stats: TraceStats,
     /// Order-sensitive digest of the retained trace + counters
-    /// (bit-identical for any `threads`/`region_lanes`).
+    /// (bit-identical for any `threads`).
     pub digest: u64,
 }
 
@@ -360,7 +356,6 @@ impl BubblesReport {
             .field("members", self.members)
             .field("seed", self.seed)
             .field("threads", self.threads)
-            .field("region_lanes", self.region_lanes)
             .field("faults", self.faults.as_str())
             .field("virtual_secs", self.virtual_secs)
             .field("wall_ms", self.wall_ms)
@@ -420,8 +415,8 @@ impl BubblesReport {
             self.stats.gossip_duplicate,
         ));
         out.push_str(&format!(
-            "digest:         {:016x} (threads={} lanes={})\nhops histogram:",
-            self.digest, self.threads, self.region_lanes,
+            "digest:         {:016x} (threads={})\nhops histogram:",
+            self.digest, self.threads,
         ));
         for (hops, count) in &self.hops_histogram {
             out.push_str(&format!("\n  {hops} hops: {count}"));
@@ -474,26 +469,8 @@ pub fn run(config: &BubblesConfig) -> Result<BubblesReport, BubblesError> {
         }
     }
 
-    // Fold the app-side gossip counters into the trace stats so the
-    // digest (and the JSON) covers the epidemic traffic. Summed in node
-    // order — a deterministic reduction for any worker count.
-    let mut gossip_sum = peerhood::gossip::GossipStats::default();
-    for &id in s.members.iter().chain(&s.ferries) {
-        let st = s.cluster.app(id).gossip().expect("gossip enabled").stats();
-        gossip_sum.eager += st.eager;
-        gossip_sum.lazy += st.lazy;
-        gossip_sum.graft += st.graft;
-        gossip_sum.prune += st.prune;
-        gossip_sum.duplicate += st.duplicate;
-    }
-    {
-        let stats = s.cluster.trace_mut().stats_mut();
-        stats.gossip_eager += gossip_sum.eager;
-        stats.gossip_lazy += gossip_sum.lazy;
-        stats.gossip_graft += gossip_sum.graft;
-        stats.gossip_prune += gossip_sum.prune;
-        stats.gossip_duplicate += gossip_sum.duplicate;
-    }
+    let nodes = s.members.iter().chain(&s.ferries).copied();
+    crate::scenario::fold_gossip_stats(&mut s.cluster, nodes);
     let stats = *s.cluster.stats();
     let digest = s.cluster.trace().digest();
 
@@ -513,7 +490,6 @@ pub fn run(config: &BubblesConfig) -> Result<BubblesReport, BubblesError> {
         members: members_total,
         seed: config.seed,
         threads: config.threads,
-        region_lanes: s.cluster.region_lanes(),
         faults: config.faults.to_string(),
         virtual_secs: config.horizon.as_secs_f64(),
         wall_ms,
@@ -573,9 +549,9 @@ mod tests {
         );
     }
 
-    /// Satellite: the multi-bubble digest is a function of seed and fault
-    /// profile only — worker count and lane count never move it, with or
-    /// without a live lossy fault plan.
+    /// The multi-bubble digest is a function of seed and fault profile
+    /// only — worker count never moves it, with or without a live lossy
+    /// fault plan.
     #[test]
     fn bubble_digests_survive_threads_lanes_and_faults() {
         for faults in ["none", "lossy"] {
@@ -585,22 +561,18 @@ mod tests {
                 ..small()
             };
             let serial = run(&base).expect("valid config");
-            for &(threads, lanes) in &[(4usize, 0usize), (2, 3)] {
+            for threads in [4, 2] {
                 let par = run(&BubblesConfig {
                     threads,
-                    region_lanes: lanes,
                     ..base.clone()
                 })
                 .expect("valid config");
                 assert_eq!(
                     format!("{:016x}", serial.digest),
                     format!("{:016x}", par.digest),
-                    "digest diverged: faults={faults} threads={threads} lanes={lanes}"
+                    "digest diverged: faults={faults} threads={threads}"
                 );
-                assert_eq!(
-                    serial.stats, par.stats,
-                    "faults={faults} threads={threads} lanes={lanes}"
-                );
+                assert_eq!(serial.stats, par.stats, "faults={faults} threads={threads}");
             }
         }
     }

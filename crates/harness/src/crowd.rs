@@ -153,9 +153,9 @@ pub struct CrowdConfig {
     /// auto (one worker per hardware thread). Any value produces a
     /// bit-identical trace digest; see [`Cluster::set_threads`].
     pub threads: usize,
-    /// Number of region event lanes (`0` = engine default). A pure
-    /// sharding knob — any value produces a bit-identical trace digest;
-    /// see [`Cluster::set_region_lanes`].
+    /// Ignored: the simulator runs one event queue. Kept only because
+    /// `perfbench` names it in struct literals; it goes with the next
+    /// benchmark change.
     pub region_lanes: usize,
     /// Spatial region edge in metres (`0.0` = engine default, 80 m).
     /// Another pure sharding knob: neighbor answers are exact for any
@@ -285,8 +285,6 @@ pub struct CrowdReport {
     pub seed: u64,
     /// Epoch-engine worker count the run used (1 = serial, 0 = auto).
     pub threads: usize,
-    /// Region event lanes the run used (actual, after defaulting).
-    pub region_lanes: usize,
     /// Region edge in metres the run used (actual, after defaulting).
     pub region_edge_m: f64,
     /// Human-readable fault plan (`"no faults"` when inert).
@@ -386,7 +384,6 @@ impl CrowdReport {
             .field("nodes", self.nodes)
             .field("seed", self.seed)
             .field("threads", self.threads)
-            .field("region_lanes", self.region_lanes)
             .field("region_edge_m", self.region_edge_m)
             .field("faults", self.faults.as_str())
             .field("virtual_secs", self.virtual_secs)
@@ -463,9 +460,6 @@ pub fn build(config: &CrowdConfig) -> Result<CrowdScenario, CrowdError> {
         config.seed,
         RadioEnv::default().with_faults(config.faults.clone()),
     );
-    if config.region_lanes > 0 {
-        cluster.set_region_lanes(config.region_lanes);
-    }
     if config.region_edge_m > 0.0 {
         cluster.set_region_edge(config.region_edge_m);
     }
@@ -610,7 +604,6 @@ pub fn run(config: &CrowdConfig) -> Result<CrowdReport, CrowdError> {
         nodes: config.nodes,
         seed: config.seed,
         threads: config.threads,
-        region_lanes: s.cluster.region_lanes(),
         region_edge_m: s.cluster.world_mut().region_edge(),
         faults: config.faults.to_string(),
         virtual_secs: config.horizon.as_secs_f64(),
@@ -988,11 +981,10 @@ mod tests {
         .is_ok());
     }
 
-    /// Tentpole acceptance (differential): the region-sharded engine must
-    /// match the serial-merge baseline — one lane, one thread, default
-    /// grid — bit-for-bit at 1k and 10k nodes for every combination of
-    /// worker count, lane count, and region edge, including under a live
-    /// lossy fault plan.
+    /// Differential: the sharded engine must match the serial baseline —
+    /// one thread, default grid — bit-for-bit at 1k and 10k nodes for
+    /// every combination of worker count and region edge, including under
+    /// a live lossy fault plan.
     #[test]
     fn region_sharding_matches_serial_merge_baseline() {
         let cases: &[(usize, u64, &str)] =
@@ -1007,7 +999,6 @@ mod tests {
             };
             let baseline = run(&CrowdConfig {
                 threads: 1,
-                region_lanes: 1,
                 ..base.clone()
             })
             .expect("valid config");
@@ -1018,15 +1009,9 @@ mod tests {
                     baseline.stats
                 );
             }
-            for &(threads, lanes, edge) in &[
-                (2usize, 3usize, 40.0f64),
-                (4, 32, 250.0),
-                (4, 7, 0.0),
-                (1, 16, 120.0),
-            ] {
+            for &(threads, edge) in &[(2usize, 40.0f64), (4, 250.0), (4, 0.0), (1, 120.0)] {
                 let sharded = run(&CrowdConfig {
                     threads,
-                    region_lanes: lanes,
                     region_edge_m: edge,
                     ..base.clone()
                 })
@@ -1035,11 +1020,11 @@ mod tests {
                     format!("{:016x}", baseline.digest),
                     format!("{:016x}", sharded.digest),
                     "digest diverged: nodes={nodes} faults={faults} \
-                     threads={threads} lanes={lanes} edge={edge}"
+                     threads={threads} edge={edge}"
                 );
                 assert_eq!(
                     baseline.stats, sharded.stats,
-                    "nodes={nodes} faults={faults} threads={threads} lanes={lanes} edge={edge}"
+                    "nodes={nodes} faults={faults} threads={threads} edge={edge}"
                 );
                 assert_eq!(
                     (baseline.events, baseline.appeared, baseline.disappeared),
@@ -1053,25 +1038,25 @@ mod tests {
     /// workers, canonical outbox commit — must match single-event epochs
     /// ([`Cluster::run_until_condition`]) bit-for-bit. Both run the same
     /// handlers, so this pins batching, partitioning and the commit merge
-    /// for every worker count and lane count, including under a live
-    /// lossy fault plan; the pinned digests in the root
-    /// `tests/pinned_digests.rs` are the behaviour oracle.
+    /// for every worker count, including under a live lossy fault plan;
+    /// the pinned digests in the root `tests/pinned_digests.rs` are the
+    /// behaviour oracle.
     /// One differential case: node count, horizon seconds, fault profile
-    /// name, thread counts to sweep, lane counts to sweep.
-    type EpochCase = (usize, u64, &'static str, &'static [usize], &'static [usize]);
+    /// name, thread counts to sweep.
+    type EpochCase = (usize, u64, &'static str, &'static [usize]);
 
     #[test]
     fn epoch_engine_matches_pure_dispatch_reference() {
         let cases: &[EpochCase] = &[
-            (1000, 3, "none", &[1, 2, 4, 8], &[1, 7, 32]),
-            (1000, 3, "lossy", &[1, 2, 4, 8], &[1, 7, 32]),
-            (10_000, 2, "none", &[4], &[1, 32]),
+            (1000, 3, "none", &[1, 2, 4, 8]),
+            (1000, 3, "lossy", &[1, 2, 4, 8]),
+            (10_000, 2, "none", &[4]),
             // Regression: lossy retries at this scale schedule inquiries
             // out of node order, which exposed a commit merge that
             // assumed node-grouped worker spans were batch-ordered.
-            (3000, 6, "lossy", &[4], &[8]),
+            (3000, 6, "lossy", &[4]),
         ];
-        for &(nodes, secs, faults, threads_set, lanes_set) in cases {
+        for &(nodes, secs, faults, threads_set) in cases {
             let base = CrowdConfig {
                 nodes,
                 horizon: Duration::from_secs(secs),
@@ -1091,31 +1076,28 @@ mod tests {
                 );
             }
             for &threads in threads_set {
-                for &lanes in lanes_set {
-                    let par = run(&CrowdConfig {
-                        threads,
-                        region_lanes: lanes,
-                        ..base.clone()
-                    })
-                    .expect("valid config");
-                    assert_eq!(
-                        format!("{ref_digest:016x}"),
-                        format!("{:016x}", par.digest),
-                        "epoch engine diverged from pure dispatch: nodes={nodes} \
-                         faults={faults} threads={threads} lanes={lanes}"
-                    );
-                    assert_eq!(
-                        ref_stats, par.stats,
-                        "nodes={nodes} faults={faults} threads={threads} lanes={lanes}"
-                    );
-                }
+                let par = run(&CrowdConfig {
+                    threads,
+                    ..base.clone()
+                })
+                .expect("valid config");
+                assert_eq!(
+                    format!("{ref_digest:016x}"),
+                    format!("{:016x}", par.digest),
+                    "epoch engine diverged from pure dispatch: nodes={nodes} \
+                     faults={faults} threads={threads}"
+                );
+                assert_eq!(
+                    ref_stats, par.stats,
+                    "nodes={nodes} faults={faults} threads={threads}"
+                );
             }
         }
     }
 
     /// 100k leg of the differential matrix — minutes in a debug build, so
     /// `#[ignore]`d; `repro gate` checks the release-build equivalent
-    /// (serial, `--threads 4` and the serial-merge rerun at 100k nodes).
+    /// (serial and `--threads 4` at 100k nodes).
     #[test]
     #[ignore = "release-scale: run with --ignored (`repro gate` checks the release build)"]
     fn epoch_engine_matches_pure_dispatch_at_100k() {

@@ -3,9 +3,8 @@
 //! [`run`] executes every arm in-process: the 100- and 1,000-node crowds
 //! fault-free and under `lossy`, the 100k-node crowd, the default bubbles
 //! run at one and four threads with and without `lossy`, and a 200-client
-//! live smoke. Each crowd size runs four ways: serial, `--threads 4`, the
-//! one-lane one-thread serial-merge reference and (up to
-//! [`RESHARD_MAX_NODES`]) resharded on 3 lanes with 40 m regions.
+//! live smoke. Each crowd size runs serial, at `--threads 4` and (up to
+//! [`RESHARD_MAX_NODES`]) resharded with 40 m regions.
 //! [`check`] judges the reports against the constants below and names
 //! each failed gate; it is pure, so `tests/gate.rs` drives every gate
 //! with synthetic reports. [`write_artifacts`] renders `BENCH_scale.json`
@@ -70,17 +69,14 @@ impl fmt::Display for Failure {
     }
 }
 
-/// One crowd size, run four ways.
+/// One crowd size, run three ways.
 #[derive(Clone, Debug)]
 pub struct CrowdCase {
-    /// One thread, default lanes.
+    /// One thread, default region edge.
     pub serial: CrowdReport,
-    /// `--threads 4`, default lanes.
+    /// `--threads 4`, default region edge.
     pub threads4: CrowdReport,
-    /// One thread, one lane, default region edge: the serial merge.
-    pub reference: CrowdReport,
-    /// One thread, 3 lanes, 40 m regions; `None` above
-    /// [`RESHARD_MAX_NODES`].
+    /// One thread, 40 m regions; `None` above [`RESHARD_MAX_NODES`].
     pub resharded: Option<CrowdReport>,
 }
 
@@ -89,7 +85,8 @@ pub struct CrowdCase {
 pub struct GateReports {
     /// The host's hardware thread count.
     pub nproc: usize,
-    /// `(events, allocations)` of [`crowd::trace_alloc_burst`].
+    /// `(events, allocations)` of [`crowd::trace_alloc_burst`]; the
+    /// `trace-alloc` gate requires zero allocations.
     pub burst: (u64, u64),
     /// 100 nodes, 30 s, fault-free.
     pub crowd_100: CrowdCase,
@@ -171,8 +168,6 @@ pub fn verdicts(r: &GateReports) -> Vec<(bool, &'static str, String)> {
     let same = |a: &CrowdReport, b: &CrowdReport| a.digest == b.digest && a.stats == b.stats;
     for (faults, c) in r.crowd_cases() {
         let (n, p) = (c.serial.nodes, &c.threads4);
-        let seen = format!("{faults} crowd of {n} nodes: {:016x}", c.reference.digest);
-        gate(same(&c.reference, p), "serial-merge", seen);
         let (passed, seen) = match &c.resharded {
             Some(x) => (same(x, p), format!("{:016x}", x.digest)),
             None => (n > RESHARD_MAX_NODES, "not rerun".to_owned()),
@@ -196,6 +191,9 @@ pub fn verdicts(r: &GateReports) -> Vec<(bool, &'static str, String)> {
         format!("{ratio:.2}x, unmeasured: {} cores", r.nproc)
     };
     gate(!measured || ratio >= MIN_SPEEDUP, "speedup", seen);
+    let (events, allocs) = r.burst;
+    let seen = format!("{allocs} allocations over {events} interned trace events");
+    gate(allocs == 0, "trace-alloc", seen);
     for c in [&r.lossy_100, &r.lossy_1000] {
         let (n, dropped) = (c.serial.nodes, c.serial.stats.frames_dropped);
         let seen = format!("{n} nodes: {dropped} frames");
@@ -243,20 +241,14 @@ fn crowd_config(nodes: usize, horizon_secs: u64, faults: &str, threads: usize) -
 
 fn crowd_case(nodes: usize, horizon_secs: u64, faults: &str) -> Result<CrowdCase, Box<dyn Error>> {
     let base = crowd_config(nodes, horizon_secs, faults, 1);
-    let reference = CrowdConfig {
-        region_lanes: 1,
-        compare_naive: false,
-        ..base.clone()
-    };
     Ok(CrowdCase {
         serial: crowd::run(&base)?,
         threads4: crowd::run(&crowd_config(nodes, horizon_secs, faults, 4))?,
-        reference: crowd::run(&reference)?,
         resharded: if nodes <= RESHARD_MAX_NODES {
             Some(crowd::run(&CrowdConfig {
-                region_lanes: 3,
                 region_edge_m: 40.0,
-                ..reference
+                compare_naive: false,
+                ..base
             })?)
         } else {
             None

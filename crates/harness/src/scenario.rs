@@ -7,7 +7,7 @@
 
 use netsim::geometry::Point2;
 use netsim::world::{NodeBuilder, NodeId};
-use netsim::{FaultPlan, FaultProfile, RadioEnv, Technology};
+use netsim::{FaultPlan, FaultProfile, RadioEnv, Technology, TraceStats};
 use peerhood::gossip::GossipConfig;
 use peerhood::sim::Cluster;
 use peerhood::RecoveryPolicy;
@@ -167,6 +167,28 @@ pub fn lab(config: &LabConfig) -> LabScenario {
         observer,
         peers,
     }
+}
+
+/// Folds the gossip counters of `nodes`' apps into the cluster's
+/// [`TraceStats`], so the digest and the reported stats cover the
+/// epidemic traffic. Apps without gossip add nothing; the sums do not
+/// depend on the worker count.
+pub fn fold_gossip_stats(
+    cluster: &mut Cluster<CommunityApp>,
+    nodes: impl IntoIterator<Item = NodeId>,
+) {
+    let mut sum = TraceStats::default();
+    for id in nodes {
+        if let Some(rt) = cluster.app(id).gossip() {
+            let st = rt.stats();
+            sum.gossip_eager += st.eager;
+            sum.gossip_lazy += st.lazy;
+            sum.gossip_graft += st.graft;
+            sum.gossip_prune += st.prune;
+            sum.gossip_duplicate += st.duplicate;
+        }
+    }
+    cluster.trace_mut().stats_mut().add(&sum);
 }
 
 #[cfg(test)]

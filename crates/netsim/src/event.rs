@@ -5,17 +5,12 @@
 //! that schedule the same events in the same order always execute them in the
 //! same order — the foundation of reproducible experiments.
 //!
-//! Since the parallel-epoch work the queue is backed by a
-//! [hierarchical timing wheel](crate::wheel) instead of a global
-//! `BinaryHeap`: scheduling and popping near-horizon events is O(1)
-//! amortized, far-future timers overflow to a heap, and the pop stream is
-//! bit-identical to the old heap implementation (same `(at, seq)`
-//! tie-break, enforced by differential property tests).
-
-use std::time::Duration;
+//! The queue is backed by a [hierarchical timing wheel](crate::wheel):
+//! scheduling and popping near-horizon events is O(1) amortized, and
+//! far-future timers overflow to a heap, with the same `(at, seq)`
+//! tie-break as a global `BinaryHeap`.
 
 use crate::time::SimTime;
-pub use crate::wheel::TimerToken;
 use crate::wheel::TimerWheel;
 
 /// A time-ordered queue of simulation events.
@@ -29,11 +24,10 @@ use crate::wheel::TimerWheel;
 ///
 /// ```rust
 /// use ph_netsim::{EventQueue, SimTime};
-/// use std::time::Duration;
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule_after(Duration::from_secs(2), "beta");
-/// q.schedule_after(Duration::from_secs(1), "alpha");
+/// q.schedule(SimTime::from_secs(2), "beta");
+/// q.schedule(SimTime::from_secs(1), "alpha");
 /// let (t1, e1) = q.pop().unwrap();
 /// assert_eq!((t1, e1), (SimTime::from_secs(1), "alpha"));
 /// let (t2, e2) = q.pop().unwrap();
@@ -53,20 +47,6 @@ impl<E> EventQueue<E> {
             wheel: TimerWheel::new(),
             now: SimTime::ZERO,
         }
-    }
-
-    /// Creates an empty queue sized for roughly `capacity` in-flight
-    /// events, avoiding reallocation churn while the schedule grows.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            wheel: TimerWheel::with_capacity(capacity),
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Reserves space for at least `additional` more in-flight events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.wheel.reserve(additional);
     }
 
     /// The current virtual time: the timestamp of the most recently popped
@@ -89,34 +69,6 @@ impl<E> EventQueue<E> {
         self.wheel.schedule(at, event);
     }
 
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: Duration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Like [`EventQueue::schedule`], but returns a token that
-    /// [`EventQueue::cancel`] accepts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than [`EventQueue::now`].
-    pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> TimerToken {
-        assert!(
-            at >= self.now,
-            "cannot schedule event in the past: at={at:?} now={:?}",
-            self.now
-        );
-        self.wheel.schedule_cancellable(at, event)
-    }
-
-    /// Cancels a pending event scheduled with
-    /// [`EventQueue::schedule_cancellable`]. Returns `true` if the event
-    /// was still pending, `false` if it already fired or was already
-    /// cancelled.
-    pub fn cancel(&mut self, token: TimerToken) -> bool {
-        self.wheel.cancel(token)
-    }
-
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty (the clock is left
     /// where it was).
@@ -134,22 +86,6 @@ impl<E> EventQueue<E> {
         self.wheel.peek()
     }
 
-    /// Pops every event due at or before `deadline` into `out`, in exact
-    /// pop order, reusing `out`'s capacity (no per-event allocation). The
-    /// clock advances to the last popped event's timestamp. Returns the
-    /// number of events drained.
-    ///
-    /// Events come out grouped by timestamp (the stream is time-ordered),
-    /// so callers batching per-timestamp work can scan `out` for runs of
-    /// equal [`SimTime`].
-    pub fn drain_until(&mut self, deadline: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let before = out.len();
-        while self.peek_time().is_some_and(|t| t <= deadline) {
-            out.push(self.pop().expect("peeked"));
-        }
-        out.len() - before
-    }
-
     /// Pops the entire batch of events sharing the earliest pending
     /// timestamp, provided it is at or before `deadline`, into `out`
     /// (cleared first, capacity reused). Returns that timestamp, or `None`
@@ -158,7 +94,9 @@ impl<E> EventQueue<E> {
     /// Events scheduled *at the returned timestamp* while the caller
     /// processes the batch land in a later batch at the same timestamp —
     /// exactly the order a pop-one-at-a-time loop would produce, since
-    /// their sequence numbers are larger.
+    /// their sequence numbers are larger. A batch past the deadline stays
+    /// in the queue untouched, so an event scheduled before it in the
+    /// meantime still pops first.
     pub fn drain_batch(&mut self, deadline: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         out.clear();
         let t = self.peek_time().filter(|&t| t <= deadline)?;
@@ -176,11 +114,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.wheel.is_empty()
-    }
-
-    /// Drops all pending events without touching the clock.
-    pub fn clear(&mut self) {
-        self.wheel.clear();
     }
 
     /// Advances the clock to `t` without popping anything.
@@ -215,6 +148,7 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -247,16 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), "first");
-        q.pop();
-        q.schedule_after(Duration::from_secs(5), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(15));
-    }
-
-    #[test]
     #[should_panic(expected = "in the past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
@@ -266,15 +190,14 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.schedule(SimTime::from_secs(1), ());
         q.schedule(SimTime::from_secs(2), ());
         assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
+        q.pop();
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -304,36 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event_and_reports_liveness() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), 'a');
-        let tok = q.schedule_cancellable(SimTime::from_secs(2), 'b');
-        q.schedule(SimTime::from_secs(3), 'c');
-        assert!(q.cancel(tok));
-        assert!(!q.cancel(tok));
-        assert_eq!(q.len(), 2);
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'c']);
-    }
-
-    #[test]
-    fn drain_until_pops_everything_due() {
-        let mut q = EventQueue::new();
-        for i in 0..6u32 {
-            q.schedule(SimTime::from_secs(u64::from(i)), i);
-        }
-        let mut out = Vec::new();
-        let n = q.drain_until(SimTime::from_secs(3), &mut out);
-        assert_eq!(n, 4);
-        assert_eq!(
-            out.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-            (0..4).map(SimTime::from_secs).collect::<Vec<_>>()
-        );
-        assert_eq!(q.now(), SimTime::from_secs(3));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
     fn drain_batch_groups_one_timestamp() {
         let mut q = EventQueue::new();
         let t1 = SimTime::from_secs(1);
@@ -356,5 +249,82 @@ mod tests {
         q.schedule(SimTime::from_secs(10), 'z');
         assert_eq!(q.drain_batch(SimTime::from_secs(9), &mut batch), None);
         assert!(batch.is_empty());
+    }
+
+    /// Lookahead safety: a drained batch is a closed set. Whatever a
+    /// handler schedules while the batch executes — even at the very
+    /// timestamp being drained — lands in a strictly later batch, so an
+    /// epoch worker never observes an event spawned inside its own window.
+    /// The batched stream must still equal the one-pop-at-a-time stream
+    /// with identical feedback.
+    #[test]
+    fn drained_batches_never_admit_feedback_from_their_own_window() {
+        // Every third event spawns a child, half of them at the *same*
+        // timestamp the parent was delivered at.
+        let child_delay = |id: u32| id.is_multiple_of(3).then(|| u64::from(id % 2) * 250);
+        let mut rng = crate::rng::SimRng::from_seed(9000);
+        let mut batched = EventQueue::new();
+        let mut serial = EventQueue::new();
+        for id in 0..300u32 {
+            let at = SimTime::from_micros(rng.range_u64(0..15) * 250);
+            batched.schedule(at, id);
+            serial.schedule(at, id);
+        }
+        let deadline = SimTime::from_secs(60);
+        let mut batch = Vec::new();
+        let mut batch_order = Vec::new();
+        let mut born_in_batch = std::collections::HashMap::new();
+        let mut spawn_id = 10_000u32;
+        let mut batch_idx = 0usize;
+        while let Some(t) = batched.drain_batch(deadline, &mut batch) {
+            for &id in &batch {
+                if let Some(&born) = born_in_batch.get(&id) {
+                    assert!(
+                        born < batch_idx,
+                        "event {id} ran in the window that spawned it"
+                    );
+                }
+                batch_order.push((t, id));
+                if let Some(d) = child_delay(id) {
+                    batched.schedule(t + Duration::from_micros(d), spawn_id);
+                    born_in_batch.insert(spawn_id, batch_idx);
+                    spawn_id += 1;
+                }
+            }
+            batch_idx += 1;
+        }
+        let mut serial_order = Vec::new();
+        let mut spawn_id = 10_000u32;
+        while let Some((t, id)) = serial.pop() {
+            serial_order.push((t, id));
+            if let Some(d) = child_delay(id) {
+                serial.schedule(t + Duration::from_micros(d), spawn_id);
+                spawn_id += 1;
+            }
+        }
+        assert_eq!(batch_order, serial_order);
+    }
+
+    /// A batch past the deadline must stay behind work scheduled before
+    /// it after the drain came up empty, and the clock must never run
+    /// backwards.
+    #[test]
+    fn event_scheduled_after_an_empty_drain_pops_first() {
+        let mut q = EventQueue::new();
+        let (deadline, early, late) = (
+            SimTime::from_secs(5),
+            SimTime::from_secs(6),
+            SimTime::from_secs(7),
+        );
+        q.schedule(late, 'b');
+        let mut batch = Vec::new();
+        assert_eq!(q.drain_batch(deadline, &mut batch), None);
+        q.advance_to(deadline);
+        q.schedule(early, 'a');
+        let far = SimTime::from_secs(60);
+        assert_eq!(q.drain_batch(far, &mut batch), Some(early));
+        assert_eq!((batch.as_slice(), q.now()), (&['a'][..], early));
+        assert_eq!(q.drain_batch(far, &mut batch), Some(late));
+        assert_eq!((batch.as_slice(), q.now()), (&['b'][..], late));
     }
 }

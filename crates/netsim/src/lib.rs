@@ -9,9 +9,9 @@
 //! The simulator is a classic discrete-event design:
 //!
 //! * [`SimTime`] is a virtual clock (microsecond resolution);
-//! * [`RegionLanes`] orders arbitrary user events by time, with a
-//!   tie-breaking sequence number so that execution is fully deterministic
-//!   (the single-lane [`TimerWheel`] does the same);
+//! * [`EventQueue`] orders arbitrary user events by time over a
+//!   [`TimerWheel`], with a tie-breaking sequence number so that execution
+//!   is fully deterministic;
 //! * [`World`] tracks node positions via pluggable [`mobility`] models and
 //!   answers range/reachability queries per [`Technology`];
 //! * [`SimRng`] is a seeded, forkable random source so that every run with the
@@ -36,15 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// The single-queue reference [`RegionLanes`] is tested against.
-#[cfg(test)]
 pub mod event;
 pub mod fault;
 pub mod geometry;
 pub mod mobility;
 pub mod par;
 pub mod radio;
-pub mod region;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -52,11 +49,11 @@ pub mod trace;
 pub mod wheel;
 pub mod world;
 
+pub use event::EventQueue;
 pub use fault::{BurstState, CrashWindow, FaultPlan, FaultProfile};
 pub use radio::{RadioEnv, TechSet, Technology, TechnologyProfile};
-pub use region::RegionLanes;
 pub use rng::SimRng;
 pub use time::SimTime;
 pub use trace::{ActorId, LabelId, Trace, TraceEvent, TraceStats};
-pub use wheel::{TimerToken, TimerWheel};
+pub use wheel::TimerWheel;
 pub use world::{EpochView, GatherBuf, NodeBuilder, NodeId, World};

@@ -1,6 +1,6 @@
 //! Zero-dependency fork/join helpers for the deterministic epoch engine.
 //!
-//! The lane-epoch engine runs the events of one timestamp batch on
+//! The epoch engine runs the events of one timestamp batch on
 //! disjoint ranges of per-node state, then commits the workers' outboxes
 //! **in chunk order** before any shared state mutation or trace record
 //! happens. [`map_chunks_mut_with`] encodes that discipline:
@@ -50,7 +50,7 @@ pub fn effective_threads(requested: usize) -> usize {
 /// `f(chunk_index, base_offset, chunk, payload)` on one scoped worker per
 /// chunk, returning the per-chunk results **in chunk order**.
 ///
-/// The lane-epoch engine hands each worker its share of the drained event
+/// The epoch engine hands each worker its share of the drained event
 /// batch *by value* alongside the `&mut` node range the events target; `f`
 /// returns the chunk's outbox, which the caller commits serially in
 /// canonical order.

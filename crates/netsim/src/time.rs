@@ -14,7 +14,7 @@ use std::time::Duration;
 ///
 /// Internally a count of microseconds since simulation start. `SimTime`
 /// implements total ordering and cheap copying, and is the key by which the
-/// [`RegionLanes`](crate::RegionLanes) order events.
+/// [`EventQueue`](crate::EventQueue) orders events.
 ///
 /// # Example
 ///

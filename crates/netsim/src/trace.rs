@@ -74,55 +74,6 @@ impl Wire for SimTime {
     }
 }
 
-impl Wire for TraceEvent {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        self.at.encode_to(out);
-        self.from.encode_to(out);
-        self.to.encode_to(out);
-        self.label.encode_to(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(TraceEvent {
-            at: SimTime::decode(input)?,
-            from: String::decode(input)?,
-            to: String::decode(input)?,
-            label: String::decode(input)?,
-        })
-    }
-}
-
-// The wire format is unchanged from the pre-interned trace: a `u32` count of
-// retained events followed by each event's resolved (string) form. Decoding
-// re-records into a fresh unbounded trace, re-interning as it goes.
-impl Wire for Trace {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        (self.events.len() as u32).encode_to(out);
-        for e in &self.events {
-            e.at.encode_to(out);
-            encode_str(self.pool.get(e.from.0), out);
-            encode_str(self.pool.get(e.to.0), out);
-            encode_str(self.pool.get(e.label.0), out);
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let n = codec::read_len(input)?;
-        let mut trace = Trace::new();
-        for _ in 0..n {
-            let e = TraceEvent::decode(input)?;
-            trace.record(e.at, &e.from, &e.to, &e.label);
-        }
-        Ok(trace)
-    }
-}
-
-/// Encodes a borrowed string exactly like `String`'s `Wire` impl.
-fn encode_str(s: &str, out: &mut Vec<u8>) {
-    (s.len() as u32).encode_to(out);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Always-on counters for one simulation run.
 ///
 /// These are cheap enough to maintain at any scale: aggregate figures remain
@@ -594,27 +545,6 @@ impl Trace {
             .collect()
     }
 
-    /// Events exchanged between two specific actors (either direction).
-    pub fn between(&self, a: &str, b: &str) -> Vec<TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| {
-                let (from, to) = (self.pool.get(e.from.0), self.pool.get(e.to.0));
-                (from == a && to == b) || (from == b && to == a)
-            })
-            .map(|e| self.resolve(e))
-            .collect()
-    }
-
-    /// Labels of messages sent by `actor`.
-    pub fn sent_by(&self, actor: &str) -> Vec<&str> {
-        self.events
-            .iter()
-            .filter(|e| e.from != e.to && self.pool.get(e.from.0) == actor)
-            .map(|e| self.pool.get(e.label.0))
-            .collect()
-    }
-
     /// Whether `needle` labels occur in order (not necessarily contiguously).
     pub fn contains_subsequence(&self, needle: &[&str]) -> bool {
         let mut it = needle.iter();
@@ -761,19 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn between_filters_pairs() {
-        let t = sample();
-        assert_eq!(t.between("client", "server1").len(), 2);
-        assert_eq!(t.between("client", "nobody").len(), 0);
-    }
-
-    #[test]
-    fn sent_by_excludes_local_actions() {
-        let t = sample();
-        assert_eq!(t.sent_by("client"), vec!["PS_GETPROFILE"]);
-    }
-
-    #[test]
     fn subsequence_matching() {
         let t = sample();
         assert!(t.contains_subsequence(&["PS_GETPROFILE", "DISPLAY"]));
@@ -803,20 +720,6 @@ mod tests {
         assert!(arrow.contains("client -> server1"));
         let local = t.events()[2].to_string();
         assert!(local.contains("client: DISPLAY"));
-    }
-
-    #[test]
-    fn trace_wire_round_trip() {
-        let t = sample();
-        let back = Trace::decode_exact(&t.encode()).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn trace_decode_rejects_truncation() {
-        let t = sample();
-        let frame = t.encode();
-        assert!(Trace::decode_exact(&frame[..frame.len() - 1]).is_err());
     }
 
     #[test]

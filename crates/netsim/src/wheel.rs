@@ -29,16 +29,9 @@
 //! pop stream is **bit-identical** to a `BinaryHeap` scheduler fed the same
 //! schedule calls. `wheel_matches_reference_model` in this module and the
 //! property tests in `tests/` enforce that equivalence.
-//!
-//! # Cancellation
-//!
-//! [`TimerWheel::schedule`] returns the timer's sequence number, usable as
-//! a cancellation token. Cancellation is *lazy*: the entry stays in its
-//! slot and is dropped when it surfaces, which keeps cancel O(log n) in the
-//! number of outstanding cancellations rather than O(slot scan).
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -83,13 +76,6 @@ impl<E> PartialEq for Entry<E> {
 
 impl<E> Eq for Entry<E> {}
 
-/// A cancellation handle returned by [`TimerWheel::schedule`].
-///
-/// Tokens are never reused within one wheel: they are the timer's globally
-/// unique sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerToken(pub(crate) u64);
-
 /// Hierarchical timing wheel ordered by `(at, seq)`.
 ///
 /// See the [module docs](self) for the layout and the determinism contract.
@@ -109,12 +95,7 @@ pub struct TimerWheel<E> {
     horizon: u64,
     /// Next sequence number (insertion-order tie-break).
     seq: u64,
-    /// Sequence numbers armed via [`TimerWheel::schedule_cancellable`] that
-    /// are still pending — the only timers [`TimerWheel::cancel`] accepts.
-    tracked: BTreeSet<u64>,
-    /// Lazily-cancelled sequence numbers still physically in the structure.
-    cancelled: BTreeSet<u64>,
-    /// Number of live (scheduled, not popped, not cancelled) timers.
+    /// Number of pending (scheduled, not popped) timers.
     live: usize,
 }
 
@@ -135,8 +116,6 @@ impl<E> TimerWheel<E> {
             ready: BinaryHeap::new(),
             horizon: 0,
             seq: 0,
-            tracked: BTreeSet::new(),
-            cancelled: BTreeSet::new(),
             live: 0,
         }
     }
@@ -147,11 +126,6 @@ impl<E> TimerWheel<E> {
         let mut w = Self::new();
         w.ready.reserve(capacity);
         w
-    }
-
-    /// Reserves space for `additional` more timers on the pop path.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ready.reserve(additional);
     }
 
     /// Schedules `event` at absolute time `at`. `at` may be in the "past"
@@ -165,52 +139,23 @@ impl<E> TimerWheel<E> {
         self.place(Entry { at, seq, event });
     }
 
-    /// Like [`TimerWheel::schedule`], but returns a token accepted by
-    /// [`TimerWheel::cancel`]. Slightly more expensive: the timer's
-    /// sequence number is tracked until it fires or is cancelled.
-    pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> TimerToken {
-        let seq = self.seq;
-        self.seq += 1;
-        self.live += 1;
-        self.tracked.insert(seq);
-        self.place(Entry { at, seq, event });
-        TimerToken(seq)
-    }
-
-    /// Cancels a pending timer. Returns `true` if the timer was still
-    /// pending (it will never be popped), `false` if it already fired or
-    /// was already cancelled. Lazy: the entry is dropped when its slot
-    /// expires, not eagerly dug out of the wheel.
-    pub fn cancel(&mut self, token: TimerToken) -> bool {
-        if !self.tracked.remove(&token.0) {
-            return false;
-        }
-        self.cancelled.insert(token.0);
-        self.live -= 1;
-        true
-    }
-
-    /// Number of live timers.
+    /// Number of pending timers.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Whether no live timers remain.
+    /// Whether no timers are pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    /// Timestamp of the earliest live timer, without popping it.
+    /// Timestamp of the earliest pending timer, without popping it.
     ///
     /// Takes `&mut self` because it may expire slots into the ready heap
     /// (pure bookkeeping: the pop stream is unaffected).
     pub fn peek(&mut self) -> Option<SimTime> {
         loop {
             if let Some(top) = self.ready.peek() {
-                if self.cancelled.remove(&top.seq) {
-                    self.ready.pop();
-                    continue;
-                }
                 return Some(top.at);
             }
             if !self.refill_ready() {
@@ -219,14 +164,10 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Removes and returns the earliest live timer.
+    /// Removes and returns the earliest pending timer.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             if let Some(entry) = self.ready.pop() {
-                if self.cancelled.remove(&entry.seq) {
-                    continue;
-                }
-                self.tracked.remove(&entry.seq);
                 self.live -= 1;
                 return Some((entry.at, entry.event));
             }
@@ -234,22 +175,6 @@ impl<E> TimerWheel<E> {
                 return None;
             }
         }
-    }
-
-    /// Drops every pending timer. The horizon and the sequence counter are
-    /// kept, so ordering guarantees survive a clear.
-    pub fn clear(&mut self) {
-        for level in &mut self.levels {
-            for slot in level.iter_mut() {
-                slot.clear();
-            }
-        }
-        self.occupied = [0; LEVELS];
-        self.overflow.clear();
-        self.ready.clear();
-        self.tracked.clear();
-        self.cancelled.clear();
-        self.live = 0;
     }
 
     /// Inserts an entry into the structure it belongs to at the current
@@ -416,24 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_is_exact() {
-        let mut w = TimerWheel::new();
-        let a = w.schedule_cancellable(SimTime::from_millis(10), 'a');
-        let b = w.schedule_cancellable(SimTime::from_millis(20), 'b');
-        let c = w.schedule_cancellable(SimTime::from_secs(20_000), 'c'); // overflow
-        assert_eq!(w.len(), 3);
-        assert!(w.cancel(b));
-        assert!(!w.cancel(b), "double-cancel must report false");
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.peek(), Some(SimTime::from_millis(10)));
-        assert_eq!(w.pop().unwrap().1, 'a');
-        assert!(!w.cancel(a), "fired timer cannot be cancelled");
-        assert!(w.cancel(c));
-        assert!(w.pop().is_none());
-        assert!(w.is_empty());
-    }
-
-    #[test]
     fn overflow_timers_come_back() {
         let mut w = TimerWheel::new();
         // Far beyond the 4.7 h wheel span.
@@ -462,12 +369,11 @@ mod tests {
     #[test]
     fn wheel_matches_reference_model() {
         // Differential check against a sort-based model across a random
-        // workload mixing near, far, overflow, ties and cancellations.
+        // workload mixing near, far, overflow and tied timers.
         let mut rng = SimRng::from_seed(0x77AEE1);
         for _round in 0..20 {
             let mut w = TimerWheel::new();
             let mut model: Vec<(u64, u64, u32)> = Vec::new(); // (at µs, seq, id)
-            let mut tokens = Vec::new();
             let mut clock = 0u64;
             let mut next_id = 0u32;
             for _op in 0..400 {
@@ -481,20 +387,9 @@ mod tests {
                             _ => rng.range_u64(0..40_000_000_000u64), // overflow range
                         };
                         let at = clock + delta;
-                        let tok = w.schedule_cancellable(SimTime::from_micros(at), next_id);
-                        model.push((at, tok.0, next_id));
-                        tokens.push(tok);
+                        w.schedule(SimTime::from_micros(at), next_id);
+                        model.push((at, u64::from(next_id), next_id));
                         next_id += 1;
-                    }
-                    6 => {
-                        if let Some(i) =
-                            (!tokens.is_empty()).then(|| rng.range_usize(0..tokens.len()))
-                        {
-                            let tok = tokens.swap_remove(i);
-                            let in_model = model.iter().any(|&(_, s, _)| s == tok.0);
-                            assert_eq!(w.cancel(tok), in_model);
-                            model.retain(|&(_, s, _)| s != tok.0);
-                        }
                     }
                     _ => {
                         model.sort_unstable_by_key(|&(at, seq, _)| (at, seq));

@@ -32,19 +32,16 @@
 //! all-pairs implementations are kept as `*_naive` methods for differential
 //! testing.
 //!
-//! The world itself has no event loop; drivers combine it with the
-//! region-sharded [`RegionLanes`](crate::region::RegionLanes) or a
-//! [`TimerWheel`](crate::TimerWheel).
+//! The world itself has no event loop; drivers combine it with an
+//! [`EventQueue`](crate::EventQueue).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
-use std::time::Duration;
 
 use crate::geometry::Point2;
 use crate::mobility::{Mobility, Stationary};
 use crate::radio::{RadioEnv, Technology};
-use crate::rng::SimRng;
 use crate::time::SimTime;
 
 /// Identifier of a node in a [`World`]. Dense and copyable; assigned in
@@ -320,14 +317,13 @@ struct RegionIndex {
     /// The time the snapshot was taken at; `None` when stale (nodes were
     /// added or no query has run yet).
     bucket_t: Option<SimTime>,
-    /// Every speed-bounded node as of `bucket_t`, sorted by (home region,
-    /// index): each region's nodes form one ascending run.
+    /// Every speed-bounded node as of `bucket_t`, sorted by (region of its
+    /// snapshot position, index): each region's nodes form one ascending
+    /// run.
     entries: Vec<Entry>,
     /// Region → its run `start..end` in `entries`. Only cleared, inserted
     /// into and looked up — never iterated, so its order is unobservable.
     regions: HashMap<(i64, i64), (u32, u32)>,
-    /// Every node's home region as of `bucket_t` (event-lane routing key).
-    home: Vec<(i64, i64)>,
     /// Nodes whose mobility reports an infinite speed bound: never
     /// bucketed, appended to every candidate gather instead.
     unbounded: Vec<u32>,
@@ -447,8 +443,8 @@ impl World {
     }
 
     /// Sets the region edge length in metres and invalidates the current
-    /// snapshot. Smaller regions mean finer event-lane routing and cheaper
-    /// gathers in dense worlds; query answers are unaffected (pinned by the
+    /// snapshot. Smaller regions mean cheaper gathers in dense worlds;
+    /// query answers are unaffected (pinned by the
     /// `region_edge_never_changes_answers` test).
     ///
     /// # Panics
@@ -470,7 +466,6 @@ impl World {
         self.motion.reserve(n);
         self.tech_mask.reserve(n);
         self.max_speed.reserve(n);
-        self.index.home.reserve(n);
     }
 
     /// Adds a node, returning its identifier.
@@ -495,7 +490,6 @@ impl World {
         }));
         self.tech_mask.push(mask);
         self.max_speed.push(speed);
-        self.index.home.push((0, 0));
         // The snapshot taken for the previous population is stale.
         self.index.bucket_t = None;
         id
@@ -533,14 +527,6 @@ impl World {
     /// Whether the node carries a radio for `tech`.
     pub fn has_technology(&self, id: NodeId, tech: Technology) -> bool {
         self.tech_mask[id.index()] & tech_bit(tech) != 0
-    }
-
-    /// The node's home region as of the last snapshot — the event-lane
-    /// routing key for the region-sharded engine. Before any snapshot every
-    /// node homes at `(0, 0)`; the routing only balances work, it never
-    /// affects event order, so a stale home is harmless.
-    pub fn region_of(&self, id: NodeId) -> (i64, i64) {
-        self.index.home[id.index()]
     }
 
     /// How far the region index assumes any speed-bounded node may have
@@ -587,7 +573,6 @@ impl World {
             let zero_speed = self.max_speed[i] == 0.0;
             let cell = self.motion[i].get_mut().expect("motion cell poisoned");
             let pos = sample_cell(cell, zero_speed, t);
-            idx.home[i] = region_of_point(pos, idx.edge);
             // Unbounded nodes are gathered unconditionally, never bucketed.
             if self.max_speed[i].is_finite() {
                 idx.entries.push(Entry {
@@ -597,14 +582,15 @@ impl World {
                 });
             }
         }
-        let home = &idx.home;
+        let edge = idx.edge;
         idx.entries
-            .sort_unstable_by_key(|e| (home[e.id as usize], e.id));
+            .sort_unstable_by_key(|e| (region_of_point(e.pos, edge), e.id));
         idx.regions.clear();
         let mut start = 0;
         while start < idx.entries.len() {
-            let region = home[idx.entries[start].id as usize];
-            let run = idx.entries[start..].partition_point(|e| home[e.id as usize] == region);
+            let region = region_of_point(idx.entries[start].pos, edge);
+            let run =
+                idx.entries[start..].partition_point(|e| region_of_point(e.pos, edge) == region);
             idx.regions
                 .insert(region, (start as u32, (start + run) as u32));
             start += run;
@@ -662,13 +648,6 @@ impl World {
         self.sample_pos(id.index(), t)
     }
 
-    /// Euclidean distance between two nodes at time `t`, in metres.
-    pub fn distance(&mut self, a: NodeId, b: NodeId, t: SimTime) -> f64 {
-        let pa = self.position(a, t);
-        let pb = self.position(b, t);
-        pa.distance(pb)
-    }
-
     /// Whether `a` can reach `b` over `tech` at time `t`: both carry the
     /// radio and are within the technology's range (GPRS is
     /// range-independent — any two GPRS nodes reach each other through the
@@ -686,7 +665,7 @@ impl World {
         }
         // Pairwise checks sample lazily (two memoized positions); they
         // never force an O(N) snapshot.
-        let d = self.distance(a, b, t);
+        let d = self.position(a, t).distance(self.position(b, t));
         self.env.profile(tech).in_range(d)
     }
 
@@ -801,24 +780,6 @@ impl World {
                     .map(|tech| (other, tech))
             })
             .collect()
-    }
-
-    /// Samples the one-way delivery time of a `bytes`-sized frame between two
-    /// reachable nodes, or `None` if they are not reachable over `tech` at
-    /// `t`.
-    pub fn frame_delay(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        tech: Technology,
-        bytes: usize,
-        t: SimTime,
-        rng: &mut SimRng,
-    ) -> Option<Duration> {
-        if !self.reachable(from, to, tech, t) {
-            return None;
-        }
-        Some(self.env.profile(tech).transfer_time(bytes, rng))
     }
 }
 
@@ -1021,18 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_delay_requires_reachability() {
-        let (mut w, a, b) = two_node_world(500.0);
-        let mut rng = SimRng::from_seed(1);
-        assert!(w
-            .frame_delay(a, b, Technology::Bluetooth, 100, SimTime::ZERO, &mut rng)
-            .is_none());
-        assert!(w
-            .frame_delay(a, b, Technology::Gprs, 100, SimTime::ZERO, &mut rng)
-            .is_some());
-    }
-
-    #[test]
     fn tech_slots_index_the_priority_order() {
         // Gathers report an unsampled accept by slot and decode it through
         // `Technology::ALL`.
@@ -1179,18 +1128,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn region_of_reports_snapshot_home() {
-        let mut w = World::new();
-        let a = w.add_node(NodeBuilder::new("a").at(Point2::new(10.0, 10.0)));
-        let b = w.add_node(NodeBuilder::new("b").at(Point2::new(-10.0, 170.0)));
-        // No snapshot yet: everyone homes at the origin region.
-        assert_eq!(w.region_of(a), (0, 0));
-        neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO);
-        assert_eq!(w.region_of(a), (0, 0));
-        assert_eq!(w.region_of(b), (-1, 2));
     }
 
     #[test]

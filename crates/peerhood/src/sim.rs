@@ -19,7 +19,7 @@ use codec::Bytes;
 
 use netsim::world::{EpochView, GatherBuf, NodeBuilder, NodeId};
 use netsim::{
-    ActorId, BurstState, RadioEnv, RegionLanes, SimRng, SimTime, Technology, Trace, TraceStats,
+    ActorId, BurstState, EventQueue, RadioEnv, SimRng, SimTime, Technology, Trace, TraceStats,
     World,
 };
 
@@ -49,9 +49,6 @@ const SDP_TIMEOUT: Duration = Duration::from_millis(1_000);
 ///
 /// [`FaultPlan`]: netsim::FaultPlan
 const FAULT_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Default number of region event lanes (see [`Cluster::set_region_lanes`]).
-const DEFAULT_REGION_LANES: usize = 8;
 
 /// Minimum events per epoch-engine worker: below this, per-spawn overhead
 /// outweighs the fan-out, so small batches get fewer (or one) workers. A
@@ -214,7 +211,7 @@ struct NodeRt<A> {
     /// protocol draw a node's activity causes (discovery misses, transfer
     /// jitter, connect timing) comes from the acting node's own lane, so a
     /// node's stream depends only on `(seed, id)` and its own activity —
-    /// never on how many other nodes exist or which lane dispatched it.
+    /// never on how many other nodes exist or which worker dispatched it.
     rng: SimRng,
     /// Lazily-initialized fault state (see [`FaultRt`]).
     fault: Option<Box<FaultRt>>,
@@ -247,12 +244,8 @@ impl<A> NodeRt<A> {
 /// observe application state.
 pub struct Cluster<A> {
     world: World,
-    /// Region-sharded event lanes: every event is scheduled on the lane
-    /// owning its target node's home region, and [`RegionLanes`] merges the
-    /// lane heads back into the exact serial `(time, seq)` order. Lane
-    /// assignment is therefore *unobservable* — any lane count and any
-    /// region-to-lane mapping produce a bit-identical run.
-    queue: RegionLanes<Ev>,
+    /// Every pending event in `(time, seq)` order; owns the virtual clock.
+    queue: EventQueue<Ev>,
     nodes: Vec<NodeRt<A>>,
     /// Prebuilt identity snapshots, one per node, cloned (not rebuilt) for
     /// every plugin event that carries a `DeviceInfo`. A shared column —
@@ -275,7 +268,7 @@ pub struct Cluster<A> {
     started: bool,
     /// Worker count for the epoch engine (0 = auto, 1 = one worker).
     threads: usize,
-    /// Reused batch buffer for [`RegionLanes::drain_batch`].
+    /// Reused batch buffer for [`EventQueue::drain_batch`].
     batch_buf: Vec<Ev>,
     /// The one-worker epochs' outbox, gather buffer and `feed_daemon`
     /// buffers, kept between epochs so a quiescent run allocates none of
@@ -298,7 +291,7 @@ pub struct Cluster<A> {
 /// [`Cluster::run_until_condition`] and [`Cluster::with_app`].
 #[derive(Copy, Clone, Debug, Default)]
 pub struct EpochTiming {
-    /// Time spent draining timestamp batches from the region lanes.
+    /// Time spent draining timestamp batches from the event queue.
     pub drain: Duration,
     /// Time spent partitioning parallel batches by home node.
     pub gather: Duration,
@@ -326,10 +319,8 @@ fn tech_slot(tech: Technology) -> usize {
     }
 }
 
-/// The node an event is addressed to — the event's *owner* for lane
-/// routing. Routing is purely a sharding hint (see [`RegionLanes`]); a
-/// stale home region after a node crosses a boundary only changes which
-/// lane holds the event, never when or in which order it is delivered.
+/// The node an event is addressed to — its home node, which partitioned
+/// epochs group events by.
 fn ev_target(ev: &Ev) -> NodeId {
     match ev {
         Ev::Start(n) | Ev::DaemonWake(n) | Ev::AppTimer(n, _) => *n,
@@ -363,7 +354,7 @@ impl<A: Application> Cluster<A> {
     pub fn with_env(seed: u64, env: RadioEnv) -> Self {
         Cluster {
             world: World::with_env(env.clone()),
-            queue: RegionLanes::new(DEFAULT_REGION_LANES),
+            queue: EventQueue::new(),
             nodes: Vec::new(),
             infos: Vec::new(),
             actor_ids: Vec::new(),
@@ -383,26 +374,9 @@ impl<A: Application> Cluster<A> {
         }
     }
 
-    /// Reconfigures the number of region event lanes. Lane count is a pure
-    /// sharding knob: [`RegionLanes`] re-interleaves lane heads into exact
-    /// serial order, so any value yields a bit-identical run. Must be
-    /// called before [`Cluster::start`] (the queue must be empty).
-    pub fn set_region_lanes(&mut self, lanes: usize) {
-        assert!(
-            !self.started && self.queue.is_empty(),
-            "set_region_lanes must be called before start()"
-        );
-        self.queue = RegionLanes::new(lanes);
-    }
-
-    /// The configured number of region event lanes.
-    pub fn region_lanes(&self) -> usize {
-        self.queue.lane_count()
-    }
-
-    /// Sets the spatial region edge (metres) used for world sharding and
-    /// lane routing. Pure sharding knob — answers and digests are
-    /// independent of it. Panics unless `edge` is finite and positive.
+    /// Sets the spatial region edge (metres) of the world's neighbor
+    /// index. Pure sharding knob — answers and digests are independent of
+    /// it. Panics unless `edge` is finite and positive.
     pub fn set_region_edge(&mut self, edge: f64) {
         self.world.set_region_edge(edge);
     }
@@ -423,7 +397,7 @@ impl<A: Application> Cluster<A> {
         &self.env
     }
 
-    /// Sets the worker count for the parallel lane-epoch engine: `1` (the
+    /// Sets the worker count for the parallel epoch engine: `1` (the
     /// default) runs every epoch inline on one worker, `0` means "one
     /// worker per hardware thread", anything else is taken literally.
     ///
@@ -476,7 +450,7 @@ impl<A: Application> Cluster<A> {
         });
         if self.started {
             let now = self.queue.now();
-            self.schedule_ev(now, Ev::Start(id));
+            self.queue.schedule(now, Ev::Start(id));
         }
         id
     }
@@ -490,33 +464,15 @@ impl<A: Application> Cluster<A> {
         self.started = true;
         let now = self.queue.now();
         for id in 0..self.nodes.len() {
-            self.schedule_ev(now, Ev::Start(NodeId::from_index(id)));
+            self.queue.schedule(now, Ev::Start(NodeId::from_index(id)));
         }
-        let crashes = self.env.faults().crashes().to_vec();
-        for cw in crashes {
+        for cw in self.env.faults().crashes() {
             let node = NodeId::from_index(cw.node as usize);
             let down = cw.down_from.max(now);
             let up = cw.up_at.max(down);
-            self.schedule_ev(down, Ev::CrashStart(node));
-            self.schedule_ev(up, Ev::CrashEnd(node));
+            self.queue.schedule(down, Ev::CrashStart(node));
+            self.queue.schedule(up, Ev::CrashEnd(node));
         }
-    }
-
-    /// The event lane owning `node`'s home region. Out-of-range ids (crash
-    /// windows can name nodes that were never added) fall back to lane 0 —
-    /// harmless, since lane choice is unobservable.
-    fn home_lane(&self, node: NodeId) -> usize {
-        if node.index() < self.world.len() {
-            self.queue.route(self.world.region_of(node))
-        } else {
-            0
-        }
-    }
-
-    /// Schedules `ev` on the lane owning its target node's region.
-    fn schedule_ev(&mut self, at: SimTime, ev: Ev) {
-        let lane = self.home_lane(ev_target(&ev));
-        self.queue.schedule(lane, at, ev);
     }
 
     /// Current virtual time.
@@ -717,7 +673,7 @@ impl<A: Application> Cluster<A> {
             let (_, schedules, records) = b.spans.pop().expect("non-empty");
             for _ in 0..schedules {
                 let (at, ev) = b.schedules.pop().expect("span bookkeeping");
-                self.schedule_ev(at, ev);
+                self.queue.schedule(at, ev);
             }
             for _ in 0..records {
                 let record = b.records.pop().expect("span bookkeeping");
@@ -734,15 +690,15 @@ impl<A: Application> Cluster<A> {
 }
 
 // ----------------------------------------------------------------------
-// The lane-epoch engine
+// The epoch engine
 // ----------------------------------------------------------------------
 //
 // Every event runs inside an *epoch*, through the one set of handlers on
-// `EpochWorker`. One timestamp batch from `RegionLanes::drain_batch` is one
-// epoch: every event in it was already pending when the batch was staged,
+// `EpochWorker`. One timestamp batch from `EventQueue::drain_batch` is one
+// epoch: every event in it was already pending when the batch was drained,
 // so nothing a handler does during the epoch can inject work into it (same-
-// timestamp reschedules land in a *later* batch by global sequence number —
-// the queue's documented contract). Handlers read the world only through the
+// timestamp reschedules land in a *later* batch by sequence number — the
+// queue's documented contract). Handlers read the world only through the
 // frozen `EpochView`, mutate only their worker's own node range and link
 // table, and buffer every externally-visible effect — event schedules, trace
 // records, stat bumps — in the worker's outbox. `Cluster::commit` replays
@@ -760,8 +716,8 @@ impl<A: Application> Cluster<A> {
 // link table; so is each `run_until_condition` step and `with_app`
 // callback. Crash state is a per-node flag read only for the node whose
 // daemon is fed, so no shared state is ever mutable inside an epoch. The
-// trace digest is therefore bit-identical for any worker count, lane count
-// and fault plan; `repro gate` and the differential tests enforce that.
+// trace digest is therefore bit-identical for any worker count and fault
+// plan; `repro gate` and the differential tests enforce that.
 
 /// Buffered effects of one epoch worker, replayed serially at commit.
 #[derive(Default)]
@@ -1651,6 +1607,44 @@ mod tests {
             register_community: register,
             ..Recorder::default()
         }
+    }
+
+    /// Logs `(token, virtual time)` for every timer that fires.
+    #[derive(Default)]
+    struct TimerLog(Vec<(u64, SimTime)>);
+
+    impl Application for TimerLog {
+        fn on_event(&mut self, _: AppEvent, _: &mut AppCtx<'_>) {}
+
+        fn on_timer(&mut self, token: u64, ctx: &mut AppCtx<'_>) {
+            self.0.push((token, ctx.now()));
+        }
+    }
+
+    /// Work scheduled between `run_until` calls, earlier than an event
+    /// already pending past the last deadline, runs before that event, and
+    /// no callback ever sees the clock run backwards.
+    #[test]
+    fn work_scheduled_between_runs_precedes_a_later_pending_event() {
+        let mut c = Cluster::new(1);
+        // No radios: the two app timers are the only events after boot.
+        let n = c.add_node(
+            NodeBuilder::new("solo").with_technologies([]),
+            TimerLog::default(),
+        );
+        c.start();
+        c.with_app(n, |_, ctx| ctx.set_timer(Duration::from_secs(10), 2));
+        c.run_until(SimTime::from_secs(5));
+        c.with_app(n, |_, ctx| ctx.set_timer(Duration::from_secs(2), 1));
+        c.run_until(SimTime::from_secs(20));
+        let log = &c.app(n).0;
+        assert!(
+            log.windows(2).all(|w| w[0].1 <= w[1].1),
+            "clock ran backwards: {log:?}"
+        );
+        let (t1, t2) = (SimTime::from_secs(7), SimTime::from_secs(10));
+        assert_eq!(log[..], [(1, t1), (2, t2)]);
+        assert_eq!(c.now(), SimTime::from_secs(20));
     }
 
     #[test]
