@@ -25,10 +25,11 @@ use codec::{decode_seq, encode_seq, Bytes, DecodeError, Wire};
 use netsim::SimTime;
 use peerhood::gossip::{message_id, Gossip, GossipConfig, GossipMsg, GossipStats};
 
-use crate::groups::GroupEvent;
 use crate::interest::Interest;
 
-/// What one gossip payload carries.
+/// What one gossip payload carries: only what a receiver acts on. Group
+/// events are not gossiped — every node derives its own groups from the
+/// members it knows (DESIGN §15).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GossipContent {
     /// Membership announcement: a member's name and interests, flooded so
@@ -39,14 +40,6 @@ pub enum GossipContent {
         member: String,
         /// Their interests at announcement time.
         interests: Vec<Interest>,
-    },
-    /// Group news from a remote node's recompute (notification only — the
-    /// receiver traces it but derives its own groups from membership).
-    Group {
-        /// The node whose recompute produced the event.
-        origin: String,
-        /// The event itself.
-        event: GroupEvent,
     },
     /// Shared content, disseminated whole.
     Blob {
@@ -59,9 +52,10 @@ pub enum GossipContent {
     },
 }
 
+// Tag 2 is retired: it carried group news, which older peers may still
+// send, so it stays a `BadTag` and is not reused.
 mod tag {
     pub const MEMBER: u8 = 1;
-    pub const GROUP: u8 = 2;
     pub const BLOB: u8 = 3;
 }
 
@@ -72,11 +66,6 @@ impl Wire for GossipContent {
                 out.push(tag::MEMBER);
                 member.encode_to(out);
                 encode_seq(interests, out);
-            }
-            GossipContent::Group { origin, event } => {
-                out.push(tag::GROUP);
-                origin.encode_to(out);
-                event.encode_to(out);
             }
             GossipContent::Blob { origin, name, data } => {
                 out.push(tag::BLOB);
@@ -92,10 +81,6 @@ impl Wire for GossipContent {
             tag::MEMBER => Ok(GossipContent::Member {
                 member: String::decode(input)?,
                 interests: decode_seq::<Interest>(input)?,
-            }),
-            tag::GROUP => Ok(GossipContent::Group {
-                origin: String::decode(input)?,
-                event: GroupEvent::decode(input)?,
             }),
             tag::BLOB => Ok(GossipContent::Blob {
                 origin: String::decode(input)?,
@@ -134,15 +119,6 @@ pub enum GossipNews {
         /// The member's name.
         member: String,
         /// Hops from the announcing node.
-        hops: u8,
-    },
-    /// Remote group news to surface in the trace.
-    Group {
-        /// The node whose recompute produced the event.
-        origin: String,
-        /// The event.
-        event: GroupEvent,
-        /// Hops from the origin.
         hops: u8,
     },
     /// A shared-content blob arrived (already logged in the runtime).
@@ -241,17 +217,6 @@ impl GossipRuntime {
         true
     }
 
-    /// Publishes group news from a local recompute.
-    pub fn publish_group(&mut self, event: &GroupEvent, now: SimTime) {
-        self.publish(
-            GossipContent::Group {
-                origin: self.gossip.me().to_string(),
-                event: event.clone(),
-            },
-            now,
-        );
-    }
-
     /// Publishes a shared-content blob and logs it locally (the origin
     /// counts as a delivery at hop 0). Returns the message id.
     pub fn publish_blob(&mut self, origin: &str, name: &str, data: Bytes, now: SimTime) -> u64 {
@@ -305,13 +270,6 @@ impl GossipRuntime {
                         self.remote.insert(member.clone(), interests);
                         news.push(GossipNews::Member {
                             member,
-                            hops: delivery.hops,
-                        });
-                    }
-                    GossipContent::Group { origin, event } => {
-                        news.push(GossipNews::Group {
-                            origin,
-                            event,
                             hops: delivery.hops,
                         });
                     }
@@ -382,13 +340,6 @@ mod tests {
                 member: "alice".into(),
                 interests: interests(&["Football", "Chess"]),
             },
-            GossipContent::Group {
-                origin: "alice-phone".into(),
-                event: GroupEvent::GroupFormed {
-                    key: "football".into(),
-                    members: vec!["alice".into(), "bob".into()],
-                },
-            },
             GossipContent::Blob {
                 origin: "alice".into(),
                 name: "photo.jpg".into(),
@@ -399,13 +350,15 @@ mod tests {
             let back = GossipContent::decode_exact(&content.encode()).expect("round trip");
             assert_eq!(&back, content);
         }
-        assert!(matches!(
-            GossipContent::decode_exact(&[0x4f]),
-            Err(DecodeError::BadTag {
-                what: "GossipContent",
-                ..
-            })
-        ));
+        for retired_or_unknown in [2, 0x4f] {
+            assert!(matches!(
+                GossipContent::decode_exact(&[retired_or_unknown]),
+                Err(DecodeError::BadTag {
+                    what: "GossipContent",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

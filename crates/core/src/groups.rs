@@ -10,8 +10,6 @@
 
 use std::collections::BTreeSet;
 
-use codec::{DecodeError, Wire};
-
 use crate::discovery::{Group, GroupSet};
 
 /// A change between two consecutive group computations.
@@ -46,77 +44,13 @@ pub enum GroupEvent {
 }
 
 impl GroupEvent {
-    /// The trace label for this event, shared by local recomputes and
-    /// gossip-delivered group news (one trace vocabulary).
+    /// The trace label for this event.
     pub fn label(&self) -> &'static str {
         match self {
             GroupEvent::GroupFormed { .. } => "GROUP_FORMED",
             GroupEvent::GroupDissolved { .. } => "GROUP_DISSOLVED",
             GroupEvent::MemberJoined { .. } => "MEMBER_JOINED",
             GroupEvent::MemberLeft { .. } => "MEMBER_LEFT",
-        }
-    }
-
-    /// The key of the group the event concerns.
-    pub fn key(&self) -> &str {
-        match self {
-            GroupEvent::GroupFormed { key, .. }
-            | GroupEvent::GroupDissolved { key }
-            | GroupEvent::MemberJoined { key, .. }
-            | GroupEvent::MemberLeft { key, .. } => key,
-        }
-    }
-}
-
-// Group events travel inside gossip payloads
-// ([`crate::epidemic::GossipContent::Group`]), so they need a stable wire
-// form of their own.
-impl Wire for GroupEvent {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        match self {
-            GroupEvent::GroupFormed { key, members } => {
-                out.push(1);
-                key.encode_to(out);
-                members.encode_to(out);
-            }
-            GroupEvent::GroupDissolved { key } => {
-                out.push(2);
-                key.encode_to(out);
-            }
-            GroupEvent::MemberJoined { key, member } => {
-                out.push(3);
-                key.encode_to(out);
-                member.encode_to(out);
-            }
-            GroupEvent::MemberLeft { key, member } => {
-                out.push(4);
-                key.encode_to(out);
-                member.encode_to(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            1 => Ok(GroupEvent::GroupFormed {
-                key: String::decode(input)?,
-                members: Vec::<String>::decode(input)?,
-            }),
-            2 => Ok(GroupEvent::GroupDissolved {
-                key: String::decode(input)?,
-            }),
-            3 => Ok(GroupEvent::MemberJoined {
-                key: String::decode(input)?,
-                member: String::decode(input)?,
-            }),
-            4 => Ok(GroupEvent::MemberLeft {
-                key: String::decode(input)?,
-                member: String::decode(input)?,
-            }),
-            tag => Err(DecodeError::BadTag {
-                what: "GroupEvent",
-                tag,
-            }),
         }
     }
 }
@@ -281,39 +215,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn group_event_wire_round_trips_every_variant() {
-        let events = [
-            GroupEvent::GroupFormed {
-                key: "football".into(),
-                members: vec!["bob".into(), "me".into()],
-            },
-            GroupEvent::GroupDissolved {
-                key: "chess".into(),
-            },
-            GroupEvent::MemberJoined {
-                key: "sauna".into(),
-                member: "carol".into(),
-            },
-            GroupEvent::MemberLeft {
-                key: "poker".into(),
-                member: "dave".into(),
-            },
-        ];
-        for event in &events {
-            let bytes = event.encode();
-            let back = GroupEvent::decode_exact(&bytes).expect("round trip");
-            assert_eq!(&back, event);
-        }
-        assert!(matches!(
-            GroupEvent::decode_exact(&[9]),
-            Err(DecodeError::BadTag {
-                what: "GroupEvent",
-                tag: 9
-            })
-        ));
     }
 
     #[test]

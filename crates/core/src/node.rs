@@ -1188,16 +1188,12 @@ impl CommunityApp {
                         ctx.trace_local(&format!("{} {key} {member}", ev.label()));
                     }
                 }
-                if let Some(rt) = self.gossip.as_mut() {
-                    rt.publish_group(&ev, now);
-                }
                 self.group_events.push((now, ev));
             }
         }
         if self.first_group_at.is_none() && !self.registry.my_groups().is_empty() {
             self.first_group_at = Some(now);
         }
-        self.flush_gossip(ctx);
     }
 
     // ------------------------------------------------------------------
@@ -1311,16 +1307,6 @@ impl CommunityApp {
                 GossipNews::Member { member, hops } => {
                     ctx.trace_local(&format!("GOSSIP_MEMBER {member} hops={hops}"));
                     membership_changed = true;
-                }
-                GossipNews::Group { origin, event, .. } => {
-                    // Remote recomputes are notifications only; our own
-                    // groups derive from membership, so no registry feedback
-                    // (and therefore no event loops).
-                    ctx.trace_local(&format!(
-                        "GOSSIP {} {} from={origin}",
-                        event.label(),
-                        event.key()
-                    ));
                 }
                 GossipNews::Blob(delivery) => {
                     ctx.trace_local(&format!(
@@ -2152,13 +2138,13 @@ mod tests {
                 .with_technologies([Technology::Bluetooth]),
             app("alice", &["Chess", "Fussball"]).with_gossip(gossip()),
         );
-        c.add_node(
+        let bob = c.add_node(
             NodeBuilder::new("bob-pc")
                 .at(Point2::new(8.0, 0.0))
                 .with_technologies([Technology::Bluetooth]),
             app("bob", &["chess", "football", "sauna"]).with_gossip(gossip()),
         );
-        c.add_node(
+        let carol = c.add_node(
             NodeBuilder::new("carol-pc")
                 .moving(ScriptedPath::new(vec![
                     (secs(0), Point2::new(16.0, 900.0)),
@@ -2207,7 +2193,12 @@ mod tests {
         c.run_until(secs(120));
         assert_eq!(oracle.check(c.app(alice), "unchanged refreshes"), 0);
 
-        // carol arrives at bob's side; alice learns her through gossip.
+        // carol arrives at bob's side; alice learns her through gossip,
+        // and bob shares a blob that reaches both of them.
+        c.with_app(bob, |b, ctx| {
+            b.publish_blob("notes.txt", Bytes::from(vec![7; 8]), ctx)
+        })
+        .expect("gossip enabled");
         c.run_until(secs(300));
         assert!(oracle.check(c.app(alice), "gossip-learned member") > 0);
         assert!(c
@@ -2216,6 +2207,15 @@ mod tests {
             .expect("gossip enabled")
             .remote_members()
             .contains_key("carol"));
+        // Gossip carries what receivers act on: alice's two announcements
+        // (before and after `add_interest`), bob's, carol's and the blob.
+        // Group events stay local, so none of them is cached anywhere.
+        for node in [alice, bob, carol] {
+            let member = c.app(node).member();
+            let rt = c.app(node).gossip().expect("gossip enabled");
+            assert_eq!(rt.blob_log().len(), 1, "{member:?}");
+            assert_eq!(rt.gossip().cache_len(), 4 + 1, "{member:?}");
+        }
 
         // Logout and login reset the registry; the next recompute must
         // rebuild every group although discovery's inputs did not change

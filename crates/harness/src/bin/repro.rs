@@ -41,30 +41,175 @@ mod counting_alloc {
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
+/// A flag a subcommand accepts: its name and, for a flag that takes a
+/// value, the placeholder its usage line shows and the check the value
+/// must pass.
+type Flag = (&'static str, Option<(&'static str, fn(&str) -> bool)>);
+
+fn is_count(v: &str) -> bool {
+    v.parse::<u64>().is_ok()
+}
+
+const SEED: Flag = ("--seed", Some(("S", is_count)));
+const TRIALS: Flag = ("--trials", Some(("N", is_count)));
+const HORIZON: Flag = ("--horizon", Some(("SECS", is_count)));
+const THREADS: Flag = ("--threads", Some(("N", is_count)));
+const FAULTS: Flag = (
+    "--faults",
+    Some(("none|lossy", |v| scenario::fault_profile(v).is_some())),
+);
+const JSON: Flag = ("--json", None);
+const OPS: &str = "member-list|interest-list|view-profile|put-comment|trusted-friends|\
+                   shared-content|send-message|working-principle";
+const OP: Flag = ("--op", Some((OPS, |v| msc::MscOp::parse(v).is_some())));
+const PEERS: Flag = ("--peers", Some(("N", is_count)));
+const GOSSIP: Flag = ("--gossip", None);
+const BUBBLES: Flag = ("--bubbles", Some(("K", is_count)));
+const PER_BUBBLE: Flag = ("--per-bubble", Some(("N", is_count)));
+const FERRIES: Flag = ("--ferries", Some(("F", is_count)));
+const NODES: Flag = (
+    "--nodes",
+    Some(("N[,N,...]", |v| v.split(',').all(is_count))),
+);
+const REGION_EDGE: Flag = ("--region-edge", Some(("M", |v| v.parse::<f64>().is_ok())));
+const CLIENTS: Flag = ("--clients", Some(("N", is_count)));
+const REQUESTS: Flag = ("--requests", Some(("N", is_count)));
+const WORKERS: Flag = ("--workers", Some(("N", is_count)));
+const SHARDS: Flag = ("--shards", Some(("N", is_count)));
+const QUEUE_CAP: Flag = ("--queue-cap", Some(("BYTES", is_count)));
+const STALLED: Flag = ("--stalled", Some(("N", is_count)));
+
+/// Every subcommand with the flags it accepts.
+const COMMANDS: &[(&str, &[Flag])] = &[
+    ("table3", &[SEED]),
+    ("table6", &[]),
+    ("table7", &[SEED]),
+    ("table8", &[TRIALS, SEED, JSON]),
+    ("tables-static", &[]),
+    ("fig6", &[]),
+    ("fig7", &[SEED]),
+    ("msc", &[OP, SEED]),
+    ("msc-all", &[SEED]),
+    ("ablation-tech", &[TRIALS, SEED]),
+    ("ablation-scaling", &[SEED]),
+    ("ablation-semantics", &[SEED]),
+    ("ablation-handover", &[TRIALS, SEED]),
+    ("ablation-churn", &[SEED]),
+    ("lab", &[SEED, PEERS, HORIZON, FAULTS, GOSSIP]),
+    (
+        "bubbles",
+        &[
+            SEED, BUBBLES, PER_BUBBLE, FERRIES, HORIZON, THREADS, FAULTS, JSON,
+        ],
+    ),
+    (
+        "crowd",
+        &[SEED, NODES, HORIZON, THREADS, REGION_EDGE, FAULTS, JSON],
+    ),
+    (
+        "live",
+        &[CLIENTS, REQUESTS, WORKERS, SHARDS, QUEUE_CAP, STALLED, JSON],
+    ),
+    ("gate", &[]),
+    ("all", &[TRIALS, SEED]),
+    ("help", &[]),
+    ("--help", &[]),
+    ("-h", &[]),
+];
+
+fn usage(cmd: &str, flags: &[Flag]) -> String {
+    let flags = flags.iter().map(|(name, value)| match value {
+        Some((placeholder, _)) => format!(" [{name} {placeholder}]"),
+        None => format!(" [{name}]"),
+    });
+    format!("usage: repro {cmd}{}", flags.collect::<String>())
+}
+
+/// A subcommand's flags as given; every value passed its flag's check.
+struct Args(Vec<(&'static str, Option<String>)>);
+
+impl Args {
+    /// Rejects an undeclared flag, a missing value and a value that fails
+    /// its check.
+    fn parse(flags: &[Flag], args: &[String]) -> Result<Args, String> {
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(&(name, value)) = flags.iter().find(|(name, _)| name == arg) else {
+                return Err(format!("unknown argument {arg:?}"));
+            };
+            let value = match value {
+                None => None,
+                Some((placeholder, check)) => match args.next() {
+                    Some(v) if check(v) => Some(v.clone()),
+                    Some(v) => return Err(format!("{name} wants {placeholder}, got {v:?}")),
+                    None => return Err(format!("{name} wants {placeholder}")),
+                },
+            };
+            given.push((name, value));
+        }
+        Ok(Args(given))
+    }
+
+    fn on(&self, flag: &str) -> bool {
+        self.0.iter().any(|(name, _)| *name == flag)
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        let given = self.0.iter().rev().find(|(name, _)| *name == flag);
+        given.and_then(|(_, v)| v.as_deref())
+    }
+
+    fn count(&self, flag: &str) -> Option<u64> {
+        self.text(flag)
+            .map(|v| v.parse().expect("checked when parsed"))
+    }
+
+    fn faults(&self) -> &str {
+        self.text("--faults").unwrap_or("none")
+    }
+
+    fn fault_plan(&self) -> netsim::FaultPlan {
+        scenario::fault_profile(self.faults()).expect("checked when parsed")
+    }
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let trials = flag_value(&args, "--trials").unwrap_or(30) as usize;
-    let seed = flag_value(&args, "--seed").unwrap_or(2008);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = argv.first().map_or("help", String::as_str);
+    let Some(&(_, flags)) = COMMANDS.iter().find(|(name, _)| *name == cmd) else {
+        eprintln!("unknown command {cmd:?}; run `repro help`");
+        return ExitCode::from(2);
+    };
+    match Args::parse(flags, argv.get(1..).unwrap_or_default()).and_then(|args| run(cmd, &args)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("repro {cmd}: {e}\n{}", usage(cmd, flags));
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Runs `cmd`; `Err` is a usage error.
+fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
+    let trials = args.count("--trials").unwrap_or(30) as usize;
+    let seed = args.count("--seed").unwrap_or(2008);
+    let horizon = |default| args.count("--horizon").unwrap_or(default);
+    let threads = args.count("--threads").unwrap_or(1) as usize;
+    let json = args.on("--json");
 
     match cmd {
         "table3" => run_table3(seed),
         "table6" => run_table6(),
         "table7" => run_table7(seed),
-        "table8" if args.iter().any(|a| a == "--json") => {
-            println!("{}", table8::run(trials, seed).to_json());
-        }
+        "table8" if json => println!("{}", table8::run(trials, seed).to_json()),
         "table8" => run_table8(trials, seed),
         "tables-static" => run_tables_static(),
         "fig6" => run_fig6(),
         "fig7" => run_msc(msc::MscOp::WorkingPrinciple, seed),
         "msc" => {
-            let Some(op) = flag_str(&args, "--op").and_then(|s| msc::MscOp::parse(&s)) else {
-                eprintln!(
-                    "msc needs --op <member-list|interest-list|view-profile|put-comment|\
-                     trusted-friends|shared-content|send-message|working-principle>"
-                );
-                return ExitCode::FAILURE;
+            let Some(op) = args.text("--op").and_then(msc::MscOp::parse) else {
+                return Err("--op is required".to_owned());
             };
             run_msc(op, seed)
         }
@@ -75,105 +220,74 @@ fn main() -> ExitCode {
             }
         }
         "lab" => {
-            let faults = flag_str(&args, "--faults").unwrap_or_else(|| "none".to_owned());
-            let Some(plan) = scenario::fault_profile(&faults) else {
-                eprintln!("unknown fault profile {faults:?}; known profiles: none, lossy");
-                return ExitCode::FAILURE;
-            };
-            let peers = flag_value(&args, "--peers").unwrap_or(3) as usize;
-            let horizon = flag_value(&args, "--horizon").unwrap_or(120);
-            let gossip = args.iter().any(|a| a == "--gossip");
-            run_lab(seed, peers, horizon, plan, gossip);
+            let peers = args.count("--peers").unwrap_or(3) as usize;
+            run_lab(
+                seed,
+                peers,
+                horizon(120),
+                args.fault_plan(),
+                args.on("--gossip"),
+            );
         }
         "bubbles" => {
-            let faults = flag_str(&args, "--faults").unwrap_or_else(|| "none".to_owned());
-            let Some(plan) = scenario::fault_profile(&faults) else {
-                eprintln!("unknown fault profile {faults:?}; known profiles: none, lossy");
-                return ExitCode::FAILURE;
-            };
             let config = bubbles::BubblesConfig {
                 seed,
-                bubbles: flag_value(&args, "--bubbles").unwrap_or(3) as usize,
-                nodes_per_bubble: flag_value(&args, "--per-bubble").unwrap_or(4) as usize,
-                ferries: flag_value(&args, "--ferries").unwrap_or(2) as usize,
-                horizon: std::time::Duration::from_secs(
-                    flag_value(&args, "--horizon").unwrap_or(600),
-                ),
-                threads: flag_value(&args, "--threads").unwrap_or(1) as usize,
-                faults: plan,
+                bubbles: args.count("--bubbles").unwrap_or(3) as usize,
+                nodes_per_bubble: args.count("--per-bubble").unwrap_or(4) as usize,
+                ferries: args.count("--ferries").unwrap_or(2) as usize,
+                horizon: std::time::Duration::from_secs(horizon(600)),
+                threads,
+                faults: args.fault_plan(),
                 ..bubbles::BubblesConfig::default()
             };
             match bubbles::run(&config) {
-                Ok(report) => {
-                    if args.iter().any(|a| a == "--json") {
-                        println!("{}", report.to_json().to_string_pretty());
-                    } else {
-                        print!("{}", report.render());
-                    }
-                }
+                Ok(report) if json => println!("{}", report.to_json().to_string_pretty()),
+                Ok(report) => print!("{}", report.render()),
                 Err(e) => {
                     eprintln!("bubbles config rejected: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
         "crowd" => {
-            let sizes: Vec<usize> = flag_str(&args, "--nodes")
-                .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-                .unwrap_or_else(|| vec![30, 100, 300, 1000]);
-            if sizes.is_empty() {
-                eprintln!("crowd needs --nodes N[,N,...] (or omit for the default sweep)");
-                return ExitCode::FAILURE;
-            }
-            let horizon = flag_value(&args, "--horizon").unwrap_or(60);
-            let threads = flag_value(&args, "--threads").unwrap_or(1) as usize;
-            let region_edge = flag_str(&args, "--region-edge")
-                .map(|s| s.parse::<f64>().unwrap_or(-1.0))
-                .unwrap_or(0.0);
-            let faults = flag_str(&args, "--faults").unwrap_or_else(|| "none".to_owned());
-            if scenario::fault_profile(&faults).is_none() {
-                eprintln!("unknown fault profile {faults:?}; known profiles: none, lossy");
-                return ExitCode::FAILURE;
-            }
-            let ok = run_crowd(
-                &sizes,
-                horizon,
+            let nodes = args.text("--nodes").unwrap_or("30,100,300,1000").split(',');
+            let sizes: Vec<usize> = nodes
+                .map(|v| v.parse().expect("checked when parsed"))
+                .collect();
+            let region_edge = args.text("--region-edge");
+            let base = crowd::CrowdConfig {
                 seed,
+                horizon: std::time::Duration::from_secs(horizon(60)),
                 threads,
-                region_edge,
-                &faults,
-                args.iter().any(|a| a == "--json"),
-            );
-            if !ok {
-                return ExitCode::FAILURE;
+                region_edge_m: region_edge.map_or(0.0, |v| v.parse().expect("checked when parsed")),
+                faults: args.fault_plan(),
+                ..crowd::CrowdConfig::default()
+            };
+            if !run_crowd(&base, &sizes, args.faults(), json) {
+                return Ok(ExitCode::FAILURE);
             }
         }
         "live" => {
             let config = live::LiveLoadConfig::default()
-                .with_clients(flag_value(&args, "--clients").unwrap_or(1000) as usize)
-                .with_requests_per_client(flag_value(&args, "--requests").unwrap_or(20) as usize)
-                .with_workers(flag_value(&args, "--workers").unwrap_or(4) as usize)
-                .with_shards(flag_value(&args, "--shards").unwrap_or(2) as usize)
-                .with_stalled(flag_value(&args, "--stalled").unwrap_or(0) as usize);
-            let config = match flag_value(&args, "--queue-cap") {
+                .with_clients(args.count("--clients").unwrap_or(1000) as usize)
+                .with_requests_per_client(args.count("--requests").unwrap_or(20) as usize)
+                .with_workers(args.count("--workers").unwrap_or(4) as usize)
+                .with_shards(args.count("--shards").unwrap_or(2) as usize)
+                .with_stalled(args.count("--stalled").unwrap_or(0) as usize);
+            let config = match args.count("--queue-cap") {
                 Some(cap) => config.with_queue_cap(cap as usize),
                 None => config,
             };
             match live::run_live_load(&config) {
-                Ok(report) => {
-                    if args.iter().any(|a| a == "--json") {
-                        println!("{}", report.to_json().to_string_pretty());
-                    } else {
-                        println!("{}", report.render());
-                    }
-                }
+                Ok(report) if json => println!("{}", report.to_json().to_string_pretty()),
+                Ok(report) => println!("{}", report.render()),
                 Err(e) => {
                     eprintln!("live load failed: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
-        "gate" => return run_gate(),
+        "gate" => return Ok(run_gate()),
         "ablation-tech" => run_ablation_tech(trials.min(20), seed),
         "ablation-scaling" => run_ablation_scaling(seed),
         "ablation-semantics" => run_ablation_semantics(seed),
@@ -196,13 +310,9 @@ fn main() -> ExitCode {
             run_ablation_handover(8, seed);
             run_ablation_churn(seed);
         }
-        "help" | "--help" | "-h" => print_help(),
-        other => {
-            eprintln!("unknown command {other:?}; run `repro help`");
-            return ExitCode::FAILURE;
-        }
+        _ => print_help(),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn run_table3(seed: u64) {
@@ -352,24 +462,8 @@ fn run_lab(seed: u64, peers: usize, horizon_secs: u64, faults: netsim::FaultPlan
     println!("  {}", s.cluster.stats());
 }
 
-fn run_crowd(
-    sizes: &[usize],
-    horizon_secs: u64,
-    seed: u64,
-    threads: usize,
-    region_edge: f64,
-    faults: &str,
-    json: bool,
-) -> bool {
-    let base = crowd::CrowdConfig {
-        seed,
-        horizon: std::time::Duration::from_secs(horizon_secs),
-        threads,
-        region_edge_m: region_edge,
-        faults: scenario::fault_profile(faults).expect("profile validated by the caller"),
-        ..crowd::CrowdConfig::default()
-    };
-    let reports = match crowd::sweep(&base, sizes) {
+fn run_crowd(base: &crowd::CrowdConfig, sizes: &[usize], faults: &str, json: bool) -> bool {
+    let reports = match crowd::sweep(base, sizes) {
         Ok(reports) => reports,
         Err(e) => {
             eprintln!("crowd config rejected: {e}");
@@ -378,7 +472,7 @@ fn run_crowd(
     };
     let burst = crowd::trace_alloc_burst(&alloc_count);
     if json {
-        let doc = crowd::sweep_json(&base, faults, &reports, burst);
+        let doc = crowd::sweep_json(base, faults, &reports, burst);
         println!("{}", doc.to_string_pretty());
     } else {
         print!("{}", crowd::render(&reports));
@@ -425,25 +519,11 @@ fn alloc_count() -> u64 {
     counting_alloc::ALLOCS.load(Ordering::Relaxed)
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn flag_str(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn print_help() {
     println!(
         "repro — regenerate the thesis evaluation (tables and figures)\n\
          \n\
-         usage: repro <command> [--trials N] [--seed S]\n\
+         usage: repro <command> [flags]; an unknown flag or a bad value exits 2\n\
          \n\
          paper artifacts:\n\
            table3              PeerHood functionality, each row executed\n\
@@ -453,7 +533,7 @@ fn print_help() {
            tables-static       tables 1 & 2 (literature survey data)\n\
            fig6                dynamic group discovery algorithm, worked example\n\
            fig7                working-principle trace (register/discover/connect/exchange)\n\
-           msc --op <name>     one MSC figure (11-17) as an ASCII chart\n\
+           msc                 one MSC figure (11-17) as an ASCII chart\n\
            msc-all             all MSC figures\n\
          \n\
          ablations (beyond the thesis):\n\
@@ -463,35 +543,15 @@ fn print_help() {
            ablation-handover   seamless connectivity on/off under mobility\n\
            ablation-churn      group-view accuracy with wandering members\n\
          \n\
-         scenarios (beyond the thesis):\n\
-           lab                 the ComLab-room scenario as a directly runnable\n\
-                               experiment [--peers N] [--horizon SECS]\n\
-                               [--faults none|lossy] [--gossip]\n\
-           bubbles             k disjoint radio bubbles bridged by ferry nodes;\n\
-                               epidemic gossip carries membership and a blob\n\
-                               across all bubbles; reports delivery ratio, hop\n\
-                               and latency distributions, duplicate overhead\n\
-                               [--bubbles K] [--per-bubble N] [--ferries F]\n\
-                               [--horizon SECS] [--threads N]\n\
-                               [--faults none|lossy] [--json]\n\
-         \n\
-         scale (beyond the thesis):\n\
+         scenarios and scale (beyond the thesis):\n\
+           lab                 the ComLab-room scenario as a directly runnable experiment\n\
+           bubbles             k disjoint radio bubbles bridged by ferry nodes; gossip\n\
+                               carries membership and a blob across all bubbles;\n\
+                               reports delivery, hops, latency and duplicate overhead\n\
            crowd               random-waypoint campus crowd; reports wall-clock,\n\
                                events/s, trace memory and group formation\n\
-                               [--nodes N[,N,...]] [--horizon SECS] [--json]\n\
-                               [--threads N]   epoch-engine workers (1 = serial,\n\
-                                               0 = auto); digests are identical\n\
-                               [--region-edge M] spatial region edge in metres\n\
-                                               (0 = default 80); digests identical\n\
-                               [--faults P]    inject a named fault profile\n\
-                                               (none | lossy: 10% BT frame loss +\n\
-                                               burst episodes, recovery enabled)\n\
-         \n\
            live                live-serving load: real TCP clients against the\n\
                                reactor; p50/p99/p999 latency + throughput\n\
-                               [--clients N] [--requests N] [--workers N]\n\
-                               [--shards N] [--queue-cap BYTES] [--stalled N]\n\
-                               [--json]\n\
          \n\
          ci gate:\n\
            gate                every scale, fault, gossip and live arm in-process;\n\
@@ -499,6 +559,14 @@ fn print_help() {
                                BENCH_scale.json and BENCH_live.json\n\
          \n\
            all                 everything above (crowd/live/gate excluded; run\n\
-                               directly)"
+                               directly)\n\
+         \n\
+         --threads N sets the epoch-engine workers (1 = serial, 0 = auto) and\n\
+         --region-edge M the spatial region edge (0 = default 80 m); neither moves\n\
+         a digest. --faults lossy adds 10% Bluetooth frame loss and burst episodes,\n\
+         with recovery enabled.\n"
     );
+    for (cmd, flags) in COMMANDS.iter().filter(|(_, flags)| !flags.is_empty()) {
+        println!("{}", usage(cmd, flags));
+    }
 }

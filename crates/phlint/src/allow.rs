@@ -201,9 +201,12 @@ impl Allowlist {
     /// place: comment and blank lines are preserved verbatim wherever
     /// they sit, each entry line that still covers a finding is
     /// re-anchored to that finding's current line (needle and reason
-    /// preserved), and stale entry lines are dropped. A dropped entry
-    /// can orphan its comment block — that is deliberate; prose is
-    /// never deleted by machine.
+    /// preserved), and stale entry lines are dropped. An anchored entry
+    /// whose site moved more than [`ALLOW_DRIFT`] lines still covers it
+    /// here when its needle matches exactly one finding of its rule in
+    /// its file that no other entry claimed. A dropped entry can orphan
+    /// its comment block — that is deliberate; prose is never deleted by
+    /// machine.
     ///
     /// # Errors
     ///
@@ -220,6 +223,24 @@ impl Allowlist {
         for (fi, o) in owner.iter().enumerate() {
             if let Some(ei) = o {
                 covers[*ei] = Some(&findings[fi]);
+            }
+        }
+        // Anchored entries whose site drifted out of range: re-anchor to
+        // the one unclaimed finding their needle still matches.
+        let mut claimed: Vec<bool> = owner.iter().map(Option::is_some).collect();
+        for (ei, e) in self.entries.iter().enumerate() {
+            if covers[ei].is_some() || e.anchor.is_none() {
+                continue;
+            }
+            let mut matching = findings.iter().enumerate().filter(|(fi, f)| {
+                !claimed[*fi]
+                    && e.rule == f.rule
+                    && e.path == f.path
+                    && f.snippet.contains(&e.needle)
+            });
+            if let (Some((fi, f)), None) = (matching.next(), matching.next()) {
+                claimed[fi] = true;
+                covers[ei] = Some(f);
             }
         }
         let stale: Vec<&AllowEntry> = covers
@@ -253,7 +274,7 @@ impl Allowlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{DIGEST_TAINT, NONDETERMINISTIC_ITERATION};
+    use crate::rules::{DIGEST_TAINT, NONDETERMINISTIC_ITERATION, RELAXED_ORDERING};
 
     fn finding(rule: &'static str, path: &str, line: u32, snippet: &str) -> Finding {
         Finding {
@@ -446,5 +467,72 @@ mod tests {
         assert!(!text.contains("gone.rs"), "{text}");
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].path, "crates/netsim/src/gone.rs");
+    }
+
+    #[test]
+    fn render_updated_reanchors_sites_that_moved_past_the_drift() {
+        let prev =
+            "relaxed-ordering | crates/harness/src/bin/repro.rs:26 | ALLOCS.fetch_add | counter\n\
+                    digest-taint | crates/peerhood/src/sim.rs:100 | Instant::now | probe A\n\
+                    digest-taint | crates/peerhood/src/sim.rs:300 | Instant::now | probe B\n\
+                    digest-taint | crates/peerhood/src/sim.rs:500 | Instant::now | probe C\n";
+        let a = Allowlist::parse(prev).unwrap();
+        let far = 26 + ALLOW_DRIFT + 60;
+        let f = [
+            finding(
+                RELAXED_ORDERING,
+                "crates/harness/src/bin/repro.rs",
+                far,
+                "ALLOCS.fetch_add(1, Ordering::Relaxed);",
+            ),
+            // Probe A is still in range; probe B moved far, and its
+            // needle matches only one finding A did not claim. Probe C
+            // has no finding left and is stale.
+            finding(
+                DIGEST_TAINT,
+                "crates/peerhood/src/sim.rs",
+                105,
+                "Instant::now",
+            ),
+            finding(
+                DIGEST_TAINT,
+                "crates/peerhood/src/sim.rs",
+                200,
+                "Instant::now",
+            ),
+        ];
+        assert_eq!(a.assign(&f).unwrap(), vec![None, Some(1), None]);
+        let (text, stale) = a.render_updated(prev, &f).unwrap();
+        assert_eq!(
+            text,
+            format!(
+                "relaxed-ordering | crates/harness/src/bin/repro.rs:{far} | ALLOCS.fetch_add | counter\n\
+                 digest-taint | crates/peerhood/src/sim.rs:105 | Instant::now | probe A\n\
+                 digest-taint | crates/peerhood/src/sim.rs:200 | Instant::now | probe B\n"
+            )
+        );
+        assert_eq!(stale.len(), 1);
+        assert_eq!(stale[0].reason, "probe C");
+        // Two unclaimed candidates far from the anchor: no guess, the
+        // entry is dropped as stale.
+        let two = [
+            finding(
+                DIGEST_TAINT,
+                "crates/peerhood/src/sim.rs",
+                200,
+                "Instant::now",
+            ),
+            finding(
+                DIGEST_TAINT,
+                "crates/peerhood/src/sim.rs",
+                210,
+                "Instant::now",
+            ),
+        ];
+        let prev = "digest-taint | crates/peerhood/src/sim.rs:500 | Instant::now | probe\n";
+        let a = Allowlist::parse(prev).unwrap();
+        let (text, stale) = a.render_updated(prev, &two).unwrap();
+        assert_eq!(text, "");
+        assert_eq!(stale.len(), 1);
     }
 }

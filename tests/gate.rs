@@ -58,6 +58,7 @@ fn passing() -> GateReports {
         bubbles_threads4: bubbles(1, 1.0),
         bubbles_lossy: bubbles(2, 0.9),
         bubbles_lossy_threads4: bubbles(2, 0.9),
+        bubbles_dense: bubbles(3, 1.0),
         live: LiveLoadReport {
             clients: 200,
             responses: 2000,
@@ -69,8 +70,8 @@ fn passing() -> GateReports {
 }
 
 /// Applies `inject` to the passing set and asserts that `gate`, and only
-/// `gate`, fails with a non-empty reason.
-fn assert_fails_only(gate: &str, inject: impl FnOnce(&mut GateReports)) {
+/// `gate`, fails with a non-empty reason, which it returns.
+fn assert_fails_only(gate: &str, inject: impl FnOnce(&mut GateReports)) -> String {
     let mut reports = passing();
     inject(&mut reports);
     let failures = check(&reports);
@@ -82,6 +83,7 @@ fn assert_fails_only(gate: &str, inject: impl FnOnce(&mut GateReports)) {
         failures[0]
     );
     assert!(!failures[0].detail.is_empty());
+    failures[0].detail.clone()
 }
 
 #[test]
@@ -148,8 +150,9 @@ fn every_verdict_passes_on_the_synthetic_set() {
     let verdicts = gate::verdicts(&passing());
     assert!(verdicts.iter().all(|(passed, ..)| *passed), "{verdicts:#?}");
     // 7 digest/stats pairs, 5 resharded verdicts, 2 floors, speedup,
-    // trace-alloc, 2 frame-drop, delivery, convergence, 4 live, million.
-    assert_eq!(verdicts.len(), 14 + 5 + 2 + 1 + 1 + 2 + 2 + 4 + 1);
+    // trace-alloc, 2 frame-drop, delivery and convergence of 2 arms,
+    // 2 dup-per-delivery, 4 live, million.
+    assert_eq!(verdicts.len(), 14 + 5 + 2 + 1 + 1 + 2 + 4 + 2 + 4 + 1);
 }
 
 #[test]
@@ -172,6 +175,30 @@ fn lossy_crowds_must_drop_frames() {
 fn bubbles_deliver_and_converge() {
     assert_fails_only("delivery", |r| r.bubbles_serial.delivery_ratio = 0.90);
     assert_fails_only("convergence", |r| r.bubbles_serial.convergence_ratio = 0.99);
+}
+
+#[test]
+fn dense_bubbles_deliver_and_converge_fully() {
+    let seen = assert_fails_only("delivery", |r| {
+        r.bubbles_dense.delivery_ratio = 34.0 / 35.0;
+    });
+    assert!(seen.starts_with("dense bubbles: "), "{seen}");
+    let seen = assert_fails_only("convergence", |r| {
+        r.bubbles_dense.convergence_ratio = 12.0 / 36.0;
+    });
+    assert!(seen.starts_with("dense bubbles: "), "{seen}");
+}
+
+#[test]
+fn bubbles_duplicates_per_delivery_stay_under_the_ceiling() {
+    let seen = assert_fails_only("dup-per-delivery", |r| {
+        r.bubbles_serial.duplicates_per_delivery = gate::MAX_DUP_PER_DELIVERY + 0.1;
+    });
+    assert!(seen.starts_with("fault-free bubbles: "), "{seen}");
+    let seen = assert_fails_only("dup-per-delivery", |r| {
+        r.bubbles_lossy.duplicates_per_delivery = f64::NAN;
+    });
+    assert!(seen.starts_with("lossy bubbles: "), "{seen}");
 }
 
 #[test]
@@ -208,6 +235,7 @@ fn scale_record_keeps_its_keys_and_labels_threads4_below_four_cores() {
         "bubbles_serial",
         "bubbles_threads4",
         "bubbles_lossy",
+        "bubbles_dense",
     ];
     let mut from = 0;
     for key in keys {

@@ -40,10 +40,10 @@ const CROWDS: [(&str, usize, &str); 4] = [
 
 /// `(faults, digest)` of `BubblesConfig::default()`, as committed in
 /// `BENCH_scale.json` under `bubbles_serial` and `bubbles_lossy`.
-const BUBBLES: [(&str, &str); 2] = [("none", "a77ad343cfb2ecbf"), ("lossy", "f009e61a884a1594")];
+const BUBBLES: [(&str, &str); 2] = [("none", "a98387487b1046bc"), ("lossy", "7e1ff8055aca0262")];
 
 /// Digest of the mixed-fault bubbles run (see [`mixed_fault_plan`]).
-const MIXED_FAULT_DIGEST: &str = "e8ac74d3ece0918f";
+const MIXED_FAULT_DIGEST: &str = "bb4218be378e366a";
 
 /// `(op_mode, digest)` of `scenario::lab` at seed 2008 run to 120 s
 /// virtual; `PerOperation` is the default `LabConfig`.
@@ -162,7 +162,7 @@ fn mixed_fault_bubbles_reproduce_their_pinned_digest() {
                 s.resumed,
                 s.connects_lost_setup
             ),
-            (1_124, 3_762, 27, 3),
+            (1_012, 1_448, 31, 1),
             "mixed-fault counters moved at {threads} thread(s): {s}"
         );
         assert_eq!(
