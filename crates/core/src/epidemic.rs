@@ -6,7 +6,11 @@
 //! that owns the node-facing bookkeeping:
 //!
 //! * idempotent link-up/link-down tracking (radio events can repeat);
-//! * per-origin sequence numbers feeding [`message_id`];
+//! * per-origin sequence numbers feeding [`message_id`] and ordering each
+//!   device's [`Binding`]s;
+//! * the latest binding of every device heard from
+//!   ([`GossipRuntime::binding`]), which lets the app fill a radio peer's
+//!   member and interests without polling it;
 //! * the gossip-learned membership table ([`GossipRuntime::remote_members`])
 //!   that [`crate::discovery::Discovery`] merges with radio neighbors, so
 //!   multi-hop members join groups through the very same path
@@ -32,13 +36,19 @@ use crate::interest::Interest;
 /// members it knows (DESIGN §15).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GossipContent {
-    /// Membership announcement: a member's name and interests, flooded so
-    /// devices that never meet the member directly can still group with
-    /// them.
+    /// A device's binding: who is logged in on it, if anyone, and their
+    /// interests. Flooded so devices that never meet the member directly
+    /// can still group with them, and so radio peers need not poll the
+    /// device for the same facts (DESIGN §15).
     Member {
-        /// The announcing member's name.
-        member: String,
-        /// Their interests at announcement time.
+        /// The announcing device's name.
+        device: String,
+        /// The device's per-origin sequence number at publication; a
+        /// higher one supersedes.
+        seq: u64,
+        /// The member logged in on the device, `None` when nobody is.
+        member: Option<String>,
+        /// Their interests at announcement time (empty without a member).
         interests: Vec<Interest>,
     },
     /// Shared content, disseminated whole.
@@ -52,18 +62,26 @@ pub enum GossipContent {
     },
 }
 
-// Tag 2 is retired: it carried group news, which older peers may still
-// send, so it stays a `BadTag` and is not reused.
+// Tags 1 and 2 are retired: they carried member announcements without a
+// device and sequence number, and group news. Older peers may still send
+// them, so they stay a `BadTag` and are not reused.
 mod tag {
-    pub const MEMBER: u8 = 1;
     pub const BLOB: u8 = 3;
+    pub const MEMBER: u8 = 4;
 }
 
 impl Wire for GossipContent {
     fn encode_to(&self, out: &mut Vec<u8>) {
         match self {
-            GossipContent::Member { member, interests } => {
+            GossipContent::Member {
+                device,
+                seq,
+                member,
+                interests,
+            } => {
                 out.push(tag::MEMBER);
+                device.encode_to(out);
+                seq.encode_to(out);
                 member.encode_to(out);
                 encode_seq(interests, out);
             }
@@ -79,7 +97,9 @@ impl Wire for GossipContent {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(input)? {
             tag::MEMBER => Ok(GossipContent::Member {
-                member: String::decode(input)?,
+                device: String::decode(input)?,
+                seq: u64::decode(input)?,
+                member: Option::<String>::decode(input)?,
                 interests: decode_seq::<Interest>(input)?,
             }),
             tag::BLOB => Ok(GossipContent::Blob {
@@ -111,13 +131,26 @@ pub struct BlobDelivery {
     pub size: usize,
 }
 
+/// What a device last announced about itself: the newest
+/// [`GossipContent::Member`] heard from it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Binding {
+    /// The announcement's per-origin sequence number.
+    pub seq: u64,
+    /// The member logged in on the device, `None` when nobody is.
+    pub member: Option<String>,
+    /// Their interests.
+    pub interests: Vec<Interest>,
+}
+
 /// Decoded gossip news for the node to act on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GossipNews {
-    /// A (possibly multi-hop) member announcement arrived or changed.
+    /// A (possibly multi-hop) device binding newer than any heard before
+    /// arrived; [`GossipRuntime::binding`] holds it.
     Member {
-        /// The member's name.
-        member: String,
+        /// The announcing device's name.
+        device: String,
         /// Hops from the announcing node.
         hops: u8,
     },
@@ -133,12 +166,14 @@ pub struct GossipRuntime {
     next_seq: u64,
     /// Interests of members learned through gossip, by member name.
     remote: BTreeMap<String, Vec<Interest>>,
+    /// The newest binding heard from each other device, by device name.
+    bindings: BTreeMap<String, Binding>,
     blob_log: Vec<BlobDelivery>,
     /// Peers with a live radio link (dedups repeated up/down events).
     links: BTreeSet<Arc<str>>,
-    /// The last `(member, interests)` announcement published, to re-announce
+    /// The last `(member, interests)` binding published, to re-announce
     /// only on change.
-    announced: Option<(String, Vec<Interest>)>,
+    announced: Option<(Option<String>, Vec<Interest>)>,
 }
 
 impl GossipRuntime {
@@ -148,6 +183,7 @@ impl GossipRuntime {
             gossip: Gossip::new(me, config),
             next_seq: 0,
             remote: BTreeMap::new(),
+            bindings: BTreeMap::new(),
             blob_log: Vec::new(),
             links: BTreeSet::new(),
             announced: None,
@@ -199,21 +235,35 @@ impl GossipRuntime {
         self.links.contains(peer)
     }
 
-    /// Publishes a membership announcement if `(member, interests)` differs
-    /// from the last one published. Returns whether anything was published.
-    pub fn announce_member(&mut self, member: &str, interests: &[Interest], now: SimTime) -> bool {
-        let current = (member.to_string(), interests.to_vec());
-        if self.announced.as_ref() == Some(&current) {
+    /// Publishes this device's binding if `(member, interests)` differs
+    /// from the last one published (the first call always publishes).
+    /// The comparison runs in place, so an unchanged binding allocates
+    /// nothing. Returns whether anything was published.
+    pub fn announce_member<'a>(
+        &mut self,
+        member: Option<&str>,
+        interests: impl Iterator<Item = &'a Interest> + Clone,
+        now: SimTime,
+    ) -> bool {
+        let unchanged = self
+            .announced
+            .as_ref()
+            .is_some_and(|(m, i)| m.as_deref() == member && i.iter().eq(interests.clone()));
+        if unchanged {
             return false;
         }
+        let member = member.map(str::to_owned);
+        let interests: Vec<Interest> = interests.cloned().collect();
         self.publish(
             GossipContent::Member {
-                member: current.0.clone(),
-                interests: current.1.clone(),
+                device: self.gossip.me().to_owned(),
+                seq: self.next_seq,
+                member: member.clone(),
+                interests: interests.clone(),
             },
             now,
         );
-        self.announced = Some(current);
+        self.announced = Some((member, interests));
         true
     }
 
@@ -263,13 +313,27 @@ impl GossipRuntime {
                     continue;
                 };
                 match content {
-                    GossipContent::Member { member, interests } => {
-                        if member == self.gossip.me() {
+                    GossipContent::Member {
+                        device,
+                        seq,
+                        member,
+                        interests,
+                    } => {
+                        let stale = self.bindings.get(&device).is_some_and(|b| b.seq >= seq);
+                        if stale || device == self.gossip.me() {
                             continue;
                         }
-                        self.remote.insert(member.clone(), interests);
-                        news.push(GossipNews::Member {
+                        if let Some(member) = &member {
+                            self.remote.insert(member.clone(), interests.clone());
+                        }
+                        let binding = Binding {
+                            seq,
                             member,
+                            interests,
+                        };
+                        self.bindings.insert(device.clone(), binding);
+                        news.push(GossipNews::Member {
+                            device,
                             hops: delivery.hops,
                         });
                     }
@@ -309,6 +373,13 @@ impl GossipRuntime {
         &self.remote
     }
 
+    /// The newest binding heard from the device named `device` (never this
+    /// node's own).
+    #[must_use]
+    pub fn binding(&self, device: &str) -> Option<&Binding> {
+        self.bindings.get(device)
+    }
+
     /// Every blob that reached this node (origin's own publishes included,
     /// at hop 0), in receipt order.
     #[must_use]
@@ -333,12 +404,40 @@ mod tests {
         items.iter().map(Interest::new).collect()
     }
 
+    /// Two runtimes with a live link both ways and empty outboxes.
+    fn linked(a: &str, b: &str) -> (GossipRuntime, GossipRuntime) {
+        let t = SimTime::ZERO;
+        let (mut x, mut y) = (GossipRuntime::new(a, cfg()), GossipRuntime::new(b, cfg()));
+        x.link_up(&n(b), t);
+        y.link_up(&n(a), t);
+        x.take_outbox();
+        y.take_outbox();
+        (x, y)
+    }
+
+    /// Everything `from` queued for `to`.
+    fn batch_for(from: &mut GossipRuntime, to: &str) -> Vec<GossipMsg> {
+        from.take_outbox()
+            .into_iter()
+            .filter(|(dest, _)| &**dest == to)
+            .map(|(_, m)| m)
+            .collect()
+    }
+
     #[test]
     fn content_wire_round_trips_every_variant() {
         let contents = [
             GossipContent::Member {
-                member: "alice".into(),
+                device: "alice-pc".into(),
+                seq: 7,
+                member: Some("alice".into()),
                 interests: interests(&["Football", "Chess"]),
+            },
+            GossipContent::Member {
+                device: "ferry-pc".into(),
+                seq: 0,
+                member: None,
+                interests: Vec::new(),
             },
             GossipContent::Blob {
                 origin: "alice".into(),
@@ -350,7 +449,7 @@ mod tests {
             let back = GossipContent::decode_exact(&content.encode()).expect("round trip");
             assert_eq!(&back, content);
         }
-        for retired_or_unknown in [2, 0x4f] {
+        for retired_or_unknown in [1, 2, 0x4f] {
             assert!(matches!(
                 GossipContent::decode_exact(&[retired_or_unknown]),
                 Err(DecodeError::BadTag {
@@ -374,43 +473,61 @@ mod tests {
     }
 
     #[test]
-    fn member_announcements_flow_between_runtimes() {
+    fn bindings_flow_between_runtimes() {
         let t = SimTime::ZERO;
-        let mut a = GossipRuntime::new("a", cfg());
-        let mut b = GossipRuntime::new("b", cfg());
-        a.link_up(&n("b"), t);
-        b.link_up(&n("a"), t);
-        a.take_outbox();
-        b.take_outbox();
-        assert!(a.announce_member("alice", &interests(&["football"]), t));
+        let (mut a, mut b) = linked("a", "b");
+        let football = interests(&["football"]);
+        assert!(a.announce_member(Some("alice"), football.iter(), t));
         // Unchanged announcement is suppressed.
-        assert!(!a.announce_member("alice", &interests(&["football"]), t));
-        let batch: Vec<GossipMsg> = a
-            .take_outbox()
-            .into_iter()
-            .filter(|(dest, _)| &**dest == "b")
-            .map(|(_, m)| m)
-            .collect();
+        assert!(!a.announce_member(Some("alice"), football.iter(), t));
+        let batch = batch_for(&mut a, "b");
         assert!(!batch.is_empty());
         let news = b.handle_batch(&n("a"), batch, t);
         assert!(matches!(
             news.as_slice(),
-            [GossipNews::Member { member, hops: 1 }] if member == "alice"
+            [GossipNews::Member { device, hops: 1 }] if device == "a"
         ));
-        assert_eq!(b.remote_members()["alice"], interests(&["football"]),);
-        // Changed interests re-announce.
-        assert!(a.announce_member("alice", &interests(&["football", "chess"]), t));
+        let binding = b.binding("a").expect("bound");
+        assert_eq!((binding.seq, binding.member.as_deref()), (0, Some("alice")));
+        assert_eq!(binding.interests, football);
+        assert_eq!(b.remote_members()["alice"], football);
+        // Changed interests re-announce; so does a logout, as `None`.
+        let both = interests(&["football", "chess"]);
+        assert!(a.announce_member(Some("alice"), both.iter(), t));
+        assert!(a.announce_member(None, [].iter(), t));
+        assert!(!a.announce_member(None, [].iter(), t));
+        b.handle_batch(&n("a"), batch_for(&mut a, "b"), t);
+        let binding = b.binding("a").expect("bound");
+        assert_eq!((binding.seq, binding.member.as_deref()), (2, None));
+        // The member table is not cleared by a logout (no expiry yet).
+        assert_eq!(b.remote_members()["alice"], both);
+    }
+
+    #[test]
+    fn an_older_binding_that_arrives_late_is_ignored() {
+        let t = SimTime::ZERO;
+        let (mut a, mut b) = linked("a", "b");
+        a.announce_member(Some("alice"), interests(&["chess"]).iter(), t);
+        let older = batch_for(&mut a, "b");
+        a.announce_member(Some("robert"), interests(&["sauna"]).iter(), t);
+        let newer = batch_for(&mut a, "b");
+        assert_eq!(b.handle_batch(&n("a"), newer, t).len(), 1);
+        // The older payload is a first delivery (a new message id), but
+        // its sequence number is lower: no news, and the binding stays.
+        assert!(b.handle_batch(&n("a"), older, t).is_empty());
+        let binding = b.binding("a").expect("bound");
+        assert_eq!(
+            (binding.seq, binding.member.as_deref()),
+            (1, Some("robert"))
+        );
+        assert_eq!(binding.interests, interests(&["sauna"]));
+        assert!(!b.remote_members().contains_key("alice"));
     }
 
     #[test]
     fn blob_publish_logs_at_origin_and_at_receiver() {
         let t = SimTime::from_secs(30);
-        let mut a = GossipRuntime::new("a", cfg());
-        let mut b = GossipRuntime::new("b", cfg());
-        a.link_up(&n("b"), t);
-        b.link_up(&n("a"), t);
-        a.take_outbox();
-        b.take_outbox();
+        let (mut a, mut b) = linked("a", "b");
         let id = a.publish_blob("alice", "song.mp3", Bytes::from(vec![9; 16]), t);
         assert!(a.gossip().has_seen(id));
         assert_eq!(a.blob_log().len(), 1);
@@ -423,21 +540,22 @@ mod tests {
     }
 
     #[test]
-    fn own_member_announcement_is_not_recorded_as_remote() {
+    fn own_binding_is_not_recorded() {
         let t = SimTime::ZERO;
-        let mut a = GossipRuntime::new("a", cfg());
-        let mut b = GossipRuntime::new("b", cfg());
-        a.link_up(&n("b"), t);
-        b.link_up(&n("a"), t);
-        a.take_outbox();
-        b.take_outbox();
-        // b's own user is "bob" but suppose a relays an announcement whose
-        // member name happens to be the *device* name "b" — the runtime keys
-        // suppression on the gossip node name.
-        a.announce_member("b", &interests(&["x"]), t);
-        let batch: Vec<GossipMsg> = a.take_outbox().into_iter().map(|(_, m)| m).collect();
-        let news = b.handle_batch(&n("a"), batch, t);
+        let (mut a, mut b) = linked("a", "b");
+        // a relays a binding that names b's own device (a forged or
+        // echoed announcement): b keeps no binding for itself and learns
+        // no member from it.
+        let content = GossipContent::Member {
+            device: "b".into(),
+            seq: 0,
+            member: Some("bob".into()),
+            interests: interests(&["x"]),
+        };
+        a.publish(content, t);
+        let news = b.handle_batch(&n("a"), batch_for(&mut a, "b"), t);
         assert!(news.is_empty());
+        assert!(b.binding("b").is_none());
         assert!(b.remote_members().is_empty());
     }
 }

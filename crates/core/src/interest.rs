@@ -145,7 +145,7 @@ impl InterestSet {
     }
 
     /// Iterates interests in key order.
-    pub fn iter(&self) -> impl Iterator<Item = &Interest> {
+    pub fn iter(&self) -> impl Iterator<Item = &Interest> + Clone {
         self.items.values()
     }
 

@@ -65,7 +65,7 @@ pub mod server;
 pub mod store;
 
 pub use discovery::{Discovery, Group, GroupSet};
-pub use epidemic::{BlobDelivery, GossipContent, GossipNews, GossipRuntime};
+pub use epidemic::{Binding, BlobDelivery, GossipContent, GossipNews, GossipRuntime};
 pub use error::CommunityError;
 pub use groups::{GroupEvent, GroupRegistry};
 pub use interest::{Interest, InterestSet};

@@ -42,7 +42,7 @@ use peerhood::gossip::GossipConfig;
 
 use crate::content::ContentInfo;
 use crate::discovery::Discovery;
-use crate::epidemic::{GossipNews, GossipRuntime};
+use crate::epidemic::{Binding, GossipNews, GossipRuntime};
 use crate::error::CommunityError;
 use crate::groups::{GroupEvent, GroupRegistry};
 use crate::interest::Interest;
@@ -255,6 +255,8 @@ struct Peer {
     has_service: bool,
     /// The persistent connection (unused in [`OpMode::PerOperation`]).
     conn: ConnState,
+    /// Who is logged in there and their interests: from the device's
+    /// gossip binding once one is known, otherwise from probe replies.
     member: Option<String>,
     interests: Vec<Interest>,
 }
@@ -275,6 +277,28 @@ impl Peer {
             ConnState::Ready(c) => Some(c),
             _ => None,
         }
+    }
+
+    /// Whether the app tracks this peer's member: over the standing
+    /// connection in persistent mode, as any community device in
+    /// per-operation mode (whose probes leave it in place between
+    /// operations).
+    fn tracked(&self, mode: OpMode) -> bool {
+        match mode {
+            OpMode::Persistent => self.ready_conn().is_some(),
+            OpMode::PerOperation => self.has_service,
+        }
+    }
+
+    /// Takes member and interests from `binding`; returns whether they
+    /// changed.
+    fn adopt(&mut self, binding: &Binding) -> bool {
+        if self.member == binding.member && self.interests == binding.interests {
+            return false;
+        }
+        self.member.clone_from(&binding.member);
+        self.interests.clone_from(&binding.interests);
+        true
     }
 }
 
@@ -479,7 +503,7 @@ impl CommunityApp {
 
     /// Enables the epidemic gossip layer (builder style): bounded partial
     /// views over the radio neighborhood plus eager-push/lazy-pull
-    /// dissemination of membership, group events, and shared content. The
+    /// dissemination of device bindings and shared content. The
     /// same layer is enabled automatically when the node runs under a
     /// [`peerhood::DaemonConfig`] built with `with_gossip`.
     pub fn with_gossip(mut self, config: GossipConfig) -> Self {
@@ -1105,6 +1129,29 @@ impl CommunityApp {
         )
     }
 
+    /// The gossip binding of `device`, if the device gossips and this
+    /// node has heard its announcement. A bound peer is never polled.
+    fn binding_of(&self, device: DeviceId) -> Option<&Binding> {
+        let peer = self.peers.get(&device)?;
+        self.gossip.as_ref()?.binding(&peer.device_name)
+    }
+
+    /// Fills `device`'s member and interests from its binding and
+    /// recomputes groups if they changed. Returns whether a binding was
+    /// known; without one the caller polls the device instead.
+    fn adopt_binding(&mut self, device: DeviceId, ctx: &mut AppCtx<'_>) -> bool {
+        let (Some(peer), Some(rt)) = (self.peers.get_mut(&device), self.gossip.as_ref()) else {
+            return false;
+        };
+        let Some(binding) = rt.binding(&peer.device_name) else {
+            return false;
+        };
+        if peer.adopt(binding) {
+            self.recompute_groups(ctx);
+        }
+        true
+    }
+
     fn device_of_member(&self, member: &str) -> Option<DeviceId> {
         self.peers
             .iter()
@@ -1208,6 +1255,7 @@ impl CommunityApp {
         let tick = config.tick_interval();
         self.gossip = Some(GossipRuntime::new(ctx.actor(), config));
         ctx.trace_local("GOSSIP_ENABLED");
+        self.announce_binding(ctx.now());
         ctx.set_timer(tick, GOSSIP_TIMER);
     }
 
@@ -1304,8 +1352,21 @@ impl CommunityApp {
         let mut membership_changed = false;
         for item in news {
             match item {
-                GossipNews::Member { member, hops } => {
-                    ctx.trace_local(&format!("GOSSIP_MEMBER {member} hops={hops}"));
+                GossipNews::Member { device, hops } => {
+                    let Some(binding) = rt.binding(&device) else {
+                        continue;
+                    };
+                    let member = binding.member.as_deref().unwrap_or("-");
+                    ctx.trace_local(&format!("GOSSIP_MEMBER {device} {member} hops={hops}"));
+                    // A direct peer's binding replaces polling it.
+                    let mode = self.op_mode;
+                    if let Some(peer) = self
+                        .peers
+                        .values_mut()
+                        .find(|p| *p.device_name == *device && p.tracked(mode))
+                    {
+                        peer.adopt(binding);
+                    }
                     membership_changed = true;
                 }
                 GossipNews::Blob(delivery) => {
@@ -1339,29 +1400,36 @@ impl CommunityApp {
         Response::Gossip(reply)
     }
 
-    /// The gossip housekeeping tick: (re-)announce the local membership,
-    /// run graft-retry/shuffle timers, flush, re-arm.
-    fn on_gossip_tick(&mut self, ctx: &mut AppCtx<'_>) {
+    /// Publishes this device's binding if the logged-in member or their
+    /// interests changed since the last one (compared in place).
+    fn announce_binding(&mut self, now: SimTime) {
         let Some(rt) = self.gossip.as_mut() else {
             return;
         };
+        let account = self.store.active_account();
+        let interests = account
+            .into_iter()
+            .flat_map(|a| a.profile().interests.iter());
+        rt.announce_member(self.store.active_member(), interests, now);
+    }
+
+    /// The gossip housekeeping tick: re-announce the binding if it changed,
+    /// run graft-retry/shuffle timers, flush, re-arm.
+    fn on_gossip_tick(&mut self, ctx: &mut AppCtx<'_>) {
         let now = ctx.now();
-        if let Some(member) = self.store.active_member().map(str::to_owned) {
-            let interests: Vec<Interest> = self
-                .store
-                .active_account()
-                .map(|a| a.profile().interests.to_vec())
-                .unwrap_or_default();
-            rt.announce_member(&member, &interests, now);
-        }
+        self.announce_binding(now);
+        let Some(rt) = self.gossip.as_mut() else {
+            return;
+        };
         rt.on_tick(now);
         let tick = rt.config().tick_interval();
         ctx.set_timer(tick, GOSSIP_TIMER);
         self.flush_gossip(ctx);
     }
 
-    /// Per-operation mode: probe all community devices for member names and
-    /// interests with short-lived connections (feeds group discovery).
+    /// Per-operation mode: probe all community devices without a gossip
+    /// binding for member names and interests with short-lived
+    /// connections (feeds group discovery).
     fn start_probe(&mut self, ctx: &mut AppCtx<'_>) {
         if self.active_probe.is_some() {
             return;
@@ -1369,7 +1437,7 @@ impl CommunityApp {
         let devices: VecDeque<DeviceId> = self
             .peers
             .iter()
-            .filter(|(_, p)| p.has_service)
+            .filter(|(d, p)| p.has_service && self.binding_of(**d).is_none())
             .map(|(d, _)| *d)
             .collect();
         if devices.is_empty() {
@@ -1386,6 +1454,25 @@ impl CommunityApp {
         // operation (Figure 6 step 1): under the thesis-faithful
         // configuration it waits for a full inquiry round first.
         self.begin_plan(id, ctx);
+    }
+
+    /// Persistent mode: asks `device` over its standing connection `conn`
+    /// who is logged in there and what they like.
+    fn probe(&mut self, device: DeviceId, conn: ConnId, ctx: &mut AppCtx<'_>) {
+        self.send_on(
+            ctx,
+            device,
+            conn,
+            &Request::GetOnlineMemberList,
+            Pending::AutoMemberName,
+        );
+        self.send_on(
+            ctx,
+            device,
+            conn,
+            &Request::GetInterestList,
+            Pending::AutoInterests,
+        );
     }
 
     /// Persistent mode: open the standing connection to a discovered
@@ -1422,7 +1509,10 @@ impl CommunityApp {
         let pending = pending.map(|e| e.what);
         let peer_name = self.peer_name(device);
         ctx.trace(&peer_name, &format!("(recv) {}", resp.label()));
+        // A stale or half-answered poll never shadows a binding.
+        let bound = self.binding_of(device).is_some();
         match pending {
+            Some(Pending::AutoMemberName | Pending::AutoInterests) if bound => {}
             Some(Pending::AutoMemberName) => {
                 let changed = {
                     let Some(peer) = self.peers.get_mut(&device) else {
@@ -1541,6 +1631,8 @@ impl CommunityApp {
             // NO_MEMBERS_YET and anything else: contributes nothing.
             _ => {}
         }
+        // As on the standing connection, a bound peer's binding wins.
+        let probe_update = probe_update.filter(|_| self.binding_of(device).is_none());
         if let Some(update) = probe_update {
             let changed = match (self.peers.get_mut(&device), update) {
                 (Some(peer), ProbeUpdate::Member(m)) => {
@@ -1795,7 +1887,10 @@ impl Application for CommunityApp {
                 if has {
                     match self.op_mode {
                         OpMode::Persistent => self.connect_if_needed(device, ctx),
-                        OpMode::PerOperation => self.start_probe(ctx),
+                        OpMode::PerOperation => {
+                            self.adopt_binding(device, ctx);
+                            self.start_probe(ctx);
+                        }
                     }
                 }
             }
@@ -1816,22 +1911,12 @@ impl Application for CommunityApp {
                     let peer_name = Arc::clone(&peer.device_name);
                     peer.conn = ConnState::Ready(conn);
                     self.conn_to_peer.insert(conn, device);
-                    // Automatic probes on the standing connection: who is
-                    // logged in there, and what do they like?
-                    self.send_on(
-                        ctx,
-                        device,
-                        conn,
-                        &Request::GetOnlineMemberList,
-                        Pending::AutoMemberName,
-                    );
-                    self.send_on(
-                        ctx,
-                        device,
-                        conn,
-                        &Request::GetInterestList,
-                        Pending::AutoInterests,
-                    );
+                    // Who is logged in there, and what do they like? A
+                    // gossiping peer's binding already says; poll the
+                    // others on the standing connection.
+                    if !self.adopt_binding(device, ctx) {
+                        self.probe(device, conn, ctx);
+                    }
                     self.gossip_link_up(&peer_name, ctx);
                 }
             }
@@ -1933,7 +2018,8 @@ impl Application for CommunityApp {
             OpMode::Persistent => {
                 // Reconnect dropped community peers and refresh
                 // member/interest state of connected ones (picks up
-                // interest edits on other devices).
+                // interest edits on other devices). Bound peers announce
+                // their edits themselves and are not polled.
                 let devices: Vec<DeviceId> = self.peers.keys().copied().collect();
                 for device in devices {
                     let (ready, has_service) = match self.peers.get(&device) {
@@ -1941,22 +2027,8 @@ impl Application for CommunityApp {
                         None => continue,
                     };
                     match ready {
-                        Some(conn) => {
-                            self.send_on(
-                                ctx,
-                                device,
-                                conn,
-                                &Request::GetOnlineMemberList,
-                                Pending::AutoMemberName,
-                            );
-                            self.send_on(
-                                ctx,
-                                device,
-                                conn,
-                                &Request::GetInterestList,
-                                Pending::AutoInterests,
-                            );
-                        }
+                        Some(_) if self.binding_of(device).is_some() => {}
+                        Some(conn) => self.probe(device, conn, ctx),
                         None if has_service => self.connect_if_needed(device, ctx),
                         None => {
                             // Service list may have been missed; ask again.
@@ -2244,5 +2316,158 @@ mod tests {
         c.run_until(secs(600));
         assert!(oracle.check(c.app(alice), "dave disappeared") > 0);
         assert_eq!(c.app(alice).known_members(), ["bob"]);
+
+        // A logout is announced too, as a binding without a member: one
+        // more payload in every cache.
+        c.with_app(alice, |a, _| a.logout());
+        oracle.registry = GroupRegistry::new("");
+        c.run_until(secs(605));
+        oracle.check(c.app(alice), "logout announced");
+        for node in [alice, bob, carol] {
+            let member = c.app(node).member();
+            let rt = c.app(node).gossip().expect("gossip enabled");
+            assert_eq!(rt.gossip().cache_len(), 4 + 1 + 1, "{member:?}");
+        }
+        let rt = c.app(bob).gossip().expect("gossip enabled");
+        assert_eq!(
+            rt.binding("alice-pc").map(|b| b.member.as_deref()),
+            Some(None)
+        );
+    }
+
+    /// Two nodes side by side with Bluetooth radios.
+    fn pair(
+        a: CommunityApp,
+        b: CommunityApp,
+    ) -> (
+        peerhood::sim::Cluster<CommunityApp>,
+        [netsim::world::NodeId; 2],
+    ) {
+        use netsim::geometry::Point2;
+        use netsim::world::NodeBuilder;
+        use netsim::Technology;
+        let mut c = peerhood::sim::Cluster::new(23);
+        let node = |name: &str, x: f64| {
+            NodeBuilder::new(format!("{name}-pc"))
+                .at(Point2::new(x, 0.0))
+                .with_technologies([Technology::Bluetooth])
+        };
+        let ids = [c.add_node(node("a", 0.0), a), c.add_node(node("b", 5.0), b)];
+        c.start();
+        (c, ids)
+    }
+
+    /// The device id under which `app` knows the device named `name`.
+    fn device_named(app: &CommunityApp, name: &str) -> DeviceId {
+        app.peers
+            .iter()
+            .find_map(|(d, p)| (*p.device_name == *name).then_some(*d))
+            .expect("a discovered peer")
+    }
+
+    fn group_members(app: &CommunityApp, key: &str) -> Vec<String> {
+        app.groups()
+            .into_iter()
+            .find(|g| g.key == key)
+            .map(|g| g.members)
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn gossiping_and_non_gossiping_peers_poll_each_other_and_group() {
+        let gossip = GossipConfig::default().rng_salt(5);
+        let (mut c, [alice, dave]) = pair(
+            app("alice", &["chess", "opera"]).with_gossip(gossip),
+            app("dave", &["chess", "tennis"]),
+        );
+        c.run_until(SimTime::from_secs(60));
+        assert_eq!(group_members(c.app(alice), "chess"), ["alice", "dave"]);
+        assert_eq!(group_members(c.app(dave), "chess"), ["alice", "dave"]);
+        let rt = c.app(alice).gossip().expect("gossip enabled");
+        assert!(rt.binding("b-pc").is_none(), "dave does not gossip");
+        // Edits that bypass group discovery reach the other side only
+        // through the refresh poll, in both directions.
+        for (node, interest) in [(dave, "opera"), (alice, "tennis")] {
+            c.with_app(node, |a, _| {
+                let account = a.store_mut().active_account_mut().expect("logged in");
+                account.profile_mut().interests.add(interest);
+            });
+        }
+        c.run_until(SimTime::from_secs(90));
+        assert_eq!(group_members(c.app(alice), "opera"), ["alice", "dave"]);
+        assert_eq!(group_members(c.app(dave), "tennis"), ["alice", "dave"]);
+    }
+
+    #[test]
+    fn a_bound_peer_logout_and_relogin_reach_peers_through_gossip() {
+        let gossip = || GossipConfig::default().rng_salt(5);
+        // alice never refreshes, so only gossip can tell her what changed.
+        let (mut c, [alice, bob]) = pair(
+            app("alice", &["chess"])
+                .with_gossip(gossip())
+                .with_refresh_interval(Duration::from_secs(3600)),
+            app("bob", &["chess"]).with_gossip(gossip()),
+        );
+        c.run_until(SimTime::from_secs(60));
+        assert_eq!(c.app(alice).known_members(), ["bob"]);
+        let bob_device = device_named(c.app(alice), "b-pc");
+        assert!(c.app(alice).binding_of(bob_device).is_some());
+
+        c.with_app(bob, |b, _| b.logout());
+        c.run_until(SimTime::from_secs(63));
+        assert!(c.app(alice).known_members().is_empty());
+        assert!(c.app(alice).device_of_member("bob").is_none());
+
+        c.with_app(bob, |b, _| {
+            let profile = crate::profile::Profile::new("robert").with_interests(["chess"]);
+            b.store_mut()
+                .create_account("robert", "pw", profile)
+                .expect("fresh name");
+            b.login("robert", "pw").expect("valid credentials");
+        });
+        c.run_until(SimTime::from_secs(66));
+        assert_eq!(c.app(alice).known_members(), ["robert"]);
+        assert_eq!(c.app(alice).device_of_member("robert"), Some(bob_device));
+        assert!(group_members(c.app(alice), "chess").contains(&"robert".to_owned()));
+    }
+
+    #[test]
+    fn probe_replies_never_shadow_a_binding() {
+        let gossip = || GossipConfig::default().rng_salt(5);
+        let (mut c, [alice, _]) = pair(
+            app("alice", &["chess"]).with_gossip(gossip()),
+            app("bob", &["chess"]).with_gossip(gossip()),
+        );
+        c.run_until(SimTime::from_secs(60));
+        let bob_device = device_named(c.app(alice), "b-pc");
+        // A late reply to a poll that claims someone else is logged in on
+        // bob's device, with other interests, is dropped.
+        c.with_app(alice, |a, ctx| {
+            let conn = a.peers[&bob_device]
+                .ready_conn()
+                .expect("standing connection");
+            let replies = [
+                (
+                    Pending::AutoMemberName,
+                    Response::MemberList(vec!["mallory".into()]),
+                ),
+                (
+                    Pending::AutoInterests,
+                    Response::InterestList(vec!["darts".into()]),
+                ),
+            ];
+            for (what, resp) in replies {
+                let pending = a.conn_pending.entry(conn).or_default();
+                pending.push_front(PendingEntry {
+                    seq: u64::MAX,
+                    what,
+                });
+                a.on_client_response(conn, &resp.encode(), ctx);
+            }
+        });
+        let peer = &c.app(alice).peers[&bob_device];
+        assert_eq!(peer.member.as_deref(), Some("bob"));
+        assert_eq!(peer.interests, [Interest::new("chess")]);
+        assert_eq!(group_members(c.app(alice), "chess"), ["alice", "bob"]);
     }
 }

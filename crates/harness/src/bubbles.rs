@@ -330,6 +330,11 @@ pub struct BubblesReport {
     /// Duplicate gossip payload receipts per delivered blob copy — the
     /// epidemic overhead metric.
     pub duplicates_per_delivery: f64,
+    /// Radio frames sent by every device over the run: all traffic, the
+    /// community polls as well as gossip. A function of the seed.
+    pub frames_sent: u64,
+    /// Bytes in those frames.
+    pub bytes_sent: u64,
     /// Daemon/trace counters with the gossip counters folded in.
     pub stats: TraceStats,
     /// Order-sensitive digest of the retained trace + counters
@@ -370,6 +375,8 @@ impl BubblesReport {
             .field("latency_mean_s", self.latency_mean_s)
             .field("latency_max_s", self.latency_max_s)
             .field("duplicates_per_delivery", self.duplicates_per_delivery)
+            .field("frames_sent", self.frames_sent)
+            .field("bytes_sent", self.bytes_sent)
             .field(
                 "gossip",
                 Json::obj()
@@ -413,6 +420,10 @@ impl BubblesReport {
             self.stats.gossip_graft,
             self.stats.gossip_prune,
             self.stats.gossip_duplicate,
+        ));
+        out.push_str(&format!(
+            "radio:          {} frames, {} bytes sent\n",
+            self.frames_sent, self.bytes_sent,
         ));
         out.push_str(&format!(
             "digest:         {:016x} (threads={})\nhops histogram:",
@@ -504,6 +515,8 @@ pub fn run(config: &BubblesConfig) -> Result<BubblesReport, BubblesError> {
         latency_mean_s,
         latency_max_s: delivered.iter().map(|&(_, l)| l).fold(0.0, f64::max),
         duplicates_per_delivery: stats.gossip_duplicate as f64 / n.max(1) as f64,
+        frames_sent: stats.frames_sent,
+        bytes_sent: stats.bytes_sent,
         stats,
         digest,
     })

@@ -396,6 +396,9 @@ pub struct Gossip {
     missing: BTreeMap<u64, MissingEntry>,
     next_shuffle: SimTime,
     outbox: Vec<(Arc<str>, GossipMsg)>,
+    /// `IHave` ids queued per peer since the last [`Gossip::take_outbox`],
+    /// which appends them as one message per peer.
+    lazy_ids: BTreeMap<Arc<str>, Vec<u64>>,
     stats: GossipStats,
 }
 
@@ -419,6 +422,7 @@ impl Gossip {
             missing: BTreeMap::new(),
             next_shuffle,
             outbox: Vec::new(),
+            lazy_ids: BTreeMap::new(),
             stats: GossipStats::default(),
             cfg,
         }
@@ -477,10 +481,11 @@ impl Gossip {
         self.admit(peer);
         self.rebalance();
         if !self.cache.is_empty() {
-            let ids: Vec<u64> = self.cache_order.iter().copied().collect();
-            self.stats.lazy += ids.len() as u64;
-            self.outbox
-                .push((Arc::clone(peer), GossipMsg::IHave { ids }));
+            self.stats.lazy += self.cache_order.len() as u64;
+            self.lazy_ids
+                .entry(Arc::clone(peer))
+                .or_default()
+                .extend(&self.cache_order);
         }
     }
 
@@ -612,9 +617,18 @@ impl Gossip {
         }
     }
 
-    /// Drains queued `(destination, message)` pairs for the transport.
+    /// Drains queued `(destination, message)` pairs for the transport. The
+    /// ids announced to one peer since the last call go out as one `IHave`,
+    /// after every other message to that peer, so a payload pushed in the
+    /// same flush arrives before its announcement and is never grafted.
     pub fn take_outbox(&mut self) -> Vec<(Arc<str>, GossipMsg)> {
-        std::mem::take(&mut self.outbox)
+        let mut out = std::mem::take(&mut self.outbox);
+        let lazy = std::mem::take(&mut self.lazy_ids);
+        out.extend(
+            lazy.into_iter()
+                .map(|(peer, ids)| (peer, GossipMsg::IHave { ids })),
+        );
+        out
     }
 
     fn retry_grafts(&mut self, now: SimTime) {
@@ -703,7 +717,7 @@ impl Gossip {
         }
         for peer in announces {
             self.stats.lazy += 1;
-            self.outbox.push((peer, GossipMsg::IHave { ids: vec![id] }));
+            self.lazy_ids.entry(peer).or_default().push(id);
         }
     }
 
@@ -929,6 +943,41 @@ mod tests {
         let delivered = b.on_msg(&n("a"), push, t);
         assert_eq!(delivered.len(), 1);
         assert!(b.has_seen(id));
+    }
+
+    #[test]
+    fn lazy_announcements_to_one_peer_coalesce_per_flush() {
+        let t = SimTime::ZERO;
+        let mut g = Gossip::new("g", cfg().active_view(1));
+        g.neighbor_up(&n("eager"), t);
+        g.neighbor_up(&n("lazy"), t);
+        g.take_outbox();
+        let ids: Vec<u64> = (0..3).map(|seq| message_id("g", seq)).collect();
+        for &id in &ids {
+            g.publish(id, Bytes::from(vec![1]), t);
+        }
+        assert_eq!(g.stats().lazy, 3, "stats count ids, not messages");
+        let to_lazy: Vec<GossipMsg> = g
+            .take_outbox()
+            .into_iter()
+            .filter(|(dest, _)| &**dest == "lazy")
+            .map(|(_, msg)| msg)
+            .collect();
+        assert_eq!(to_lazy, [GossipMsg::IHave { ids }]);
+        // The next flush starts afresh.
+        g.publish(message_id("g", 3), Bytes::from(vec![1]), t);
+        let out = g.take_outbox();
+        let ihaves: Vec<&GossipMsg> = out
+            .iter()
+            .filter(|(dest, _)| &**dest == "lazy")
+            .map(|(_, msg)| msg)
+            .collect();
+        assert_eq!(
+            ihaves,
+            [&GossipMsg::IHave {
+                ids: vec![message_id("g", 3)]
+            }]
+        );
     }
 
     #[test]

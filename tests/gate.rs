@@ -36,10 +36,12 @@ fn case(nodes: usize, events_per_sec: f64, frames_dropped: u64) -> CrowdCase {
     }
 }
 
-fn bubbles(digest: u64, convergence_ratio: f64) -> BubblesReport {
+fn bubbles(digest: u64, seed: u64) -> BubblesReport {
     BubblesReport {
+        seed,
         delivery_ratio: 1.0,
-        convergence_ratio,
+        convergence_ratio: 1.0,
+        frames_sent: gate::MAX_BUBBLES_FRAMES,
         digest,
         ..BubblesReport::default()
     }
@@ -54,11 +56,12 @@ fn passing() -> GateReports {
         lossy_100: case(100, 1.0e6, 40),
         lossy_1000: case(1000, 1.0e6, 400),
         crowd_100k: case(100_000, 250_000.0, 0),
-        bubbles_serial: bubbles(1, 1.0),
-        bubbles_threads4: bubbles(1, 1.0),
-        bubbles_lossy: bubbles(2, 0.9),
-        bubbles_lossy_threads4: bubbles(2, 0.9),
-        bubbles_dense: bubbles(3, 1.0),
+        bubbles_serial: bubbles(1, 2008),
+        bubbles_threads4: bubbles(1, 2008),
+        bubbles_lossy: bubbles(2, 2008),
+        bubbles_lossy_threads4: bubbles(2, 2008),
+        bubbles_lossy_seeds: gate::LOSSY_SEEDS.map(|seed| bubbles(seed, seed)).collect(),
+        bubbles_dense: bubbles(3, 2008),
         live: LiveLoadReport {
             clients: 200,
             responses: 2000,
@@ -151,8 +154,15 @@ fn every_verdict_passes_on_the_synthetic_set() {
     assert!(verdicts.iter().all(|(passed, ..)| *passed), "{verdicts:#?}");
     // 7 digest/stats pairs, 5 resharded verdicts, 2 floors, speedup,
     // trace-alloc, 2 frame-drop, delivery and convergence of 2 arms,
-    // 2 dup-per-delivery, 4 live, million.
-    assert_eq!(verdicts.len(), 14 + 5 + 2 + 1 + 1 + 2 + 4 + 2 + 4 + 1);
+    // convergence of 9 lossy runs, dup-per-delivery of the fault-free run
+    // and 8 lossy runs (one seed ungated), bubbles-frames, 4 live,
+    // million.
+    let lossy_seeds = gate::LOSSY_SEEDS.count();
+    let dup_gated = 1 + 1 + lossy_seeds - gate::DUP_UNGATED_SEEDS.len();
+    assert_eq!(
+        verdicts.len(),
+        14 + 5 + 2 + 1 + 1 + 2 + 4 + (1 + lossy_seeds) + dup_gated + 1 + 4 + 1
+    );
 }
 
 #[test]
@@ -194,11 +204,54 @@ fn bubbles_duplicates_per_delivery_stay_under_the_ceiling() {
     let seen = assert_fails_only("dup-per-delivery", |r| {
         r.bubbles_serial.duplicates_per_delivery = gate::MAX_DUP_PER_DELIVERY + 0.1;
     });
-    assert!(seen.starts_with("fault-free bubbles: "), "{seen}");
+    assert!(seen.starts_with("fault-free bubbles seed 2008: "), "{seen}");
     let seen = assert_fails_only("dup-per-delivery", |r| {
         r.bubbles_lossy.duplicates_per_delivery = f64::NAN;
     });
-    assert!(seen.starts_with("lossy bubbles: "), "{seen}");
+    assert!(seen.starts_with("lossy bubbles seed 2008: "), "{seen}");
+}
+
+#[test]
+fn lossy_bubbles_converge_fully_at_every_seed() {
+    let seen = assert_fails_only("convergence", |r| {
+        r.bubbles_lossy.convergence_ratio = 11.0 / 12.0;
+    });
+    assert!(seen.starts_with("lossy bubbles seed 2008: "), "{seen}");
+    for seed in gate::LOSSY_SEEDS {
+        let seen = assert_fails_only("convergence", |r| {
+            r.bubbles_lossy_seeds[seed as usize - 1].convergence_ratio = 5.0 / 12.0;
+        });
+        assert!(
+            seen.starts_with(&format!("lossy bubbles seed {seed}: ")),
+            "{seen}"
+        );
+    }
+}
+
+#[test]
+fn lossy_bubbles_duplicates_stay_under_the_ceiling_at_every_gated_seed() {
+    for seed in gate::LOSSY_SEEDS {
+        let inject = |r: &mut GateReports| {
+            r.bubbles_lossy_seeds[seed as usize - 1].duplicates_per_delivery = 26.36;
+        };
+        if gate::DUP_UNGATED_SEEDS.contains(&seed) {
+            let mut reports = passing();
+            inject(&mut reports);
+            assert_eq!(check(&reports), [], "seed {seed} is not dup-gated");
+            continue;
+        }
+        let seen = assert_fails_only("dup-per-delivery", inject);
+        assert!(
+            seen.starts_with(&format!("lossy bubbles seed {seed}: ")),
+            "{seen}"
+        );
+    }
+}
+
+#[test]
+fn bubbles_send_at_most_the_frame_ceiling() {
+    let seen = assert_fails_only("bubbles-frames", |r| r.bubbles_serial.frames_sent = 7_458);
+    assert!(seen.starts_with("default bubbles: 7458 frames"), "{seen}");
 }
 
 #[test]
@@ -236,6 +289,7 @@ fn scale_record_keeps_its_keys_and_labels_threads4_below_four_cores() {
         "bubbles_threads4",
         "bubbles_lossy",
         "bubbles_dense",
+        "bubbles_lossy_seeds",
     ];
     let mut from = 0;
     for key in keys {

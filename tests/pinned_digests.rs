@@ -40,10 +40,10 @@ const CROWDS: [(&str, usize, &str); 4] = [
 
 /// `(faults, digest)` of `BubblesConfig::default()`, as committed in
 /// `BENCH_scale.json` under `bubbles_serial` and `bubbles_lossy`.
-const BUBBLES: [(&str, &str); 2] = [("none", "a98387487b1046bc"), ("lossy", "7e1ff8055aca0262")];
+const BUBBLES: [(&str, &str); 2] = [("none", "486445026ce2a458"), ("lossy", "4bd813903574e69f")];
 
 /// Digest of the mixed-fault bubbles run (see [`mixed_fault_plan`]).
-const MIXED_FAULT_DIGEST: &str = "bb4218be378e366a";
+const MIXED_FAULT_DIGEST: &str = "ecc7285f91c917c4";
 
 /// `(op_mode, digest)` of `scenario::lab` at seed 2008 run to 120 s
 /// virtual; `PerOperation` is the default `LabConfig`.
@@ -162,7 +162,7 @@ fn mixed_fault_bubbles_reproduce_their_pinned_digest() {
                 s.resumed,
                 s.connects_lost_setup
             ),
-            (1_012, 1_448, 31, 1),
+            (447, 408, 22, 3),
             "mixed-fault counters moved at {threads} thread(s): {s}"
         );
         assert_eq!(
