@@ -22,8 +22,9 @@ git diff --exit-code -- LINT.json
 
 # Runtime gate (crates/harness/src/gate.rs): every crowd, fault, bubbles
 # and live arm in-process — serial vs --threads 4 vs the resharded reruns,
-# the events/s floors, the allocation-free trace burst, lossy frame drops,
-# gossip delivery and convergence, live errors/shed/p99. Rewrites
+# the events/s floors, the 100k peak-RSS ceiling, the allocation-free
+# trace burst, lossy frame drops, gossip delivery and convergence, live
+# errors/shed/p99. Rewrites
 # BENCH_scale.json and BENCH_live.json when every check passes.
-# PH_CI_MILLION=1 also re-measures BENCH_million.json (~45 s, ~3.6 GB).
+# PH_CI_MILLION=1 also re-measures BENCH_million.json (~25 s, ~2.5 GB).
 cargo run --release --offline -p ph-harness --bin repro -- gate

@@ -82,6 +82,13 @@ impl GroupRegistry {
     /// returns the events describing what changed (based on the *effective*
     /// view).
     pub fn update(&mut self, fresh: GroupSet) -> Vec<GroupEvent> {
+        // Most recomputes reproduce the current groups. An unchanged auto
+        // set leaves the effective view unchanged too, because `join` and
+        // the `retain` below keep `manual_joins` within `auto`'s keys; so
+        // skip the two `effective` clones and the diff.
+        if fresh == self.auto {
+            return Vec::new();
+        }
         let before = self.effective();
         self.auto = fresh;
         // Drop manual joins for groups that no longer exist at all.
@@ -293,6 +300,25 @@ mod tests {
         let mut reg = GroupRegistry::new("me");
         reg.update(set(&[("solo", &["me"])]));
         assert!(reg.is_empty(), "a one-person group is not a group");
+    }
+
+    #[test]
+    fn an_unchanged_group_set_yields_no_events_and_keeps_manual_choices() {
+        let mut reg = GroupRegistry::new("me");
+        let groups = set(&[
+            ("poker", &["bob", "carol"]),
+            ("sauna", &["bob", "carol", "me"]),
+        ]);
+        reg.update(groups.clone());
+        assert!(reg.join("poker"));
+        assert!(reg.leave("sauna"));
+        let (before, mine) = (reg.groups(), reg.my_groups());
+        assert_eq!(mine.len(), 1);
+        assert!(reg.update(groups).is_empty());
+        assert_eq!(reg.groups(), before);
+        assert_eq!(reg.my_groups(), mine);
+        assert!(reg.group("poker").unwrap().contains("me"));
+        assert!(!reg.group("sauna").unwrap().contains("me"));
     }
 
     #[test]

@@ -542,7 +542,7 @@ pub fn table7(seed: u64) -> Vec<Check> {
         .iter()
         .filter(|e| {
             e.services
-                .as_ref()
+                .as_deref()
                 .is_some_and(|(_, svcs)| svcs.iter().any(|x| x.name() == "PeerHoodCommunity"))
         })
         .count();

@@ -33,6 +33,14 @@ pub const SERIAL_FLOOR: f64 = 600_000.0 * 0.65;
 /// baseline. The same ten runs measured 245k–376k (`BENCH_scale.json`:
 /// 629k).
 pub const FLOOR_100K: f64 = 250_000.0 * 0.60;
+/// Peak RSS ceiling of the 100k-node serial crowd arm, bytes; a missing
+/// reading fails it. The arm's `peak_rss_bytes` is the process high-water
+/// mark after it, which no earlier, smaller arm reaches. Six `repro gate`
+/// runs on the 2-core reference container read 245.6–246.2 MB with 24-byte
+/// events, 64-byte neighbor entries and out-of-line connection maps; with
+/// 72-byte events and 112-byte entries they read 327.0–337.0 MB. The
+/// ceiling leaves ~10% headroom over the former.
+pub const MAX_RSS_100K: u64 = 270_000_000;
 /// Least `--threads 4` over serial events/s ratio at 100k nodes. The
 /// acceptance target is 2x; the floor leaves room for noisy runners.
 pub const MIN_SPEEDUP: f64 = 1.5;
@@ -212,6 +220,13 @@ pub fn verdicts(r: &GateReports) -> Vec<(bool, &'static str, String)> {
     gate(s100.events_per_sec >= SERIAL_FLOOR, "serial-floor", seen);
     let seen = format!("{:.0} events/s, floor {FLOOR_100K}", s100k.events_per_sec);
     gate(s100k.events_per_sec >= FLOOR_100K, "floor-100k", seen);
+    let rss = s100k.peak_rss_bytes;
+    let seen = match rss {
+        Some(bytes) => format!("{bytes} bytes, ceiling {MAX_RSS_100K}"),
+        None => format!("no reading, ceiling {MAX_RSS_100K}"),
+    };
+    let under = rss.is_some_and(|b| b <= MAX_RSS_100K);
+    gate(under, "peak-rss-100k", seen);
     let ratio = r.crowd_100k.threads4.events_per_sec / s100k.events_per_sec;
     let measured = r.nproc >= SPEEDUP_MIN_CORES;
     let seen = if measured {

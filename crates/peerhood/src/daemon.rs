@@ -138,6 +138,65 @@ pub struct RecoveryStats {
     pub resumed: u64,
 }
 
+/// The daemon's connection and recovery bookkeeping. Boxed out of
+/// [`Daemon`] behind [`LazyTables`] and created on the first connect or
+/// service-list request: most crowd daemons never do either, and inline
+/// these eight maps took 192 bytes of every node.
+#[derive(Debug, Default)]
+struct ConnTables {
+    conns: BTreeMap<ConnId, Conn>,
+    link_index: BTreeMap<LinkId, ConnId>,
+    attempts: BTreeMap<AttemptId, Attempt>,
+    resume_index: BTreeMap<ResumeToken, ConnId>,
+    pending_service_queries: BTreeMap<DeviceId, u32>,
+    /// Per-attempt give-up instants (populated only with a recovery policy).
+    attempt_deadlines: BTreeMap<AttemptId, SimTime>,
+    /// Connect sequences sleeping through their backoff, by wake time.
+    pending_retries: BTreeMap<SimTime, Vec<RetryConnect>>,
+    /// Give-up instants for outstanding service queries (recovery only).
+    query_deadlines: BTreeMap<DeviceId, QueryDeadline>,
+}
+
+/// What [`LazyTables::get`] reads before the tables exist.
+static NO_TABLES: ConnTables = ConnTables {
+    conns: BTreeMap::new(),
+    link_index: BTreeMap::new(),
+    attempts: BTreeMap::new(),
+    resume_index: BTreeMap::new(),
+    pending_service_queries: BTreeMap::new(),
+    attempt_deadlines: BTreeMap::new(),
+    pending_retries: BTreeMap::new(),
+    query_deadlines: BTreeMap::new(),
+};
+
+/// [`ConnTables`], allocated on first write. A wrapper rather than methods
+/// on [`Daemon`] so that a borrow of the tables leaves the daemon's other
+/// fields free.
+#[derive(Debug, Default)]
+struct LazyTables(Option<Box<ConnTables>>);
+
+impl LazyTables {
+    /// The tables, or empty ones if nothing was ever written.
+    fn get(&self) -> &ConnTables {
+        self.0.as_deref().unwrap_or(&NO_TABLES)
+    }
+
+    /// The tables, if they were ever written.
+    fn existing(&self) -> Option<&ConnTables> {
+        self.0.as_deref()
+    }
+
+    /// The tables for a removal, which needs no tables to exist.
+    fn existing_mut(&mut self) -> Option<&mut ConnTables> {
+        self.0.as_deref_mut()
+    }
+
+    /// The tables for an insertion, created on first use.
+    fn get_mut(&mut self) -> &mut ConnTables {
+        self.0.get_or_insert_with(Box::default)
+    }
+}
+
 /// The PeerHood Daemon.
 ///
 /// Drive it by calling [`Daemon::handle`] with each input; it appends
@@ -150,17 +209,7 @@ pub struct Daemon {
     neighbors: NeighborTable,
     monitors: BTreeSet<DeviceId>,
     inquiries: TechMap<InquiryState>,
-    conns: BTreeMap<ConnId, Conn>,
-    link_index: BTreeMap<LinkId, ConnId>,
-    attempts: BTreeMap<AttemptId, Attempt>,
-    resume_index: BTreeMap<ResumeToken, ConnId>,
-    pending_service_queries: BTreeMap<DeviceId, u32>,
-    /// Per-attempt give-up instants (populated only with a recovery policy).
-    attempt_deadlines: BTreeMap<AttemptId, SimTime>,
-    /// Connect sequences sleeping through their backoff, by wake time.
-    pending_retries: BTreeMap<SimTime, Vec<RetryConnect>>,
-    /// Give-up instants for outstanding service queries (recovery only).
-    query_deadlines: BTreeMap<DeviceId, QueryDeadline>,
+    tables: LazyTables,
     recovery_stats: RecoveryStats,
     /// Whether the one-shot [`AppEvent::GossipEnabled`] announcement has
     /// been emitted (only relevant when the config carries a gossip layer).
@@ -193,14 +242,7 @@ impl Daemon {
             neighbors: NeighborTable::new(),
             monitors: BTreeSet::new(),
             inquiries,
-            conns: BTreeMap::new(),
-            link_index: BTreeMap::new(),
-            attempts: BTreeMap::new(),
-            resume_index: BTreeMap::new(),
-            pending_service_queries: BTreeMap::new(),
-            attempt_deadlines: BTreeMap::new(),
-            pending_retries: BTreeMap::new(),
-            query_deadlines: BTreeMap::new(),
+            tables: LazyTables::default(),
             recovery_stats: RecoveryStats::default(),
             gossip_announced: false,
             next_conn: 0,
@@ -226,7 +268,7 @@ impl Daemon {
 
     /// Number of currently open connections.
     pub fn connection_count(&self) -> usize {
-        self.conns.len()
+        self.tables.get().conns.len()
     }
 
     /// Counters of the recovery machinery (all zero without a
@@ -242,11 +284,15 @@ impl Daemon {
     /// monitor subscriptions survive (they are application intent, which in
     /// a real deployment would be re-asserted on reconnect).
     pub fn crash_restart(&mut self, now: SimTime, out: &mut Vec<DaemonOutput>) {
-        let conns: Vec<ConnId> = self.conns.keys().copied().collect();
+        let conns: Vec<ConnId> = self.tables.get().conns.keys().copied().collect();
         for conn in conns {
             self.drop_conn(conn, CloseReason::LinkLost, out);
         }
-        for (device, waiting) in std::mem::take(&mut self.pending_service_queries) {
+        let pending = self
+            .tables
+            .existing_mut()
+            .map(|t| std::mem::take(&mut t.pending_service_queries));
+        for (device, waiting) in pending.unwrap_or_default() {
             for _ in 0..waiting {
                 out.push(DaemonOutput::App(AppEvent::ServiceList {
                     device,
@@ -256,13 +302,7 @@ impl Daemon {
             }
         }
         self.neighbors = NeighborTable::new();
-        self.conns.clear();
-        self.link_index.clear();
-        self.attempts.clear();
-        self.attempt_deadlines.clear();
-        self.pending_retries.clear();
-        self.query_deadlines.clear();
-        self.resume_index.clear();
+        self.tables = LazyTables::default();
         for st in self.inquiries.values_mut() {
             st.running = false;
             st.next_start = now;
@@ -304,8 +344,11 @@ impl Daemon {
         for info in removed {
             // Applications waiting on a service list for the vanished
             // device get an empty answer rather than silence.
-            self.query_deadlines.remove(&info.id);
-            if let Some(waiting) = self.pending_service_queries.remove(&info.id) {
+            let waiting = self.tables.existing_mut().and_then(|t| {
+                t.query_deadlines.remove(&info.id);
+                t.pending_service_queries.remove(&info.id)
+            });
+            if let Some(waiting) = waiting {
                 for _ in 0..waiting {
                     out.push(DaemonOutput::App(AppEvent::ServiceList {
                         device: info.id,
@@ -334,8 +377,13 @@ impl Daemon {
             }
         }
 
+        // Connection and recovery work; a daemon that never connected or
+        // asked for a service list has none.
+        let Some(tables) = self.tables.existing() else {
+            return;
+        };
         // Responder-side handover limbo timeouts.
-        let expired: Vec<ConnId> = self
+        let expired: Vec<ConnId> = tables
             .conns
             .iter()
             .filter(|(_, c)| c.limbo_deadline.is_some_and(|d| now >= d))
@@ -356,6 +404,8 @@ impl Daemon {
     /// schedule then apply as usual.
     fn run_attempt_timeouts(&mut self, now: SimTime, out: &mut Vec<DaemonOutput>) {
         let due: Vec<AttemptId> = self
+            .tables
+            .get()
             .attempt_deadlines
             .iter()
             .filter(|(_, &at)| now >= at)
@@ -375,7 +425,7 @@ impl Daemon {
     /// Relaunches connect sequences whose backoff has elapsed.
     fn run_pending_retries(&mut self, now: SimTime, out: &mut Vec<DaemonOutput>) {
         let mut due: Vec<RetryConnect> = Vec::new();
-        while let Some(entry) = self.pending_retries.first_entry() {
+        while let Some(entry) = self.tables.get_mut().pending_retries.first_entry() {
             if *entry.key() > now {
                 break;
             }
@@ -385,7 +435,7 @@ impl Daemon {
             // A handover retry for a connection that died in the meantime
             // has nothing left to resume.
             if let AttemptPurpose::Handover { conn, .. } = &retry.purpose {
-                if !self.conns.contains_key(conn) {
+                if !self.tables.get().conns.contains_key(conn) {
                     continue;
                 }
             }
@@ -405,7 +455,9 @@ impl Daemon {
             self.recovery_stats.retries += 1;
             let first = techs.remove(0);
             let resume = match &retry.purpose {
-                AttemptPurpose::Handover { conn, .. } => self.conns.get(conn).map(|c| c.resume),
+                AttemptPurpose::Handover { conn, .. } => {
+                    self.tables.get().conns.get(conn).map(|c| c.resume)
+                }
                 AttemptPurpose::NewConnection => None,
             };
             self.start_attempt(
@@ -429,14 +481,17 @@ impl Daemon {
             return;
         };
         let due: Vec<(DeviceId, QueryDeadline)> = self
+            .tables
+            .get()
             .query_deadlines
             .iter()
             .filter(|(_, d)| now >= d.at)
             .map(|(&dev, &d)| (dev, d))
             .collect();
         for (device, deadline) in due {
-            self.query_deadlines.remove(&device);
-            if !self.pending_service_queries.contains_key(&device) {
+            let tables = self.tables.get_mut();
+            tables.query_deadlines.remove(&device);
+            if !tables.pending_service_queries.contains_key(&device) {
                 continue; // answered in the meantime
             }
             self.recovery_stats.timeouts += 1;
@@ -449,7 +504,7 @@ impl Daemon {
                 .flatten();
             if let Some(tech) = retry_tech {
                 self.recovery_stats.retries += 1;
-                self.query_deadlines.insert(
+                self.tables.get_mut().query_deadlines.insert(
                     device,
                     QueryDeadline {
                         at: now + policy.query_timeout,
@@ -470,11 +525,16 @@ impl Daemon {
                 .then(|| {
                     self.neighbors
                         .get(device)
-                        .and_then(|e| e.services.as_ref())
+                        .and_then(|e| e.services.as_deref())
                         .map(|(_, s)| s.clone())
                 })
                 .flatten();
-            let waiting = self.pending_service_queries.remove(&device).unwrap_or(0);
+            let waiting = self
+                .tables
+                .get_mut()
+                .pending_service_queries
+                .remove(&device)
+                .unwrap_or(0);
             if stale_services.is_some() {
                 self.recovery_stats.resumed += 1;
             }
@@ -509,12 +569,14 @@ impl Daemon {
                     error: PeerHoodError::Unreachable(device),
                 }));
             }
-            AttemptPurpose::Handover { conn, .. } => match self.conns.get_mut(&conn) {
-                Some(state) if state.link.is_some() => {
-                    state.handing_over = false;
+            AttemptPurpose::Handover { conn, .. } => {
+                match self.tables.get_mut().conns.get_mut(&conn) {
+                    Some(state) if state.link.is_some() => {
+                        state.handing_over = false;
+                    }
+                    _ => self.drop_conn(conn, CloseReason::HandoverFailed, out),
                 }
-                _ => self.drop_conn(conn, CloseReason::HandoverFailed, out),
-            },
+            }
         }
     }
 
@@ -531,19 +593,22 @@ impl Daemon {
         if let Some(t) = self.neighbors.next_expiry(self.config.neighbor_ttl) {
             consider(t);
         }
-        for c in self.conns.values() {
-            if let Some(d) = c.limbo_deadline {
-                consider(d);
+        if let Some(tables) = self.tables.existing() {
+            for c in tables.conns.values() {
+                if let Some(d) = c.limbo_deadline {
+                    consider(d);
+                }
             }
+            tables
+                .attempt_deadlines
+                .values()
+                .copied()
+                .for_each(&mut consider);
+            if let Some((&at, _)) = tables.pending_retries.first_key_value() {
+                consider(at);
+            }
+            tables.query_deadlines.values().for_each(|d| consider(d.at));
         }
-        self.attempt_deadlines
-            .values()
-            .copied()
-            .for_each(&mut consider);
-        if let Some((&at, _)) = self.pending_retries.first_key_value() {
-            consider(at);
-        }
-        self.query_deadlines.values().for_each(|d| consider(d.at));
         // Clamp to strictly-future so a boundary case can never produce a
         // zero-delay wake loop.
         next.map(|t| t.max(now + Duration::from_micros(1)))
@@ -585,7 +650,7 @@ impl Daemon {
                 self.handle_send(conn, payload, out);
             }
             AppRequest::Close { conn } => {
-                if let Some(state) = self.conns.get(&conn) {
+                if let Some(state) = self.tables.get().conns.get(&conn) {
                     if let Some(link) = state.link {
                         out.push(DaemonOutput::Plugin(PluginCommand::CloseLink { link }));
                     }
@@ -617,7 +682,7 @@ impl Daemon {
             return;
         };
         // Serve from cache while it is no older than the neighbor TTL.
-        if let Some((fetched, services)) = &entry.services {
+        if let Some((fetched, services)) = entry.services.as_deref() {
             if now.saturating_since(*fetched) < self.config.neighbor_ttl {
                 out.push(DaemonOutput::App(AppEvent::ServiceList {
                     device,
@@ -635,13 +700,14 @@ impl Daemon {
             }));
             return;
         };
-        let waiting = self.pending_service_queries.entry(device).or_insert(0);
+        let tables = self.tables.get_mut();
+        let waiting = tables.pending_service_queries.entry(device).or_insert(0);
         *waiting += 1;
         if *waiting == 1 {
             // First asker triggers the wire query; later askers share the
             // reply (each still gets its own ServiceList event).
             if let Some(policy) = self.config.recovery {
-                self.query_deadlines.insert(
+                tables.query_deadlines.insert(
                     device,
                     QueryDeadline {
                         at: now + policy.query_timeout,
@@ -709,7 +775,8 @@ impl Daemon {
     ) {
         let attempt = AttemptId::new(self.next_attempt);
         self.next_attempt += 1;
-        self.attempts.insert(
+        let tables = self.tables.get_mut();
+        tables.attempts.insert(
             attempt,
             Attempt {
                 device,
@@ -721,7 +788,8 @@ impl Daemon {
             },
         );
         if let Some(policy) = self.config.recovery {
-            self.attempt_deadlines
+            tables
+                .attempt_deadlines
                 .insert(attempt, now + policy.connect_timeout);
         }
         out.push(DaemonOutput::Plugin(PluginCommand::OpenConnection {
@@ -734,7 +802,7 @@ impl Daemon {
     }
 
     fn handle_send(&mut self, conn: ConnId, payload: Bytes, out: &mut Vec<DaemonOutput>) {
-        match self.conns.get_mut(&conn) {
+        match self.tables.get_mut().conns.get_mut(&conn) {
             Some(state) => {
                 // During a proactive (make-before-break) handover the old
                 // link is still up and keeps carrying traffic; only a
@@ -783,14 +851,17 @@ impl Daemon {
             PluginEvent::ServiceReply { device, services } => {
                 self.neighbors
                     .record_services(device, services.clone(), now);
-                if let Some(deadline) = self.query_deadlines.remove(&device) {
+                let Some(tables) = self.tables.existing_mut() else {
+                    return;
+                };
+                if let Some(deadline) = tables.query_deadlines.remove(&device) {
                     if deadline.tries > 0 {
                         // The answer only arrived because a retry round
                         // re-asked: the query recovered.
                         self.recovery_stats.resumed += 1;
                     }
                 }
-                if let Some(waiting) = self.pending_service_queries.remove(&device) {
+                if let Some(waiting) = tables.pending_service_queries.remove(&device) {
                     for _ in 0..waiting {
                         out.push(DaemonOutput::App(AppEvent::ServiceList {
                             device,
@@ -815,7 +886,7 @@ impl Daemon {
                 self.handle_incoming(link, device.id, service, technology, resume, out);
             }
             PluginEvent::Frame { link, payload } => {
-                if let Some(conn) = self.link_index.get(&link) {
+                if let Some(conn) = self.tables.get().link_index.get(&link) {
                     out.push(DaemonOutput::App(AppEvent::Data {
                         conn: *conn,
                         payload,
@@ -823,8 +894,9 @@ impl Daemon {
                 }
             }
             PluginEvent::PeerClosed { link } => {
-                if let Some(conn) = self.link_index.remove(&link) {
-                    if let Some(state) = self.conns.get_mut(&conn) {
+                let tables = self.tables.get_mut();
+                if let Some(conn) = tables.link_index.remove(&link) {
+                    if let Some(state) = tables.conns.get_mut(&conn) {
                         state.link = None;
                     }
                     self.drop_conn(conn, CloseReason::PeerClose, out);
@@ -846,10 +918,11 @@ impl Daemon {
         if !self.config.seamless_connectivity {
             return;
         }
-        let Some(&conn) = self.link_index.get(&link) else {
+        let tables = self.tables.get();
+        let Some(&conn) = tables.link_index.get(&link) else {
             return;
         };
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let Some(state) = tables.conns.get(&conn) else {
             return;
         };
         // Only the initiator migrates, and only once per episode.
@@ -871,7 +944,7 @@ impl Daemon {
         if alternatives.is_empty() {
             return; // nothing to migrate to; ride the old link down
         }
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let Some(state) = self.tables.get_mut().conns.get_mut(&conn) else {
             return; // connection vanished between the lookups
         };
         state.handing_over = true;
@@ -929,11 +1002,12 @@ impl Daemon {
         result: Result<LinkId, String>,
         out: &mut Vec<DaemonOutput>,
     ) {
-        let Some(att) = self.attempts.remove(&attempt) else {
+        let tables = self.tables.get_mut();
+        let Some(att) = tables.attempts.remove(&attempt) else {
             // Late result for an attempt already timed out and replaced.
             return;
         };
-        self.attempt_deadlines.remove(&attempt);
+        tables.attempt_deadlines.remove(&attempt);
         if result.is_ok() && att.tries > 0 {
             self.recovery_stats.resumed += 1;
         }
@@ -946,7 +1020,8 @@ impl Daemon {
                         initiator: self.config.device.id,
                         conn,
                     };
-                    self.conns.insert(
+                    let tables = self.tables.get_mut();
+                    tables.conns.insert(
                         conn,
                         Conn {
                             device: att.device,
@@ -960,7 +1035,7 @@ impl Daemon {
                             limbo_deadline: None,
                         },
                     );
-                    self.link_index.insert(link, conn);
+                    tables.link_index.insert(link, conn);
                     out.push(DaemonOutput::App(AppEvent::Connected {
                         conn,
                         device: att.device,
@@ -969,7 +1044,8 @@ impl Daemon {
                     }));
                 }
                 AttemptPurpose::Handover { conn, from } => {
-                    if let Some(state) = self.conns.get_mut(&conn) {
+                    let tables = self.tables.get_mut();
+                    if let Some(state) = tables.conns.get_mut(&conn) {
                         // Finish mutating the connection before touching
                         // `link_index`/`out`, so one lookup suffices.
                         let old_link = state.link.replace(link);
@@ -980,12 +1056,12 @@ impl Daemon {
                         // (proactive handover), shut it down now that the
                         // replacement is up.
                         if let Some(old_link) = old_link {
-                            self.link_index.remove(&old_link);
+                            tables.link_index.remove(&old_link);
                             out.push(DaemonOutput::Plugin(PluginCommand::CloseLink {
                                 link: old_link,
                             }));
                         }
-                        self.link_index.insert(link, conn);
+                        tables.link_index.insert(link, conn);
                         out.push(DaemonOutput::App(AppEvent::Handover {
                             conn,
                             from,
@@ -1009,7 +1085,7 @@ impl Daemon {
                 if let Some(next_tech) = (!fallbacks.is_empty()).then(|| fallbacks.remove(0)) {
                     let resume = match &att.purpose {
                         AttemptPurpose::Handover { conn, .. } => {
-                            self.conns.get(conn).map(|c| c.resume)
+                            self.tables.get().conns.get(conn).map(|c| c.resume)
                         }
                         AttemptPurpose::NewConnection => None,
                     };
@@ -1033,6 +1109,8 @@ impl Daemon {
                 // and makes a retry pointless churn.
                 let proactive = match &att.purpose {
                     AttemptPurpose::Handover { conn, .. } => self
+                        .tables
+                        .get()
                         .conns
                         .get(conn)
                         .is_some_and(|state| state.link.is_some()),
@@ -1041,7 +1119,9 @@ impl Daemon {
                 if let Some(policy) = self.config.recovery {
                     if !proactive && att.tries < policy.max_retries {
                         let at = now + policy.backoff(att.tries);
-                        self.pending_retries
+                        self.tables
+                            .get_mut()
+                            .pending_retries
                             .entry(at)
                             .or_default()
                             .push(RetryConnect {
@@ -1068,7 +1148,7 @@ impl Daemon {
                     AttemptPurpose::Handover { conn, .. } => {
                         // A failed *proactive* handover is survivable:
                         // the old link may still be up.
-                        match self.conns.get_mut(&conn) {
+                        match self.tables.get_mut().conns.get_mut(&conn) {
                             Some(state) if state.link.is_some() => {
                                 state.handing_over = false;
                             }
@@ -1091,17 +1171,18 @@ impl Daemon {
     ) {
         // A resume of a logical connection we still hold?
         if let Some(token) = resume {
-            if let Some(&conn) = self.resume_index.get(&token) {
-                if let Some(state) = self.conns.get_mut(&conn) {
+            let tables = self.tables.get_mut();
+            if let Some(&conn) = tables.resume_index.get(&token) {
+                if let Some(state) = tables.conns.get_mut(&conn) {
                     if let Some(old_link) = state.link.take() {
-                        self.link_index.remove(&old_link);
+                        tables.link_index.remove(&old_link);
                     }
                     let from = state.technology;
                     state.link = Some(link);
                     state.technology = technology;
                     state.handing_over = false;
                     state.limbo_deadline = None;
-                    self.link_index.insert(link, conn);
+                    tables.link_index.insert(link, conn);
                     out.push(DaemonOutput::Plugin(PluginCommand::AcceptConnection {
                         link,
                     }));
@@ -1127,7 +1208,8 @@ impl Daemon {
             initiator: device,
             conn,
         });
-        self.conns.insert(
+        let tables = self.tables.get_mut();
+        tables.conns.insert(
             conn,
             Conn {
                 device,
@@ -1141,8 +1223,8 @@ impl Daemon {
                 limbo_deadline: None,
             },
         );
-        self.link_index.insert(link, conn);
-        self.resume_index.insert(token, conn);
+        tables.link_index.insert(link, conn);
+        tables.resume_index.insert(token, conn);
         out.push(DaemonOutput::Plugin(PluginCommand::AcceptConnection {
             link,
         }));
@@ -1155,10 +1237,11 @@ impl Daemon {
     }
 
     fn handle_link_down(&mut self, now: SimTime, link: LinkId, out: &mut Vec<DaemonOutput>) {
-        let Some(conn) = self.link_index.remove(&link) else {
+        let tables = self.tables.get_mut();
+        let Some(conn) = tables.link_index.remove(&link) else {
             return;
         };
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let Some(state) = tables.conns.get_mut(&conn) else {
             return;
         };
         state.link = None;
@@ -1191,7 +1274,7 @@ impl Daemon {
                 self.drop_conn(conn, CloseReason::LinkLost, out);
                 return;
             }
-            let Some(state) = self.conns.get_mut(&conn) else {
+            let Some(state) = self.tables.get_mut().conns.get_mut(&conn) else {
                 return; // connection vanished between the lookups
             };
             state.handing_over = true;
@@ -1218,11 +1301,12 @@ impl Daemon {
     }
 
     fn drop_conn(&mut self, conn: ConnId, reason: CloseReason, out: &mut Vec<DaemonOutput>) {
-        if let Some(state) = self.conns.remove(&conn) {
+        let tables = self.tables.get_mut();
+        if let Some(state) = tables.conns.remove(&conn) {
             if let Some(link) = state.link {
-                self.link_index.remove(&link);
+                tables.link_index.remove(&link);
             }
-            self.resume_index.retain(|_, c| *c != conn);
+            tables.resume_index.retain(|_, c| *c != conn);
             out.push(DaemonOutput::App(AppEvent::Closed { conn, reason }));
         }
     }

@@ -16,9 +16,16 @@ use crate::types::{DeviceId, DeviceInfo};
 /// [`Technology::ALL`] order. At crowd scale there is one of these per
 /// neighbor entry, so it is an inline 3-slot array: the `BTreeMap` it
 /// replaced cost a B-tree node allocation per entry, which dominated the
-/// million-node heap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SightingTimes([Option<SimTime>; 3]);
+/// million-node heap. A slot holding [`SimTime::MAX`] means "not seen",
+/// which keeps the array at 24 bytes where `[Option<SimTime>; 3]` took 48.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SightingTimes([SimTime; 3]);
+
+impl Default for SightingTimes {
+    fn default() -> Self {
+        SightingTimes([SimTime::MAX; 3])
+    }
+}
 
 impl SightingTimes {
     fn slot(tech: Technology) -> usize {
@@ -31,7 +38,8 @@ impl SightingTimes {
 
     /// When the device last answered discovery over `tech`, if it has.
     pub fn get(&self, tech: Technology) -> Option<SimTime> {
-        self.0[Self::slot(tech)]
+        let at = self.0[Self::slot(tech)];
+        (at != SimTime::MAX).then_some(at)
     }
 
     /// Whether the device has been sighted over `tech` at all.
@@ -39,14 +47,16 @@ impl SightingTimes {
         self.get(tech).is_some()
     }
 
-    /// Records a sighting over `tech`.
+    /// Records a sighting over `tech`. `at` must not be [`SimTime::MAX`],
+    /// the "not seen" sentinel.
     pub fn insert(&mut self, tech: Technology, at: SimTime) {
-        self.0[Self::slot(tech)] = Some(at);
+        debug_assert!(at != SimTime::MAX, "sighting recorded at SimTime::MAX");
+        self.0[Self::slot(tech)] = at;
     }
 
     /// Whether no technology has a recorded sighting.
     pub fn is_empty(&self) -> bool {
-        self.0.iter().all(Option::is_none)
+        self.0.iter().all(|&at| at == SimTime::MAX)
     }
 
     /// Recorded sightings as `(technology, time)`, in [`Technology::ALL`]
@@ -55,16 +65,14 @@ impl SightingTimes {
         Technology::ALL
             .into_iter()
             .zip(self.0)
-            .filter_map(|(tech, seen)| seen.map(|at| (tech, at)))
+            .filter(|&(_, at)| at != SimTime::MAX)
     }
 
     /// Drops every sighting for which `keep` returns false.
     fn retain(&mut self, mut keep: impl FnMut(SimTime) -> bool) {
         for slot in &mut self.0 {
-            if let Some(at) = slot {
-                if !keep(*at) {
-                    *slot = None;
-                }
+            if *slot != SimTime::MAX && !keep(*slot) {
+                *slot = SimTime::MAX;
             }
         }
     }
@@ -78,9 +86,18 @@ pub struct NeighborEntry {
     /// When the device last answered discovery, per technology it was seen
     /// on.
     pub last_seen: SightingTimes,
-    /// Cached remote service list, with the time it was fetched.
-    pub services: Option<(SimTime, Vec<ServiceInfo>)>,
+    /// Cached remote service list, with the time it was fetched. Boxed:
+    /// most crowd entries never fetch one, and inline it took 32 of the
+    /// entry's bytes.
+    pub services: Option<Box<(SimTime, Vec<ServiceInfo>)>>,
 }
+
+// One entry per neighbor per daemon: in a 100k crowd the entries are,
+// after pending events, the largest heap consumer. They were 112 bytes
+// before the sentinel sighting slots and the boxed service cache; with
+// 24-byte events and the daemon's out-of-line connection maps, that took
+// perfbench's `crowd_100k` from ~411 to ~265 MiB peak RSS.
+const _: () = assert!(std::mem::size_of::<NeighborEntry>() <= 64);
 
 impl NeighborEntry {
     /// Technologies the device is currently visible on, in
@@ -177,8 +194,8 @@ impl NeighborTable {
     ///
     /// Ignored if the device is no longer in the table.
     pub fn record_services(&mut self, device: DeviceId, services: Vec<ServiceInfo>, now: SimTime) {
-        if let Ok(at) = self.position(device) {
-            self.entries[at].services = Some((now, services));
+        if let Some(entry) = self.get_mut(device) {
+            entry.services = Some(Box::new((now, services)));
         }
     }
 
@@ -215,6 +232,11 @@ impl NeighborTable {
     /// Looks up one neighbor.
     pub fn get(&self, device: DeviceId) -> Option<&NeighborEntry> {
         self.position(device).ok().map(|at| &self.entries[at])
+    }
+
+    fn get_mut(&mut self, device: DeviceId) -> Option<&mut NeighborEntry> {
+        let at = self.position(device).ok()?;
+        self.entries.get_mut(at)
     }
 
     /// Whether the device is currently known.
@@ -274,6 +296,50 @@ mod tests {
             SightingOutcome::NewTechnology
         );
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn sighting_slots_use_max_as_not_seen() {
+        let mut times = SightingTimes::default();
+        assert!(times.is_empty());
+        assert_eq!(times.iter().count(), 0);
+        // A sighting at time zero is a sighting, not an empty slot.
+        times.insert(Technology::Wlan, SimTime::ZERO);
+        assert!(!times.is_empty());
+        assert_eq!(times.get(Technology::Wlan), Some(SimTime::ZERO));
+        assert!(!times.contains(Technology::Bluetooth));
+        assert_eq!(
+            times.iter().collect::<Vec<_>>(),
+            vec![(Technology::Wlan, SimTime::ZERO)]
+        );
+
+        let ttl = Duration::from_secs(10);
+        let mut t = NeighborTable::new();
+        t.record_sighting(info(1), Technology::Wlan, SimTime::ZERO);
+        assert_eq!(
+            t.record_sighting(info(1), Technology::Wlan, SimTime::ZERO),
+            SightingOutcome::Refreshed
+        );
+        assert_eq!(
+            t.record_sighting(info(1), Technology::Bluetooth, SimTime::from_secs(5)),
+            SightingOutcome::NewTechnology
+        );
+        assert_eq!(t.next_expiry(ttl), Some(SimTime::from_secs(10)));
+        // Each technology expires on its own clock; the entry goes once
+        // every slot is back to "not seen".
+        assert!(t.expire(SimTime::from_secs(10), ttl).is_empty());
+        let entry = t.get(DeviceId::new(1)).unwrap();
+        assert_eq!(entry.visible_technologies(), vec![Technology::Bluetooth]);
+        assert_eq!(entry.last_seen.get(Technology::Wlan), None);
+        assert_eq!(t.expire(SimTime::from_secs(15), ttl).len(), 1);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "SimTime::MAX")]
+    fn a_sighting_at_the_sentinel_is_rejected() {
+        SightingTimes::default().insert(Technology::Bluetooth, SimTime::MAX);
     }
 
     #[test]
@@ -337,7 +403,7 @@ mod tests {
             now,
         );
         let entry = t.get(DeviceId::new(1)).unwrap();
-        let (_, services) = entry.services.as_ref().unwrap();
+        let (_, services) = entry.services.as_deref().unwrap();
         assert_eq!(services[0].name(), "PeerHoodCommunity");
         // Unknown device: silently ignored.
         t.record_services(DeviceId::new(9), vec![], now);

@@ -77,29 +77,24 @@ enum Ev {
     ServiceReplyArrive {
         to: NodeId,
         from: NodeId,
-        services: Vec<ServiceInfo>,
+        // Boxed for the size of `Ev`, not to move the list to the heap.
+        #[allow(clippy::box_collection)]
+        services: Box<Vec<ServiceInfo>>,
         /// Which radio carried the reply; `None` for the synthetic
         /// empty reply a local SDP timeout produces (not a wire frame,
         /// so fault injection never touches it).
         tech: Option<Technology>,
     },
-    ConnectSetupDone {
-        initiator: NodeId,
-        attempt: AttemptId,
-        target: NodeId,
-        service: String,
-        tech: Technology,
-        resume: Option<ResumeToken>,
-    },
+    ConnectSetupDone(Box<SetupDone>),
     ConnectResultArrive {
         to: NodeId,
         attempt: AttemptId,
-        result: Result<LinkId, String>,
+        result: Box<Result<LinkId, String>>,
     },
     FrameArrive {
         to: NodeId,
         link: LinkId,
-        payload: Bytes,
+        payload: Box<Bytes>,
     },
     PeerClosedArrive {
         to: NodeId,
@@ -113,6 +108,27 @@ enum Ev {
     CrashStart(NodeId),
     /// The crashed daemon restarts (with empty soft state).
     CrashEnd(NodeId),
+}
+
+// A 100k crowd holds ~480k pending events (each device has inquiry
+// responses in flight across the 10.24 s window), so every byte here is
+// paid half a million times over. The four rare variants that carry a
+// `String`, `Vec` or `Bytes` box their payloads; inline, they made every
+// event 72 bytes. With the 64-byte `NeighborEntry` and the daemon's
+// out-of-line connection maps, this took perfbench's `crowd_100k` from
+// ~411 to ~265 MiB peak RSS.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 24);
+
+/// The payload of [`Ev::ConnectSetupDone`]: a connection whose paging and
+/// setup finished, about to reach the target's daemon.
+#[derive(Debug)]
+struct SetupDone {
+    initiator: NodeId,
+    attempt: AttemptId,
+    target: NodeId,
+    service: String,
+    tech: Technology,
+    resume: Option<ResumeToken>,
 }
 
 #[derive(Debug)]
@@ -216,6 +232,11 @@ struct NodeRt<A> {
     /// Lazily-initialized fault state (see [`FaultRt`]).
     fault: Option<Box<FaultRt>>,
 }
+
+// One per simulated device. The daemon's connection and recovery maps live
+// out of line (created on first connect), which took this from 776 to 592
+// bytes: ~18 MiB of the `crowd_100k` heap, where most devices never connect.
+const _: () = assert!(std::mem::size_of::<NodeRt<()>>() <= 592);
 
 impl<A> NodeRt<A> {
     /// The node's fault state, deriving its lane on first use.
@@ -332,7 +353,7 @@ fn ev_target(ev: &Ev) -> NodeId {
         | Ev::FrameArrive { to, .. }
         | Ev::PeerClosedArrive { to, .. }
         | Ev::LinkDownArrive { to, .. } => *to,
-        Ev::ConnectSetupDone { target, .. } => *target,
+        Ev::ConnectSetupDone(setup) => setup.target,
         Ev::CrashStart(n) | Ev::CrashEnd(n) => *n,
     }
 }
@@ -857,18 +878,22 @@ impl<A: Application> EpochWorker<'_, A> {
                     let device = DeviceId::new(from.index() as u64);
                     self.feed_daemon(
                         to,
-                        DaemonInput::Plugin(PluginEvent::ServiceReply { device, services }),
+                        DaemonInput::Plugin(PluginEvent::ServiceReply {
+                            device,
+                            services: *services,
+                        }),
                     );
                 }
             }
-            Ev::ConnectSetupDone {
-                initiator,
-                attempt,
-                target,
-                service,
-                tech,
-                resume,
-            } => {
+            Ev::ConnectSetupDone(setup) => {
+                let SetupDone {
+                    initiator,
+                    attempt,
+                    target,
+                    service,
+                    tech,
+                    resume,
+                } = *setup;
                 if !self.view.reachable(initiator, target, tech) {
                     // The peer moved away while setup was in flight: this is
                     // a failed connect like any other, plus its own counter
@@ -936,7 +961,10 @@ impl<A: Application> EpochWorker<'_, A> {
                 }
                 self.feed_daemon(
                     to,
-                    DaemonInput::Plugin(PluginEvent::ConnectResult { attempt, result }),
+                    DaemonInput::Plugin(PluginEvent::ConnectResult {
+                        attempt,
+                        result: *result,
+                    }),
                 );
             }
             Ev::FrameArrive { to, link, payload } => {
@@ -957,7 +985,10 @@ impl<A: Application> EpochWorker<'_, A> {
                     stats.bytes_delivered += payload.len() as u64;
                     self.feed_daemon(
                         to,
-                        DaemonInput::Plugin(PluginEvent::Frame { link, payload }),
+                        DaemonInput::Plugin(PluginEvent::Frame {
+                            link,
+                            payload: *payload,
+                        }),
                     );
                 }
             }
@@ -1213,7 +1244,7 @@ impl<A: Application> EpochWorker<'_, A> {
                         Ev::ServiceReplyArrive {
                             to: node,
                             from: target,
-                            services: Vec::new(),
+                            services: Box::default(),
                             tech: None,
                         },
                     );
@@ -1236,7 +1267,7 @@ impl<A: Application> EpochWorker<'_, A> {
                         Ev::ServiceReplyArrive {
                             to: target,
                             from: node,
-                            services,
+                            services: Box::new(services),
                             tech: Some(tech),
                         },
                     );
@@ -1262,23 +1293,23 @@ impl<A: Application> EpochWorker<'_, A> {
                     Ev::ConnectResultArrive {
                         to: node,
                         attempt,
-                        result: Err(format!("{technology} connection refused")),
+                        result: Box::new(Err(format!("{technology} connection refused"))),
                     }
                 } else if self.view.reachable(node, target, technology) {
-                    Ev::ConnectSetupDone {
+                    Ev::ConnectSetupDone(Box::new(SetupDone {
                         initiator: node,
                         attempt,
                         target,
                         service,
                         tech: technology,
                         resume,
-                    }
+                    }))
                 } else {
                     // A failed paging attempt costs about the setup time.
                     Ev::ConnectResultArrive {
                         to: node,
                         attempt,
-                        result: Err(format!("{technology} peer out of range")),
+                        result: Box::new(Err(format!("{technology} peer out of range"))),
                     }
                 };
                 self.schedule(now + delay, ev);
@@ -1298,7 +1329,7 @@ impl<A: Application> EpochWorker<'_, A> {
                         Ev::ConnectResultArrive {
                             to: initiator,
                             attempt,
-                            result: Ok(link),
+                            result: Box::new(Ok(link)),
                         },
                     );
                 }
@@ -1321,7 +1352,7 @@ impl<A: Application> EpochWorker<'_, A> {
                     Ev::ConnectResultArrive {
                         to: initiator,
                         attempt,
-                        result: Err(reason),
+                        result: Box::new(Err(reason)),
                     },
                 );
             }
@@ -1359,7 +1390,7 @@ impl<A: Application> EpochWorker<'_, A> {
                     Ev::FrameArrive {
                         to: peer,
                         link,
-                        payload,
+                        payload: Box::new(payload),
                     },
                 );
                 if degraded {
@@ -1703,7 +1734,7 @@ mod tests {
             .neighbors()
             .get(c.device_id(b))
             .expect("bob known");
-        let (_, services) = entry.services.as_ref().expect("services cached");
+        let (_, services) = entry.services.as_deref().expect("services cached");
         assert_eq!(services[0].name(), "PeerHoodCommunity");
     }
 

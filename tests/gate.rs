@@ -55,7 +55,13 @@ fn passing() -> GateReports {
         crowd_1000: case(1000, 1.0e6, 0),
         lossy_100: case(100, 1.0e6, 40),
         lossy_1000: case(1000, 1.0e6, 400),
-        crowd_100k: case(100_000, 250_000.0, 0),
+        crowd_100k: CrowdCase {
+            serial: CrowdReport {
+                peak_rss_bytes: Some(gate::MAX_RSS_100K),
+                ..crowd(100_000, 250_000.0, 0)
+            },
+            ..case(100_000, 250_000.0, 0)
+        },
         bubbles_serial: bubbles(1, 2008),
         bubbles_threads4: bubbles(1, 2008),
         bubbles_lossy: bubbles(2, 2008),
@@ -135,6 +141,27 @@ fn events_per_sec_floors_hold() {
 }
 
 #[test]
+fn the_100k_crowd_stays_under_the_peak_rss_ceiling() {
+    // The parent representation's committed reading (72-byte events).
+    let seen = assert_fails_only("peak-rss-100k", |r| {
+        r.crowd_100k.serial.peak_rss_bytes = Some(327_237_632);
+    });
+    assert!(seen.starts_with("327237632 bytes, ceiling "), "{seen}");
+    assert_fails_only("peak-rss-100k", |r| {
+        r.crowd_100k.serial.peak_rss_bytes = Some(gate::MAX_RSS_100K + 1);
+    });
+    let seen = assert_fails_only("peak-rss-100k", |r| {
+        r.crowd_100k.serial.peak_rss_bytes = None;
+    });
+    assert!(seen.starts_with("no reading"), "{seen}");
+    // Only the serial arm is gated; the threads-4 arm runs after it in
+    // the same process, so its high-water mark is not its own.
+    let mut reports = passing();
+    reports.crowd_100k.threads4.peak_rss_bytes = Some(u64::MAX);
+    assert_eq!(check(&reports), []);
+}
+
+#[test]
 fn speedup_is_not_gated_below_four_cores() {
     let mut reports = passing();
     reports.nproc = 2;
@@ -152,8 +179,8 @@ fn every_verdict_passes_on_the_synthetic_set() {
     assert_eq!(check(&passing()), []);
     let verdicts = gate::verdicts(&passing());
     assert!(verdicts.iter().all(|(passed, ..)| *passed), "{verdicts:#?}");
-    // 7 digest/stats pairs, 5 resharded verdicts, 2 floors, speedup,
-    // trace-alloc, 2 frame-drop, delivery and convergence of 2 arms,
+    // 7 digest/stats pairs, 5 resharded verdicts, 2 floors,
+    // peak-rss-100k, speedup, trace-alloc, 2 frame-drop, delivery and convergence of 2 arms,
     // convergence of 9 lossy runs, dup-per-delivery of the fault-free run
     // and 8 lossy runs (one seed ungated), bubbles-frames, 4 live,
     // million.
@@ -161,7 +188,7 @@ fn every_verdict_passes_on_the_synthetic_set() {
     let dup_gated = 1 + 1 + lossy_seeds - gate::DUP_UNGATED_SEEDS.len();
     assert_eq!(
         verdicts.len(),
-        14 + 5 + 2 + 1 + 1 + 2 + 4 + (1 + lossy_seeds) + dup_gated + 1 + 4 + 1
+        14 + 5 + 2 + 1 + 1 + 1 + 2 + 4 + (1 + lossy_seeds) + dup_gated + 1 + 4 + 1
     );
 }
 
