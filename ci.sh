@@ -26,5 +26,5 @@ git diff --exit-code -- LINT.json
 # trace burst, lossy frame drops, gossip delivery and convergence, live
 # errors/shed/p99. Rewrites
 # BENCH_scale.json and BENCH_live.json when every check passes.
-# PH_CI_MILLION=1 also re-measures BENCH_million.json (~25 s, ~2.5 GB).
+# PH_CI_MILLION=1 also re-measures BENCH_million.json (~20 s, ~1.6 GB).
 cargo run --release --offline -p ph-harness --bin repro -- gate

@@ -419,8 +419,23 @@ impl CrowdReport {
 pub struct CrowdScenario {
     /// The running cluster.
     pub cluster: Cluster<CrowdApp>,
-    /// Interests per node, in node order (`p0`, `p1`, …).
-    pub interests: Vec<Vec<Interest>>,
+    /// The shared interest pool: `topic-00`, `topic-01`, ….
+    pub interest_pool: Vec<Interest>,
+    /// Every node's interests as indices into `interest_pool`, in node
+    /// order (`p0`, `p1`, …), `interests_per_node` each.
+    picks: Vec<u32>,
+    interests_per_node: usize,
+}
+
+impl CrowdScenario {
+    /// The interests of `node`, resolved from the pool.
+    pub fn interests(&self, node: usize) -> Vec<Interest> {
+        let k = self.interests_per_node;
+        self.picks[node * k..(node + 1) * k]
+            .iter()
+            .map(|&i| self.interest_pool[i as usize].clone())
+            .collect()
+    }
 }
 
 /// Draws `count` distinct pool indices, zipf-ishly (weight of topic `k`
@@ -464,7 +479,10 @@ pub fn build(config: &CrowdConfig) -> Result<CrowdScenario, CrowdError> {
         cluster.set_region_edge(config.region_edge_m);
     }
     cluster.reserve_nodes(config.nodes);
-    let mut interests = Vec::with_capacity(config.nodes);
+    let interest_pool: Vec<Interest> = (0..config.interest_pool)
+        .map(|k| Interest::new(format!("topic-{k:02}")))
+        .collect();
+    let mut picks = Vec::with_capacity(config.nodes * config.interests_per_node);
     for i in 0..config.nodes {
         let start = Point2::new(
             placement.range_f64(campus.min.x..campus.max.x),
@@ -499,17 +517,21 @@ pub fn build(config: &CrowdConfig) -> Result<CrowdScenario, CrowdError> {
             },
             CrowdApp::default(),
         );
-        interests.push(
+        picks.extend(
             zipfish_picks(&mut topics, config.interest_pool, config.interests_per_node)
                 .into_iter()
-                .map(|k| Interest::new(format!("topic-{k:02}")))
-                .collect(),
+                .map(|k| k as u32),
         );
     }
     cluster.set_trace_capacity(config.trace_capacity);
     cluster.set_threads(config.threads);
     cluster.start();
-    Ok(CrowdScenario { cluster, interests })
+    Ok(CrowdScenario {
+        cluster,
+        interest_pool,
+        picks,
+        interests_per_node: config.interests_per_node,
+    })
 }
 
 /// Runs one crowd to its horizon and measures it. Rejects pathological
@@ -556,11 +578,11 @@ pub fn run(config: &CrowdConfig) -> Result<CrowdReport, CrowdError> {
             .iter()
             .map(|entry| {
                 let idx = entry.info.id.raw() as usize;
-                (entry.info.name.to_string(), s.interests[idx].clone())
+                (entry.info.name.to_string(), s.interests(idx))
             })
             .collect();
         let groups =
-            Discovery::new(&me, &MatchPolicy::Exact).groups(&s.interests[id.index()], &neighbors);
+            Discovery::new(&me, &MatchPolicy::Exact).groups(&s.interests(id.index()), &neighbors);
         if !groups.is_empty() {
             grouped_nodes += 1;
         }

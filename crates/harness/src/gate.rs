@@ -35,12 +35,12 @@ pub const SERIAL_FLOOR: f64 = 600_000.0 * 0.65;
 pub const FLOOR_100K: f64 = 250_000.0 * 0.60;
 /// Peak RSS ceiling of the 100k-node serial crowd arm, bytes; a missing
 /// reading fails it. The arm's `peak_rss_bytes` is the process high-water
-/// mark after it, which no earlier, smaller arm reaches. Six `repro gate`
-/// runs on the 2-core reference container read 245.6–246.2 MB with 24-byte
-/// events, 64-byte neighbor entries and out-of-line connection maps; with
-/// 72-byte events and 112-byte entries they read 327.0–337.0 MB. The
-/// ceiling leaves ~10% headroom over the former.
-pub const MAX_RSS_100K: u64 = 270_000_000;
+/// mark after it, which no earlier, smaller arm reaches. Seven `repro
+/// gate` runs on the 2-core reference container read 156.2–158.3 MB with
+/// a crowd-shared daemon config, O(1) trajectories and one allocation per
+/// name; with a config per daemon they read 245.6–247.3 MB. The ceiling
+/// leaves ~10% headroom over the former.
+pub const MAX_RSS_100K: u64 = 174_000_000;
 /// Least `--threads 4` over serial events/s ratio at 100k nodes. The
 /// acceptance target is 2x; the floor leaves room for noisy runners.
 pub const MIN_SPEEDUP: f64 = 1.5;

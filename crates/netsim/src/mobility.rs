@@ -27,7 +27,8 @@ use crate::time::SimTime;
 ///
 /// Implementations take `&mut self` so that stochastic models can lazily
 /// extend an internal trajectory; re-querying any earlier time must return
-/// the same answer (trajectories are append-only).
+/// the same answer (the built-in models keep only their current leg and
+/// replay earlier ones from their initial state).
 ///
 /// This purity contract is what lets the parallel epoch engine
 /// ([`World::prepare_epoch`](crate::World::prepare_epoch)) sample node
@@ -180,6 +181,17 @@ struct Segment {
 }
 
 impl Segment {
+    /// The zero-length leg every stochastic trajectory starts with:
+    /// standing at `at` at time zero.
+    fn still(at: Point2) -> Self {
+        Segment {
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
+            from: at,
+            to: at,
+        }
+    }
+
     fn position(&self, t: SimTime) -> Point2 {
         if self.end <= self.start {
             return self.to;
@@ -190,20 +202,58 @@ impl Segment {
     }
 }
 
-fn position_from_segments(
-    segments: &mut Vec<Segment>,
-    t: SimTime,
-    mut extend: impl FnMut(&Segment) -> Segment,
-) -> Point2 {
-    while segments.last().is_none_or(|s| s.end < t) {
-        let next = match segments.last() {
-            Some(last) => extend(last),
-            None => unreachable!("stochastic models seed an initial segment"),
-        };
-        segments.push(next);
+/// A lazily generated trajectory with O(1) history: the current leg and
+/// the generator state `S` (the model's RNG plus whatever else steers its
+/// next leg) that extends it, together with the initial state to replay
+/// from.
+///
+/// Legs are contiguous, and every leg after the zero-length first one
+/// lasts at least 1 µs, so a time `t > 0` lies in exactly one leg with
+/// `start < t <= end`. A query answers from the first leg whose `end >= t`.
+/// The current leg answers only the times it owns (and the first leg
+/// `t == 0`); any earlier time replays the trajectory from its initial
+/// state. Answering `t == start` from the current leg would not do: the
+/// leg ending there (`lerp` at frac 1) and the one starting there (frac 0)
+/// can round differently.
+#[derive(Debug)]
+struct Cursor<S> {
+    leg: Segment,
+    state: S,
+    origin: Point2,
+    initial: S,
+}
+
+// One per random-waypoint crowd device, replacing a leg history that grew
+// with virtual time (a 24-byte `Vec` header plus 48 bytes per leg, 192
+// bytes after 20 s of walking). `RandomWaypoint` is 224 bytes with it.
+const _: () = assert!(std::mem::size_of::<Cursor<(SimRng, bool)>>() <= 144);
+
+impl<S: Clone> Cursor<S> {
+    fn new(origin: Point2, state: S) -> Self {
+        Cursor {
+            leg: Segment::still(origin),
+            state: state.clone(),
+            origin,
+            initial: state,
+        }
     }
-    let idx = segments.partition_point(|s| s.end < t);
-    segments[idx].position(t)
+
+    /// The position at `t`; `extend` draws the leg after the given one.
+    fn position(
+        &mut self,
+        t: SimTime,
+        mut extend: impl FnMut(&mut S, &Segment) -> Segment,
+    ) -> Point2 {
+        // Only the first leg ends at time zero.
+        if t <= self.leg.start && self.leg.end != SimTime::ZERO {
+            self.leg = Segment::still(self.origin);
+            self.state = self.initial.clone();
+        }
+        while self.leg.end < t {
+            self.leg = extend(&mut self.state, &self.leg);
+        }
+        self.leg.position(t)
+    }
 }
 
 /// The random waypoint model.
@@ -217,9 +267,8 @@ pub struct RandomWaypoint {
     area: Rect,
     speed_mps: (f64, f64),
     pause: (Duration, Duration),
-    rng: SimRng,
-    segments: Vec<Segment>,
-    pausing: bool,
+    /// The RNG and whether the current leg is a pause.
+    path: Cursor<(SimRng, bool)>,
 }
 
 impl RandomWaypoint {
@@ -246,14 +295,7 @@ impl RandomWaypoint {
             area,
             speed_mps,
             pause,
-            rng,
-            segments: vec![Segment {
-                start: SimTime::ZERO,
-                end: SimTime::ZERO,
-                from: start,
-                to: start,
-            }],
-            pausing: false,
+            path: Cursor::new(start, (rng, false)),
         }
     }
 }
@@ -263,9 +305,7 @@ impl Mobility for RandomWaypoint {
         let area = self.area;
         let (lo, hi) = self.speed_mps;
         let pause = self.pause;
-        let rng = &mut self.rng;
-        let pausing = &mut self.pausing;
-        position_from_segments(&mut self.segments, t, |last| {
+        self.path.position(t, |(rng, pausing), last| {
             if *pausing {
                 // Travel leg to a fresh destination.
                 *pausing = false;
@@ -309,8 +349,7 @@ pub struct RandomWalk {
     area: Rect,
     speed_mps: f64,
     step: Duration,
-    rng: SimRng,
-    segments: Vec<Segment>,
+    path: Cursor<SimRng>,
 }
 
 impl RandomWalk {
@@ -328,13 +367,7 @@ impl RandomWalk {
             area,
             speed_mps,
             step,
-            rng,
-            segments: vec![Segment {
-                start: SimTime::ZERO,
-                end: SimTime::ZERO,
-                from: start,
-                to: start,
-            }],
+            path: Cursor::new(start, rng),
         }
     }
 }
@@ -344,8 +377,7 @@ impl Mobility for RandomWalk {
         let area = self.area;
         let speed = self.speed_mps;
         let step = self.step;
-        let rng = &mut self.rng;
-        position_from_segments(&mut self.segments, t, |last| {
+        self.path.position(t, |rng, last| {
             let angle = rng.range_f64(0.0..std::f64::consts::TAU);
             let dist = speed * step.as_secs_f64();
             let raw = last.to + Vec2::new(angle.cos(), angle.sin()) * dist;
@@ -365,6 +397,15 @@ impl Mobility for RandomWalk {
     }
 }
 
+/// The four unit grid directions, in the order a [`ManhattanGrid`] draws
+/// from.
+const GRID_DIRS: [Vec2; 4] = [
+    Vec2::new(1.0, 0.0),
+    Vec2::new(-1.0, 0.0),
+    Vec2::new(0.0, 1.0),
+    Vec2::new(0.0, -1.0),
+];
+
 /// Movement constrained to a city-block grid (the Manhattan mobility model
 /// of the ad-hoc networking literature).
 ///
@@ -378,10 +419,8 @@ pub struct ManhattanGrid {
     area: Rect,
     block_m: f64,
     speed_mps: f64,
-    rng: SimRng,
-    segments: Vec<Segment>,
-    /// Current heading as a unit grid direction.
-    heading: Vec2,
+    /// The RNG and the current heading as a unit grid direction.
+    path: Cursor<(SimRng, Vec2)>,
 }
 
 impl ManhattanGrid {
@@ -408,26 +447,12 @@ impl ManhattanGrid {
             snap(start.x, area.min.x, area.max.x),
             snap(start.y, area.min.y, area.max.y),
         );
-        let heading = *rng
-            .pick(&[
-                Vec2::new(1.0, 0.0),
-                Vec2::new(-1.0, 0.0),
-                Vec2::new(0.0, 1.0),
-                Vec2::new(0.0, -1.0),
-            ])
-            .expect("non-empty");
+        let heading = *rng.pick(&GRID_DIRS).expect("non-empty");
         ManhattanGrid {
             area,
             block_m,
             speed_mps,
-            rng,
-            segments: vec![Segment {
-                start: SimTime::ZERO,
-                end: SimTime::ZERO,
-                from: origin,
-                to: origin,
-            }],
-            heading,
+            path: Cursor::new(origin, (rng, heading)),
         }
     }
 }
@@ -437,30 +462,25 @@ impl Mobility for ManhattanGrid {
         let block = self.block_m;
         let speed = self.speed_mps;
         let travel = Duration::from_secs_f64(block / speed).max(Duration::from_micros(1));
-        // Split borrows for the extend closure.
         let area = self.area;
-        let rng = &mut self.rng;
-        let heading = &mut self.heading;
-        position_from_segments(&mut self.segments, t, |last| {
+        self.path.position(t, |(rng, heading), last| {
             let at = last.to;
             // Keep going straight with p=1/2 when possible; otherwise pick
             // uniformly among the legal turns.
-            let options: Vec<Vec2> = {
-                let dirs = [
-                    Vec2::new(1.0, 0.0),
-                    Vec2::new(-1.0, 0.0),
-                    Vec2::new(0.0, 1.0),
-                    Vec2::new(0.0, -1.0),
-                ];
-                dirs.into_iter()
-                    .filter(|d| area.contains(at + *d * block))
-                    .collect()
-            };
+            let mut options = [Vec2::ZERO; 4];
+            let mut legal = 0;
+            for d in GRID_DIRS {
+                if area.contains(at + d * block) {
+                    options[legal] = d;
+                    legal += 1;
+                }
+            }
+            let options = &options[..legal];
             let straight_ok = options.contains(heading);
             let dir = if straight_ok && rng.chance(0.5) {
                 *heading
             } else {
-                *rng.pick(&options)
+                *rng.pick(options)
                     .expect("a grid point always has a legal move")
             };
             *heading = dir;
@@ -589,7 +609,7 @@ mod tests {
         );
         let late = m.position(SimTime::from_secs(300));
         let early = m.position(SimTime::from_secs(10));
-        // Re-query both: trajectory is append-only, answers stable.
+        // Re-query both: the early time replays from the seed, answers stable.
         assert_eq!(m.position(SimTime::from_secs(10)), early);
         assert_eq!(m.position(SimTime::from_secs(300)), late);
     }
@@ -695,76 +715,108 @@ mod tests {
         );
     }
 
+    /// Checks one stochastic model against the query-order contract:
+    /// adversarial orders (late-first, descending, repeated) against a
+    /// twin queried in ascending order, then, after moving forward, every
+    /// leg boundary (`t == leg.start` and `t == leg.end`) queried
+    /// backwards and out of order against a fresh model. Boundaries before
+    /// the current leg take the replay path. At a boundary the leg ending
+    /// there and the one starting there can round differently; the
+    /// waypoint seed below has such a boundary (short walk steps and grid
+    /// legs rarely or never round).
+    fn check_query_order<M: Mobility>(name: &str, mk: impl Fn() -> M, leg: impl Fn(&M) -> Segment) {
+        let mut ordered = mk();
+        let mut boundaries = Vec::new();
+        let baseline: Vec<Point2> = (0..240)
+            .map(|s| {
+                let p = ordered.position(SimTime::from_secs(s));
+                let l = leg(&ordered);
+                boundaries.extend([l.start, l.end]);
+                p
+            })
+            .collect();
+        boundaries.dedup();
+        assert!(boundaries.len() > 20, "{name}: too few legs to test");
+
+        let mut adversarial = mk();
+        // Far future first, then a descending sweep, then re-queries.
+        adversarial.position(SimTime::from_secs(239));
+        for s in (0..240).rev() {
+            assert_eq!(
+                adversarial.position(SimTime::from_secs(s)),
+                baseline[s as usize],
+                "{name}: descending query diverged at {s}s"
+            );
+        }
+        for s in [0u64, 100, 239, 50, 50, 239] {
+            assert_eq!(
+                adversarial.position(SimTime::from_secs(s)),
+                baseline[s as usize],
+                "{name}: re-query diverged at {s}s"
+            );
+        }
+
+        // Every leg boundary, latest first, each right after a query 1 µs
+        // later (so the leg starting there is current and must not answer
+        // it); then each boundary right after the far end (a replay).
+        let far = SimTime::from_secs(239);
+        let step = Duration::from_micros(1);
+        let backwards = boundaries.iter().rev().flat_map(|&b| [b + step, b]);
+        let from_far = boundaries.iter().flat_map(|&b| [far, b]);
+        for t in backwards.chain(from_far) {
+            assert_eq!(
+                adversarial.position(t),
+                mk().position(t),
+                "{name}: boundary query diverged at {t}"
+            );
+        }
+    }
+
     #[test]
     fn query_order_never_changes_positions() {
         // The epoch engine's determinism rests on this: sampling extra
         // times, or the same times in a different order, must not perturb
-        // any answer. Exercise every stochastic model with an adversarial
-        // query order (late-first, interleaved, repeated) against a
-        // fresh twin queried in ascending order.
+        // any answer. Exercise every stochastic model.
         let area = Rect::sized(200.0, 200.0);
-        type ModelFactory = Box<dyn Fn() -> Box<dyn Mobility>>;
-        let models: Vec<(&str, ModelFactory)> = vec![
-            (
-                "waypoint",
-                Box::new(move || {
-                    Box::new(RandomWaypoint::new(
-                        area,
-                        Point2::new(100.0, 100.0),
-                        (0.5, 2.0),
-                        (Duration::ZERO, Duration::from_secs(3)),
-                        SimRng::from_seed(21),
-                    ))
-                }),
-            ),
-            (
-                "walk",
-                Box::new(move || {
-                    Box::new(RandomWalk::new(
-                        area,
-                        Point2::new(100.0, 100.0),
-                        1.2,
-                        Duration::from_secs(2),
-                        SimRng::from_seed(22),
-                    ))
-                }),
-            ),
-            (
-                "manhattan",
-                Box::new(move || {
-                    Box::new(ManhattanGrid::new(
-                        area,
-                        Point2::new(100.0, 100.0),
-                        20.0,
-                        1.5,
-                        SimRng::from_seed(23),
-                    ))
-                }),
-            ),
-        ];
-        for (name, mk) in models {
-            let mut ordered = mk();
-            let baseline: Vec<Point2> = (0..240)
-                .map(|s| ordered.position(SimTime::from_secs(s)))
-                .collect();
-            let mut adversarial = mk();
-            // Far future first, then a descending sweep, then re-queries.
-            adversarial.position(SimTime::from_secs(239));
-            for s in (0..240).rev() {
-                assert_eq!(
-                    adversarial.position(SimTime::from_secs(s)),
-                    baseline[s as usize],
-                    "{name}: descending query diverged at {s}s"
-                );
-            }
-            for s in [0u64, 100, 239, 50, 50, 239] {
-                assert_eq!(
-                    adversarial.position(SimTime::from_secs(s)),
-                    baseline[s as usize],
-                    "{name}: re-query diverged at {s}s"
-                );
-            }
-        }
+        check_query_order(
+            "waypoint",
+            || {
+                RandomWaypoint::new(
+                    area,
+                    Point2::new(100.0, 100.0),
+                    (0.5, 2.0),
+                    (Duration::ZERO, Duration::from_secs(3)),
+                    SimRng::from_seed(21),
+                )
+            },
+            |m| m.path.leg,
+        );
+        check_query_order(
+            "walk",
+            || {
+                RandomWalk::new(
+                    area,
+                    Point2::new(100.0, 100.0),
+                    1.2,
+                    Duration::from_secs(2),
+                    SimRng::from_seed(22),
+                )
+            },
+            |m| m.path.leg,
+        );
+        check_query_order(
+            "manhattan",
+            || {
+                ManhattanGrid::new(
+                    area,
+                    Point2::new(100.0, 100.0),
+                    20.0,
+                    1.5,
+                    SimRng::from_seed(23),
+                )
+            },
+            |m| m.path.leg,
+        );
     }
 
     #[test]

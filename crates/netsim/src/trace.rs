@@ -19,6 +19,7 @@
 use codec::{DecodeError, Wire};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::time::SimTime;
 
@@ -299,22 +300,23 @@ impl Fnv {
     }
 }
 
-/// Interning pool: each distinct actor/label string is stored once.
+/// Interning pool: each distinct actor/label string is stored once, in
+/// one allocation that the handle table and the lookup map share.
 #[derive(Clone, Debug, Default)]
 struct StrPool {
-    strings: Vec<Box<str>>,
-    index: HashMap<Box<str>, u32>,
+    strings: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 impl StrPool {
-    /// Interns `s`; an owned `String` on a miss keeps its allocation.
-    fn intern(&mut self, s: impl AsRef<str> + Into<Box<str>>) -> u32 {
+    /// Interns `s`; an `Arc<str>` new to the pool is shared, not copied.
+    fn intern(&mut self, s: impl AsRef<str> + Into<Arc<str>>) -> u32 {
         if let Some(&id) = self.index.get(s.as_ref()) {
             return id;
         }
         let id = self.strings.len() as u32;
-        let s: Box<str> = s.into();
-        self.index.insert(s.clone(), id);
+        let s: Arc<str> = s.into();
+        self.index.insert(Arc::clone(&s), id);
         self.strings.push(s);
         id
     }
@@ -327,11 +329,17 @@ impl StrPool {
         self.index.get(s).copied()
     }
 
-    /// Heap bytes held by the pool (string payloads; map overhead estimated
-    /// as one extra copy of the payload plus a fixed per-entry cost).
+    /// Heap bytes held by the pool: each string's payload and reference
+    /// counts once, its handle-table slot, and its map entry (key, id and
+    /// one control byte). A string shared with its caller is counted here
+    /// in full.
     fn approx_mem_bytes(&self) -> usize {
         let payload: usize = self.strings.iter().map(|s| s.len()).sum();
-        payload * 2 + self.strings.len() * 48
+        let per_string = 2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Arc<str>>()
+            + std::mem::size_of::<(Arc<str>, u32)>()
+            + 1;
+        payload + self.strings.len() * per_string
     }
 }
 
@@ -427,15 +435,16 @@ impl Trace {
     }
 
     /// Interns an actor name, returning a stable handle for the zero-copy
-    /// record path ([`Trace::record_ids`]). An owned `String` that is new
-    /// to the pool is kept rather than copied.
-    pub fn intern_actor(&mut self, name: impl AsRef<str> + Into<Box<str>>) -> ActorId {
+    /// record path ([`Trace::record_ids`]). An `Arc<str>` that is new to
+    /// the pool is shared rather than copied, so a simulator's node names
+    /// cost one allocation each.
+    pub fn intern_actor(&mut self, name: impl AsRef<str> + Into<Arc<str>>) -> ActorId {
         ActorId(self.pool.intern(name))
     }
 
     /// Interns a message label, returning a stable handle (see
     /// [`Trace::intern_actor`]).
-    pub fn intern_label(&mut self, label: impl AsRef<str> + Into<Box<str>>) -> LabelId {
+    pub fn intern_label(&mut self, label: impl AsRef<str> + Into<Arc<str>>) -> LabelId {
         LabelId(self.pool.intern(label))
     }
 

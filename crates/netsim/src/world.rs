@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::geometry::Point2;
 use crate::mobility::{Mobility, Stationary};
@@ -385,7 +385,10 @@ fn sample_cell(cell: &mut MotionCell, zero_speed: bool, t: SimTime) -> Point2 {
 /// memory and zero per-timestep work.
 #[derive(Debug)]
 pub struct World {
-    names: Vec<String>,
+    /// Node names, shared (not copied) with whoever asks for
+    /// [`World::shared_name`]: the simulator's device identities and trace
+    /// actor pool hold these same allocations.
+    names: Vec<Arc<str>>,
     motion: Vec<Mutex<MotionCell>>,
     /// Per-node radio bitmask (bit = [`tech_slot`]); lets range queries
     /// test technologies without touching the motion cells.
@@ -482,7 +485,7 @@ impl World {
         } else {
             self.index.unbounded.push(id.0);
         }
-        self.names.push(builder.name);
+        self.names.push(builder.name.into());
         self.motion.push(Mutex::new(MotionCell {
             mobility: builder.mobility,
             pos: Point2::ORIGIN,
@@ -517,6 +520,16 @@ impl World {
     /// Panics if `id` does not belong to this world.
     pub fn name(&self, id: NodeId) -> &str {
         &self.names[id.index()]
+    }
+
+    /// The node's name as a shared handle to the world's own allocation,
+    /// for callers that keep the name (a device identity, a trace actor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this world.
+    pub fn shared_name(&self, id: NodeId) -> Arc<str> {
+        Arc::clone(&self.names[id.index()])
     }
 
     /// The technologies the node is equipped with.

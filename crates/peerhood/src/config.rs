@@ -25,7 +25,9 @@ use crate::types::DeviceInfo;
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct DaemonConfig {
-    /// Identity of the local device.
+    /// Identity of the local device. A daemon reads it only when it is
+    /// built, so the simulator's daemons that differ only here share one
+    /// configuration.
     pub device: DeviceInfo,
     /// How often to start a discovery round, per technology. A new round is
     /// started this long after the *start* of the previous one (and never
@@ -180,6 +182,26 @@ impl DaemonConfig {
     pub fn with_seamless_connectivity(mut self, on: bool) -> Self {
         self.seamless_connectivity = on;
         self
+    }
+
+    /// Whether `self` and `other` agree on everything but `device`, so
+    /// that daemons of different devices can share one configuration.
+    pub(crate) fn eq_apart_from_device(&self, other: &DaemonConfig) -> bool {
+        let DaemonConfig {
+            device: _,
+            inquiry_interval,
+            neighbor_ttl,
+            auto_service_discovery,
+            seamless_connectivity,
+            recovery,
+            gossip,
+        } = self;
+        *inquiry_interval == other.inquiry_interval
+            && *neighbor_ttl == other.neighbor_ttl
+            && *auto_service_discovery == other.auto_service_discovery
+            && *seamless_connectivity == other.seamless_connectivity
+            && *recovery == other.recovery
+            && *gossip == other.gossip
     }
 
     /// The inquiry interval for `tech`, if the local device has that radio

@@ -22,6 +22,7 @@
 //!   to another shared technology when a link drops.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 use codec::Bytes;
@@ -35,7 +36,7 @@ use crate::neighbor::{NeighborTable, SightingOutcome};
 use crate::plugin::{PluginCommand, PluginEvent};
 use crate::service::ServiceRegistry;
 use crate::techmap::TechMap;
-use crate::types::{AttemptId, CloseReason, ConnId, DeviceId, LinkId, ResumeToken};
+use crate::types::{AttemptId, CloseReason, ConnId, DeviceId, DeviceInfo, LinkId, ResumeToken};
 
 /// How long the responder side of a broken connection waits for the
 /// initiator to resume it over another technology before giving up.
@@ -204,7 +205,13 @@ impl LazyTables {
 /// model and [`crate::sim::Cluster`] for a ready-made driver.
 #[derive(Debug)]
 pub struct Daemon {
-    config: DaemonConfig,
+    /// The local device: the one part of the configuration that differs
+    /// between the daemons of a crowd.
+    id: DeviceId,
+    /// Possibly shared with other daemons (see
+    /// [`Daemon::with_shared_config`]); its `device` is not read after
+    /// construction.
+    config: Arc<DaemonConfig>,
     services: ServiceRegistry,
     neighbors: NeighborTable,
     monitors: BTreeSet<DeviceId>,
@@ -218,13 +225,25 @@ pub struct Daemon {
     next_attempt: u64,
 }
 
+// One per simulated device. The configuration is shared across a crowd
+// and only the device id is kept per daemon, which took this from 504 to
+// 248 bytes: ~25 MiB of the `crowd_100k` heap, ~250 MiB at 1M nodes.
+const _: () = assert!(std::mem::size_of::<Daemon>() <= 256);
+
 impl Daemon {
     /// Creates a daemon with the given configuration.
     pub fn new(config: DaemonConfig) -> Self {
+        let device = config.device.clone();
+        Daemon::with_shared_config(&device, Arc::new(config))
+    }
+
+    /// Creates the daemon of `device` from a configuration other daemons
+    /// may share: everything but `config.device`, which is ignored, applies.
+    pub(crate) fn with_shared_config(device: &DeviceInfo, config: Arc<DaemonConfig>) -> Self {
         let inquiries = config
             .inquiry_interval
             .iter()
-            .filter(|(tech, _)| config.device.technologies.contains(*tech))
+            .filter(|(tech, _)| device.technologies.contains(*tech))
             .map(|(tech, interval)| {
                 (
                     tech,
@@ -237,6 +256,7 @@ impl Daemon {
             })
             .collect();
         Daemon {
+            id: device.id,
             config,
             services: ServiceRegistry::new(),
             neighbors: NeighborTable::new(),
@@ -252,7 +272,7 @@ impl Daemon {
 
     /// The daemon's own device identity.
     pub fn device_id(&self) -> DeviceId {
-        self.config.device.id
+        self.id
     }
 
     /// Read access to the current neighbor table (for drivers, tests and
@@ -967,12 +987,12 @@ impl Daemon {
 
     fn record_device(
         &mut self,
-        device: crate::types::DeviceInfo,
+        device: DeviceInfo,
         technology: Technology,
         now: SimTime,
         out: &mut Vec<DaemonOutput>,
     ) {
-        if device.id == self.config.device.id {
+        if device.id == self.id {
             return;
         }
         let outcome = self
@@ -1017,7 +1037,7 @@ impl Daemon {
                     let conn = ConnId::new(self.next_conn);
                     self.next_conn += 1;
                     let resume = ResumeToken {
-                        initiator: self.config.device.id,
+                        initiator: self.id,
                         conn,
                     };
                     let tables = self.tables.get_mut();

@@ -13,6 +13,7 @@
 //! function of `(scenario, seed)`.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use codec::Bytes;
@@ -77,9 +78,11 @@ enum Ev {
     ServiceReplyArrive {
         to: NodeId,
         from: NodeId,
-        // Boxed for the size of `Ev`, not to move the list to the heap.
+        /// `None` for an empty list, so the common empty reply allocates
+        /// nothing. Boxed for the size of `Ev`, not to move the list to
+        /// the heap.
         #[allow(clippy::box_collection)]
-        services: Box<Vec<ServiceInfo>>,
+        services: Option<Box<Vec<ServiceInfo>>>,
         /// Which radio carried the reply; `None` for the synthetic
         /// empty reply a local SDP timeout produces (not a wire frame,
         /// so fault injection never touches it).
@@ -236,7 +239,9 @@ struct NodeRt<A> {
 // One per simulated device. The daemon's connection and recovery maps live
 // out of line (created on first connect), which took this from 776 to 592
 // bytes: ~18 MiB of the `crowd_100k` heap, where most devices never connect.
-const _: () = assert!(std::mem::size_of::<NodeRt<()>>() <= 592);
+// Sharing the daemon configuration across the crowd took it to 336 bytes,
+// another ~25 MiB at 100k nodes.
+const _: () = assert!(std::mem::size_of::<NodeRt<()>>() <= 336);
 
 impl<A> NodeRt<A> {
     /// The node's fault state, deriving its lane on first use.
@@ -277,6 +282,9 @@ pub struct Cluster<A> {
     /// Each node's interned actor handle in `trace`, for the buffered
     /// record path ([`TraceSink::Buffer`]).
     actor_ids: Vec<ActorId>,
+    /// The last node's daemon configuration, reused by the next node when
+    /// equal apart from identity: a crowd's daemons share one.
+    shared_config: Option<Arc<DaemonConfig>>,
     /// The radio link table, lent to the one-worker epochs.
     links: BTreeMap<LinkId, Link>,
     next_link: u64,
@@ -379,6 +387,7 @@ impl<A: Application> Cluster<A> {
             nodes: Vec::new(),
             infos: Vec::new(),
             actor_ids: Vec::new(),
+            shared_config: None,
             links: BTreeMap::new(),
             next_link: 0,
             seed,
@@ -451,18 +460,25 @@ impl<A: Application> Cluster<A> {
         app: A,
     ) -> NodeId {
         let id = self.world.add_node(builder);
+        let name = self.world.shared_name(id);
         let info = DeviceInfo::new(
             DeviceId::new(id.index() as u64),
-            self.world.name(id),
+            Arc::clone(&name),
             self.world.technologies(id).iter().copied(),
         );
         let config = configure(DaemonConfig::new(info.clone()));
-        let actor_id = self.trace.intern_actor(self.world.name(id));
+        let device = config.device.clone();
+        let config = match self.shared_config.take() {
+            Some(prev) if prev.eq_apart_from_device(&config) => prev,
+            _ => Arc::new(config),
+        };
+        self.shared_config = Some(Arc::clone(&config));
+        let actor_id = self.trace.intern_actor(name);
         let lane_seed = id.index() as u64;
         self.infos.push(info);
         self.actor_ids.push(actor_id);
         self.nodes.push(NodeRt {
-            daemon: Daemon::new(config),
+            daemon: Daemon::with_shared_config(&device, config),
             app,
             lib: Library::new(),
             wakes: WakeSet::default(),
@@ -568,7 +584,7 @@ impl<A: Application> Cluster<A> {
         // Re-interning in node order reassigns the same handles, but refresh
         // the stored ids anyway so they can never drift from the pool.
         for (info, slot) in self.infos.iter().zip(self.actor_ids.iter_mut()) {
-            *slot = self.trace.intern_actor(&*info.name);
+            *slot = self.trace.intern_actor(Arc::clone(&info.name));
         }
     }
 
@@ -880,7 +896,7 @@ impl<A: Application> EpochWorker<'_, A> {
                         to,
                         DaemonInput::Plugin(PluginEvent::ServiceReply {
                             device,
-                            services: *services,
+                            services: services.map_or_else(Vec::new, |list| *list),
                         }),
                     );
                 }
@@ -1244,7 +1260,7 @@ impl<A: Application> EpochWorker<'_, A> {
                         Ev::ServiceReplyArrive {
                             to: node,
                             from: target,
-                            services: Box::default(),
+                            services: None,
                             tech: None,
                         },
                     );
@@ -1267,7 +1283,7 @@ impl<A: Application> EpochWorker<'_, A> {
                         Ev::ServiceReplyArrive {
                             to: target,
                             from: node,
-                            services: Box::new(services),
+                            services: (!services.is_empty()).then(|| Box::new(services)),
                             tech: Some(tech),
                         },
                     );

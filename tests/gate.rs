@@ -142,11 +142,12 @@ fn events_per_sec_floors_hold() {
 
 #[test]
 fn the_100k_crowd_stays_under_the_peak_rss_ceiling() {
-    // The parent representation's committed reading (72-byte events).
+    // The parent representation's committed reading (a per-daemon config,
+    // per-walker leg histories and four copies of every name).
     let seen = assert_fails_only("peak-rss-100k", |r| {
-        r.crowd_100k.serial.peak_rss_bytes = Some(327_237_632);
+        r.crowd_100k.serial.peak_rss_bytes = Some(246_026_240);
     });
-    assert!(seen.starts_with("327237632 bytes, ceiling "), "{seen}");
+    assert!(seen.starts_with("246026240 bytes, ceiling "), "{seen}");
     assert_fails_only("peak-rss-100k", |r| {
         r.crowd_100k.serial.peak_rss_bytes = Some(gate::MAX_RSS_100K + 1);
     });
