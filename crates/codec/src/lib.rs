@@ -9,6 +9,8 @@
 //!   workspace encodes through, with a structured [`DecodeError`];
 //! * [`Bytes`] — a cheaply cloneable, immutable byte buffer (the
 //!   `bytes::Bytes` subset the middleware needs);
+//! * [`Fnv1a`] — the 64-bit FNV-1a hash behind every digest, message id
+//!   and idempotency token;
 //! * [`rng`] — splitmix64 seeding + xoshiro256++ generation, the single
 //!   deterministic randomness source of the simulator;
 //! * [`json`] — a minimal JSON value model and writer for harness reports;
@@ -22,10 +24,12 @@
 #![warn(missing_docs)]
 
 mod bytes;
+mod fnv;
 pub mod json;
 pub mod prop;
 pub mod rng;
 mod wire;
 
 pub use bytes::Bytes;
+pub use fnv::Fnv1a;
 pub use wire::{decode_seq, encode_seq, read_len, take, DecodeError, Wire};

@@ -75,11 +75,6 @@ impl Xoshiro256pp {
         result
     }
 
-    /// Returns the next 32-bit output (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw in `[0, bound)`; `bound` must be non-zero.
     ///
     /// Uses Lemire-style rejection via widening multiply, so the result is
@@ -123,11 +118,9 @@ impl Xoshiro256pp {
     /// parent seed only.
     #[must_use]
     pub fn fork(&mut self, label: &str) -> Self {
-        let mut h = self.next_u64();
-        for &b in label.as_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        Xoshiro256pp::from_seed(h)
+        let mut h = crate::Fnv1a::with_state(self.next_u64());
+        h.write(label.as_bytes());
+        Xoshiro256pp::from_seed(h.finish())
     }
 }
 

@@ -105,12 +105,7 @@ impl Default for RetryPolicy {
 /// two clients retrying against the same server can never collide in its
 /// replay cache.
 fn client_token_half(actor: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in actor.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h & 0xFFFF_FFFF) << 32
+    (codec::Fnv1a::hash(actor.as_bytes()) & 0xFFFF_FFFF) << 32
 }
 
 /// How the client reaches neighbor servers for operations.

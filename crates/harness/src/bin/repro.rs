@@ -63,7 +63,6 @@ const OPS: &str = "member-list|interest-list|view-profile|put-comment|trusted-fr
                    shared-content|send-message|working-principle";
 const OP: Flag = ("--op", Some((OPS, |v| msc::MscOp::parse(v).is_some())));
 const PEERS: Flag = ("--peers", Some(("N", is_count)));
-const GOSSIP: Flag = ("--gossip", None);
 const BUBBLES: Flag = ("--bubbles", Some(("K", is_count)));
 const PER_BUBBLE: Flag = ("--per-bubble", Some(("N", is_count)));
 const FERRIES: Flag = ("--ferries", Some(("F", is_count)));
@@ -95,7 +94,7 @@ const COMMANDS: &[(&str, &[Flag])] = &[
     ("ablation-semantics", &[SEED]),
     ("ablation-handover", &[TRIALS, SEED]),
     ("ablation-churn", &[SEED]),
-    ("lab", &[SEED, PEERS, HORIZON, FAULTS, GOSSIP]),
+    ("lab", &[SEED, PEERS, HORIZON, FAULTS]),
     (
         "bubbles",
         &[
@@ -221,13 +220,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, String> {
         }
         "lab" => {
             let peers = args.count("--peers").unwrap_or(3) as usize;
-            run_lab(
-                seed,
-                peers,
-                horizon(120),
-                args.fault_plan(),
-                args.on("--gossip"),
-            );
+            run_lab(seed, peers, horizon(120), args.fault_plan());
         }
         "bubbles" => {
             let config = bubbles::BubblesConfig {
@@ -436,25 +429,18 @@ fn run_ablation_churn(seed: u64) {
     println!("{}", ablations::render_churn(&rows));
 }
 
-fn run_lab(seed: u64, peers: usize, horizon_secs: u64, faults: netsim::FaultPlan, gossip: bool) {
+fn run_lab(seed: u64, peers: usize, horizon_secs: u64, faults: netsim::FaultPlan) {
     use netsim::SimTime;
-    use peerhood::gossip::GossipConfig;
 
     let mut s = scenario::lab(&scenario::LabConfig {
         seed,
         peer_count: peers,
         faults,
-        gossip: gossip.then(|| GossipConfig::default().rng_salt(seed)),
         ..scenario::LabConfig::default()
     });
     s.cluster.run_until(SimTime::from_secs(horizon_secs));
     let groups = s.cluster.app(s.observer).groups();
-    let nodes = std::iter::once(s.observer).chain(s.peers.iter().copied());
-    scenario::fold_gossip_stats(&mut s.cluster, nodes);
-    println!(
-        "Lab scenario — {peers} peers, {horizon_secs}s horizon, gossip {}",
-        if gossip { "on" } else { "off" }
-    );
+    println!("Lab scenario — {peers} peers, {horizon_secs}s horizon");
     for g in &groups {
         println!("  group {:?}: {:?}", g.key, g.members);
     }

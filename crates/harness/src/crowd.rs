@@ -13,7 +13,7 @@
 //! [`run`] executes one such crowd on the deterministic simulator and
 //! reports wall-clock cost, simulation event throughput, trace memory
 //! under the bounded ring, and the groups the crowd would form — the
-//! numbers `repro crowd --json` and the `scale` bench emit. It also
+//! numbers `repro crowd --json` and `repro gate` emit. It also
 //! times the spatial-index neighbor queries against the naive all-pairs
 //! path (and cross-checks they agree), which is the evidence for the
 //! near-linear scaling claim.

@@ -3,7 +3,7 @@
 //! Regenerates every table and figure of the thesis evaluation (see
 //! `DESIGN.md` for the experiment index) plus the ablations. The `repro`
 //! binary is the command-line entry point; each module is also a library
-//! API the benches and tests reuse.
+//! API the benchmark and tests reuse.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,8 +19,3 @@ pub mod report;
 pub mod scenario;
 pub mod table8;
 pub mod user;
-
-pub use bubbles::{BubblesConfig, BubblesReport};
-pub use report::TextTable;
-pub use scenario::{fault_profile, lab, LabConfig, LabScenario};
-pub use table8::Table8Report;

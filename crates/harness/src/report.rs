@@ -96,11 +96,6 @@ pub fn secs(d: std::time::Duration) -> String {
     format!("{:.1} s", d.as_secs_f64())
 }
 
-/// Formats a mean ± standard deviation in seconds.
-pub fn mean_sd(summary: &netsim::stats::Summary) -> String {
-    format!("{:.1} ± {:.1} s", summary.mean, summary.std_dev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

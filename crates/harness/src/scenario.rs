@@ -8,7 +8,6 @@
 use netsim::geometry::Point2;
 use netsim::world::{NodeBuilder, NodeId};
 use netsim::{FaultPlan, FaultProfile, RadioEnv, Technology, TraceStats};
-use peerhood::gossip::GossipConfig;
 use peerhood::sim::Cluster;
 use peerhood::RecoveryPolicy;
 
@@ -79,10 +78,6 @@ pub struct LabConfig {
     /// requests); an inert plan reproduces the fault-free run
     /// bit-for-bit.
     pub faults: FaultPlan,
-    /// When set, every app runs the epidemic gossip layer with this
-    /// configuration (see [`GossipConfig`]); `None` reproduces the
-    /// gossip-free lab bit-for-bit.
-    pub gossip: Option<GossipConfig>,
 }
 
 impl Default for LabConfig {
@@ -96,7 +91,6 @@ impl Default for LabConfig {
             extra_interests_per_peer: 2,
             observer_interests: 1,
             faults: FaultPlan::none(),
-            gossip: None,
         }
     }
 }
@@ -112,10 +106,6 @@ pub fn lab(config: &LabConfig) -> LabScenario {
         RadioEnv::default().with_faults(config.faults.clone()),
     );
     let add = |cluster: &mut Cluster<CommunityApp>, builder, app: CommunityApp| {
-        let app = match &config.gossip {
-            Some(g) => app.with_gossip(g.clone()),
-            None => app,
-        };
         if faulted {
             cluster.add_node_with(
                 builder,
@@ -218,26 +208,6 @@ mod tests {
         assert_eq!(lossy.profile(Technology::Bluetooth).frame_loss, 0.10);
         assert!(lossy.profile(Technology::Wlan).is_inert());
         assert!(fault_profile("chaos-monkey").is_none());
-    }
-
-    #[test]
-    fn lab_scenario_runs_with_gossip_enabled() {
-        let mut s = lab(&LabConfig {
-            seed: 5,
-            peer_count: 2,
-            gossip: Some(GossipConfig::default().rng_salt(5)),
-            ..LabConfig::default()
-        });
-        s.cluster.run_until(SimTime::from_secs(60));
-        // The shared group still forms, and every node actually runs the
-        // gossip layer (in one radio cell it is pure overhead, but the
-        // runtime must be live and announcing members).
-        assert_eq!(s.cluster.app(s.observer).groups().len(), 1);
-        let rt = s.cluster.app(s.observer).gossip().expect("gossip enabled");
-        assert!(
-            !rt.remote_members().is_empty() || rt.stats().eager > 0,
-            "gossip layer produced no traffic at all"
-        );
     }
 
     #[test]

@@ -28,6 +28,7 @@ fn unknown_flags_and_bad_values_exit_2_with_the_usage_line() {
     assert_usage_error(&["crowd", "--faults"], "usage: repro crowd");
     assert_usage_error(&["msc"], "usage: repro msc");
     assert_usage_error(&["table6", "--seed", "1"], "usage: repro table6");
+    assert_usage_error(&["lab", "--gossip"], "usage: repro lab");
     assert_usage_error(&["no-such-command"], "repro help");
 }
 

@@ -106,16 +106,6 @@ impl<E> EventQueue<E> {
         Some(t)
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
     /// Advances the clock to `t` without popping anything.
     ///
     /// Useful after draining all events up to a deadline, so subsequent
@@ -187,17 +177,6 @@ mod tests {
         q.schedule(SimTime::from_secs(10), ());
         q.pop();
         q.schedule(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    fn len_counts_pending_events() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

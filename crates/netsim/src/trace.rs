@@ -16,7 +16,7 @@
 //! [`TraceStats`] keep counting, so aggregate figures survive even when the
 //! verbatim log does not.
 
-use codec::{DecodeError, Wire};
+use codec::{DecodeError, Fnv1a, Wire};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -183,7 +183,7 @@ impl TraceStats {
     /// Folds every counter into a deterministic FNV-1a digest, used by the
     /// determinism tests alongside [`Trace::digest`].
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         for v in [
             self.events_recorded,
             self.events_dropped,
@@ -273,30 +273,6 @@ impl fmt::Display for TraceStats {
             self.gossip_prune,
             self.gossip_duplicate,
         )
-    }
-}
-
-/// Incremental FNV-1a (64-bit) — the repo-local digest primitive.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -581,7 +557,7 @@ impl Trace {
     /// A deterministic FNV-1a digest of the retained events and the
     /// counters. Two runs of the same seeded scenario must agree on this.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         for e in &self.events {
             h.write_u64(e.at.as_micros());
             h.write(self.pool.get(e.from.0).as_bytes());

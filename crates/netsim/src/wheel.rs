@@ -120,14 +120,6 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Creates an empty wheel with `capacity` pre-reserved in the ready
-    /// heap (the structure every popped timer passes through).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut w = Self::new();
-        w.ready.reserve(capacity);
-        w
-    }
-
     /// Schedules `event` at absolute time `at`. `at` may be in the "past"
     /// relative to already-popped timers — ordering with respect to
     /// *pending* timers is still exact — so the caller (the event queue)

@@ -38,35 +38,21 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use codec::{decode_seq, encode_seq, Bytes, DecodeError, Wire};
+use codec::{decode_seq, encode_seq, Bytes, DecodeError, Fnv1a, Wire};
 use netsim::{SimRng, SimTime};
 
 /// Dedicated RNG stream label so gossip draws never collide with the world
 /// engine's mobility/fault streams, even under the same master seed.
 const GOSSIP_STREAM: u64 = 0x6f55_1b00_9055_1b00;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Derives a message id from the origin node's name and a per-origin
 /// sequence number. Collision-free in practice for simulation scales.
 #[must_use]
 pub fn message_id(origin: &str, seq: u64) -> u64 {
-    let mut h = fnv64(origin.as_bytes());
-    for b in seq.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(origin.as_bytes());
+    h.write_u64(seq);
+    h.finish()
 }
 
 /// Tuning knobs for the gossip layer, in the same consuming-builder style as
@@ -408,7 +394,7 @@ impl Gossip {
     /// draw from independent deterministic streams.
     pub fn new(me: impl Into<String>, cfg: GossipConfig) -> Gossip {
         let me = me.into();
-        let seed = GOSSIP_STREAM ^ cfg.rng_salt ^ fnv64(me.as_bytes());
+        let seed = GOSSIP_STREAM ^ cfg.rng_salt ^ Fnv1a::hash(me.as_bytes());
         let next_shuffle = SimTime::ZERO + cfg.shuffle_every;
         Gossip {
             me,

@@ -162,32 +162,30 @@ impl NeighborTable {
         tech: Technology,
         now: SimTime,
     ) -> SightingOutcome {
-        match self.position(info.id) {
-            Ok(at) => {
-                let entry = &mut self.entries[at];
-                entry.info = info;
-                let fresh_tech = !entry.last_seen.contains(tech);
-                entry.last_seen.insert(tech, now);
-                if fresh_tech {
-                    SightingOutcome::NewTechnology
-                } else {
-                    SightingOutcome::Refreshed
-                }
-            }
-            Err(at) => {
-                let mut last_seen = SightingTimes::default();
-                last_seen.insert(tech, now);
-                self.entries.insert(
-                    at,
-                    NeighborEntry {
-                        info,
-                        last_seen,
-                        services: None,
-                    },
-                );
-                SightingOutcome::NewDevice
-            }
+        let found = self.position(info.id);
+        if let Some(entry) = found.ok().and_then(|at| self.entries.get_mut(at)) {
+            entry.info = info;
+            let fresh_tech = !entry.last_seen.contains(tech);
+            entry.last_seen.insert(tech, now);
+            return if fresh_tech {
+                SightingOutcome::NewTechnology
+            } else {
+                SightingOutcome::Refreshed
+            };
         }
+        // A hit always returned above, so `found` is the insertion point.
+        let (Ok(at) | Err(at)) = found;
+        let mut last_seen = SightingTimes::default();
+        last_seen.insert(tech, now);
+        self.entries.insert(
+            at,
+            NeighborEntry {
+                info,
+                last_seen,
+                services: None,
+            },
+        );
+        SightingOutcome::NewDevice
     }
 
     /// Stores a freshly fetched remote service list.
@@ -231,7 +229,8 @@ impl NeighborTable {
 
     /// Looks up one neighbor.
     pub fn get(&self, device: DeviceId) -> Option<&NeighborEntry> {
-        self.position(device).ok().map(|at| &self.entries[at])
+        let at = self.position(device).ok()?;
+        self.entries.get(at)
     }
 
     fn get_mut(&mut self, device: DeviceId) -> Option<&mut NeighborEntry> {

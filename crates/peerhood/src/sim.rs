@@ -532,11 +532,6 @@ impl<A: Application> Cluster<A> {
         DeviceId::new(node.index() as u64)
     }
 
-    /// The node hosting a [`DeviceId`].
-    pub fn node_of(&self, device: DeviceId) -> NodeId {
-        NodeId::from_index(device.raw() as usize)
-    }
-
     /// Read access to a node's application.
     pub fn app(&self, node: NodeId) -> &A {
         &self.nodes[node.index()].app
@@ -597,12 +592,6 @@ impl<A: Application> Cluster<A> {
     /// by default; the batch/event counters are maintained regardless.
     pub fn set_collect_timing(&mut self, on: bool) {
         self.collect_timing = on;
-    }
-
-    /// Number of scheduled events not yet delivered — the queue's live
-    /// footprint, reported so scale benches can watch memory pressure.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Processes events until `stop` returns `true` (checked after each

@@ -742,8 +742,8 @@ fn digest_taint(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Finding>)
         // Only the digest-affecting crates can actually feed the digest;
         // method-name resolution over-approximates (see graph.rs), so
         // without this filter a harness timer whose method shares a name
-        // with a sim callee would be flagged. The live serving path and
-        // the bench timer are wall-clock by nature on top of that.
+        // with a sim callee would be flagged. The live serving path is
+        // wall-clock by nature on top of that.
         if !DIGEST_CRATES.contains(&f.crate_name())
             || f.path.contains("live/")
             || f.path.ends_with("/live.rs")
@@ -1657,11 +1657,11 @@ mod tests {
     }
 
     #[test]
-    fn digest_taint_exempts_live_bench_and_test_code() {
+    fn digest_taint_exempts_live_harness_and_test_code() {
         let live = "struct Cluster;\n\
                     impl Cluster { pub fn run_until(&mut self) { let _ = std::time::Instant::now(); } }";
-        assert!(run_one("crates/peerhood/src/live/net.rs", live).is_empty());
-        assert!(run_one("crates/bench/src/lib.rs", live).is_empty());
+        assert!(run_one("crates/peerhood/src/live/reactor.rs", live).is_empty());
+        assert!(run_one("crates/harness/src/gate.rs", live).is_empty());
         let test_only = "struct Cluster;\n\
                          impl Cluster { pub fn run_until(&mut self) {} }\n\
                          #[cfg(test)] mod tests { fn t() { let _ = std::time::Instant::now(); } }";

@@ -95,11 +95,6 @@ impl CentralServer {
     pub fn user_count(&self) -> usize {
         self.users.len()
     }
-
-    /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
 }
 
 #[cfg(test)]

@@ -44,11 +44,6 @@ impl SnsSession {
         self.elapsed = Duration::ZERO;
     }
 
-    /// The site name.
-    pub fn site_name(&self) -> &str {
-        &self.site.name
-    }
-
     /// The device name.
     pub fn device_name(&self) -> &str {
         &self.device.name
