@@ -8,6 +8,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# Rustdoc: every intra-doc link resolves and no public item links to a
+# private one.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --keep-going
+
 # Static analysis: determinism & robustness rules over every workspace
 # .rs file (DESIGN.md §9 and §14). Exits 1 on any finding not covered by
 # the committed lint.allow baseline, 2 on I/O or parse trouble or an

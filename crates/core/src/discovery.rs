@@ -11,8 +11,7 @@
 //! [`Discovery`] is that algorithm as an entry point bound to the local
 //! member and matching policy. [`Discovery::groups`] is the pure Figure 6
 //! computation; [`Discovery::update`] runs it *through* a
-//! [`GroupRegistry`](crate::groups::GroupRegistry) and returns the resulting
-//! [`GroupEvent`](crate::groups::GroupEvent)s — the same event vocabulary
+//! [`GroupRegistry`] and returns the resulting [`GroupEvent`]s — the same event vocabulary
 //! multi-hop gossip deliveries use, so local-encounter and epidemic
 //! discovery share one API and one trace vocabulary. The
 //! [`crate::node::CommunityApp`] re-runs it whenever the neighborhood, an

@@ -5,24 +5,26 @@
 //! ([`GossipContent`]) and wraps the state machine in a [`GossipRuntime`]
 //! that owns the node-facing bookkeeping:
 //!
-//! * idempotent link-up/link-down tracking (radio events can repeat);
 //! * per-origin sequence numbers feeding [`message_id`] and ordering each
 //!   device's [`Binding`]s;
 //! * the latest binding of every device heard from
-//!   ([`GossipRuntime::binding`]), which lets the app fill a radio peer's
-//!   member and interests without polling it;
-//! * the gossip-learned membership table ([`GossipRuntime::remote_members`])
-//!   that [`crate::discovery::Discovery`] merges with radio neighbors, so
-//!   multi-hop members join groups through the very same path
-//!   single-hop encounters use;
+//!   ([`GossipRuntime::bindings`]), the one copy of who is logged in where:
+//!   the app reads a radio peer's member and interests from it instead of
+//!   polling, and takes every other bound member into
+//!   [`crate::discovery::Discovery`]'s neighbor list, so multi-hop members
+//!   join groups through the very same path single-hop encounters use;
 //! * a log of received shared-content blobs with hop counts and receipt
 //!   times, which the harnesses turn into delivery-ratio and latency
 //!   metrics.
 //!
+//! Link state lives in [`Gossip`] alone: [`GossipRuntime::link_up`] and
+//! [`GossipRuntime::link_down`] forward to it, and a repeated radio event
+//! changes nothing there.
+//!
 //! Nothing here performs IO either: [`crate::node::CommunityApp`] drains
 //! [`GossipRuntime::take_outbox`] into `PS_GOSSIP` wire frames.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use codec::{decode_seq, encode_seq, Bytes, DecodeError, Wire};
@@ -164,13 +166,9 @@ pub enum GossipNews {
 pub struct GossipRuntime {
     gossip: Gossip,
     next_seq: u64,
-    /// Interests of members learned through gossip, by member name.
-    remote: BTreeMap<String, Vec<Interest>>,
     /// The newest binding heard from each other device, by device name.
     bindings: BTreeMap<String, Binding>,
     blob_log: Vec<BlobDelivery>,
-    /// Peers with a live radio link (dedups repeated up/down events).
-    links: BTreeSet<Arc<str>>,
     /// The last `(member, interests)` binding published, to re-announce
     /// only on change.
     announced: Option<(Option<String>, Vec<Interest>)>,
@@ -182,10 +180,8 @@ impl GossipRuntime {
         GossipRuntime {
             gossip: Gossip::new(me, config),
             next_seq: 0,
-            remote: BTreeMap::new(),
             bindings: BTreeMap::new(),
             blob_log: Vec::new(),
-            links: BTreeSet::new(),
             announced: None,
         }
     }
@@ -209,30 +205,15 @@ impl GossipRuntime {
     }
 
     /// A radio link to `peer` is usable. Returns whether this was a
-    /// transition (repeat notifications are ignored).
+    /// transition (see [`Gossip::neighbor_up`]).
     pub fn link_up(&mut self, peer: &Arc<str>, now: SimTime) -> bool {
-        if self.links.contains(peer) {
-            return false;
-        }
-        self.links.insert(Arc::clone(peer));
-        self.gossip.neighbor_up(peer, now);
-        true
+        self.gossip.neighbor_up(peer, now)
     }
 
     /// The radio link to `peer` is gone. Returns whether this was a
-    /// transition.
+    /// transition (see [`Gossip::neighbor_down`]).
     pub fn link_down(&mut self, peer: &str, now: SimTime) -> bool {
-        if !self.links.remove(peer) {
-            return false;
-        }
-        self.gossip.neighbor_down(peer, now);
-        true
-    }
-
-    /// Whether a live link to `peer` is currently tracked.
-    #[must_use]
-    pub fn is_linked(&self, peer: &str) -> bool {
-        self.links.contains(peer)
+        self.gossip.neighbor_down(peer, now)
     }
 
     /// Publishes this device's binding if `(member, interests)` differs
@@ -323,9 +304,6 @@ impl GossipRuntime {
                         if stale || device == self.gossip.me() {
                             continue;
                         }
-                        if let Some(member) = &member {
-                            self.remote.insert(member.clone(), interests.clone());
-                        }
                         let binding = Binding {
                             seq,
                             member,
@@ -365,19 +343,18 @@ impl GossipRuntime {
         self.gossip.take_outbox()
     }
 
-    /// Members learned through gossip, with their announced interests —
-    /// merged into [`crate::discovery::Discovery`]'s neighbor list (direct
-    /// radio knowledge wins on conflict).
-    #[must_use]
-    pub fn remote_members(&self) -> &BTreeMap<String, Vec<Interest>> {
-        &self.remote
-    }
-
     /// The newest binding heard from the device named `device` (never this
     /// node's own).
     #[must_use]
     pub fn binding(&self, device: &str) -> Option<&Binding> {
         self.bindings.get(device)
+    }
+
+    /// The newest binding of every other device heard from, by device
+    /// name: the members learned through gossip and their interests.
+    #[must_use]
+    pub fn bindings(&self) -> &BTreeMap<String, Binding> {
+        &self.bindings
     }
 
     /// Every blob that reached this node (origin's own publishes included,
@@ -466,10 +443,19 @@ mod tests {
         let mut rt = GossipRuntime::new("a", cfg());
         assert!(rt.link_up(&n("b"), t));
         assert!(!rt.link_up(&n("b"), t));
-        assert!(rt.is_linked("b"));
+        assert!(rt.gossip().active_view().contains("b"));
         assert!(rt.link_down("b", t));
         assert!(!rt.link_down("b", t));
-        assert!(!rt.is_linked("b"));
+        assert!(!rt.gossip().active_view().contains("b"));
+    }
+
+    /// The members `rt` learned through gossip: bound devices with someone
+    /// logged in.
+    fn learned(rt: &GossipRuntime) -> Vec<(&str, &[Interest])> {
+        rt.bindings()
+            .values()
+            .filter_map(|b| Some((b.member.as_deref()?, b.interests.as_slice())))
+            .collect()
     }
 
     #[test]
@@ -490,7 +476,7 @@ mod tests {
         let binding = b.binding("a").expect("bound");
         assert_eq!((binding.seq, binding.member.as_deref()), (0, Some("alice")));
         assert_eq!(binding.interests, football);
-        assert_eq!(b.remote_members()["alice"], football);
+        assert_eq!(learned(&b), [("alice", football.as_slice())]);
         // Changed interests re-announce; so does a logout, as `None`.
         let both = interests(&["football", "chess"]);
         assert!(a.announce_member(Some("alice"), both.iter(), t));
@@ -499,8 +485,8 @@ mod tests {
         b.handle_batch(&n("a"), batch_for(&mut a, "b"), t);
         let binding = b.binding("a").expect("bound");
         assert_eq!((binding.seq, binding.member.as_deref()), (2, None));
-        // The member table is not cleared by a logout (no expiry yet).
-        assert_eq!(b.remote_members()["alice"], both);
+        // The logout binding replaces alice's: no member is left.
+        assert!(learned(&b).is_empty());
     }
 
     #[test]
@@ -521,7 +507,7 @@ mod tests {
             (1, Some("robert"))
         );
         assert_eq!(binding.interests, interests(&["sauna"]));
-        assert!(!b.remote_members().contains_key("alice"));
+        assert_eq!(learned(&b), [("robert", binding.interests.as_slice())]);
     }
 
     #[test]
@@ -555,7 +541,6 @@ mod tests {
         a.publish(content, t);
         let news = b.handle_batch(&n("a"), batch_for(&mut a, "b"), t);
         assert!(news.is_empty());
-        assert!(b.binding("b").is_none());
-        assert!(b.remote_members().is_empty());
+        assert!(b.bindings().is_empty());
     }
 }

@@ -250,8 +250,9 @@ struct Peer {
     has_service: bool,
     /// The persistent connection (unused in [`OpMode::PerOperation`]).
     conn: ConnState,
-    /// Who is logged in there and their interests: from the device's
-    /// gossip binding once one is known, otherwise from probe replies.
+    /// Who is logged in there and their interests, as probe replies last
+    /// said. Ignored once the device is bound: its gossip binding is the
+    /// one copy of these facts (see [`CommunityApp::member_of`]).
     member: Option<String>,
     interests: Vec<Interest>,
 }
@@ -272,28 +273,6 @@ impl Peer {
             ConnState::Ready(c) => Some(c),
             _ => None,
         }
-    }
-
-    /// Whether the app tracks this peer's member: over the standing
-    /// connection in persistent mode, as any community device in
-    /// per-operation mode (whose probes leave it in place between
-    /// operations).
-    fn tracked(&self, mode: OpMode) -> bool {
-        match mode {
-            OpMode::Persistent => self.ready_conn().is_some(),
-            OpMode::PerOperation => self.has_service,
-        }
-    }
-
-    /// Takes member and interests from `binding`; returns whether they
-    /// changed.
-    fn adopt(&mut self, binding: &Binding) -> bool {
-        if self.member == binding.member && self.interests == binding.interests {
-            return false;
-        }
-        self.member.clone_from(&binding.member);
-        self.interests.clone_from(&binding.interests);
-        true
     }
 }
 
@@ -699,7 +678,7 @@ impl CommunityApp {
         let mut names: Vec<String> = self
             .peers
             .values()
-            .filter_map(|p| p.member.clone())
+            .filter_map(|p| Some(self.member_of(p)?.0.clone()))
             .collect();
         names.sort();
         names
@@ -1131,56 +1110,51 @@ impl CommunityApp {
         self.gossip.as_ref()?.binding(&peer.device_name)
     }
 
-    /// Fills `device`'s member and interests from its binding and
-    /// recomputes groups if they changed. Returns whether a binding was
-    /// known; without one the caller polls the device instead.
-    fn adopt_binding(&mut self, device: DeviceId, ctx: &mut AppCtx<'_>) -> bool {
-        let (Some(peer), Some(rt)) = (self.peers.get_mut(&device), self.gossip.as_ref()) else {
-            return false;
-        };
-        let Some(binding) = rt.binding(&peer.device_name) else {
-            return false;
-        };
-        if peer.adopt(binding) {
-            self.recompute_groups(ctx);
+    /// Who is logged in on `peer` and their interests: the device's gossip
+    /// binding once one is known, otherwise what probes returned.
+    fn member_of<'a>(&'a self, peer: &'a Peer) -> Option<(&'a String, &'a Vec<Interest>)> {
+        match self
+            .gossip
+            .as_ref()
+            .and_then(|rt| rt.binding(&peer.device_name))
+        {
+            Some(binding) => Some((binding.member.as_ref()?, &binding.interests)),
+            None => Some((peer.member.as_ref()?, &peer.interests)),
         }
-        true
     }
 
     fn device_of_member(&self, member: &str) -> Option<DeviceId> {
         self.peers
             .iter()
-            .find_map(|(device, peer)| (peer.member.as_deref() == Some(member)).then_some(*device))
+            .find_map(|(device, peer)| (self.member_of(peer)?.0 == member).then_some(*device))
     }
 
     /// The neighbor list group discovery runs on, borrowed: radio peers
-    /// whose member is known, in device order, then members learned
-    /// through multi-hop gossip that are neither `me` nor a radio peer's
-    /// member (direct radio knowledge wins when both exist).
+    /// whose member is known, in device order, then the members of the
+    /// other bound devices, in device-name order, that are neither `me`
+    /// nor a radio peer's member (direct radio knowledge wins when both
+    /// exist).
     fn discovery_neighbors<'a>(
         &'a self,
         me: &'a str,
     ) -> impl Iterator<Item = (&'a String, &'a Vec<Interest>)> + 'a {
-        let direct = self
-            .peers
-            .values()
-            .filter_map(|p| Some((p.member.as_ref()?, &p.interests)));
+        let direct = self.peers.values().filter_map(move |p| self.member_of(p));
+        let shadowed: BTreeSet<&str> = match &self.gossip {
+            Some(_) => direct.clone().map(|(m, _)| m.as_str()).collect(),
+            None => BTreeSet::new(),
+        };
         let remote = self
             .gossip
             .iter()
-            .flat_map(GossipRuntime::remote_members)
-            .filter(move |(member, _)| {
-                member.as_str() != me
-                    && !self
-                        .peers
-                        .values()
-                        .any(|p| p.member.as_ref() == Some(*member))
-            });
+            .flat_map(|rt| rt.bindings().values())
+            .filter_map(|b| Some((b.member.as_ref()?, &b.interests)))
+            .filter(move |(member, _)| *member != me && !shadowed.contains(member.as_str()));
         direct.chain(remote)
     }
 
     /// Whether discovery's inputs equal those it last ran on, compared in
-    /// place (nothing is built or cloned on this path).
+    /// place (with gossip on, only a set of borrowed member names is
+    /// built).
     fn discovery_inputs_unchanged(&self, me: &str) -> bool {
         let Some(last) = &self.discovery_inputs else {
             return false;
@@ -1353,15 +1327,6 @@ impl CommunityApp {
                     };
                     let member = binding.member.as_deref().unwrap_or("-");
                     ctx.trace_local(&format!("GOSSIP_MEMBER {device} {member} hops={hops}"));
-                    // A direct peer's binding replaces polling it.
-                    let mode = self.op_mode;
-                    if let Some(peer) = self
-                        .peers
-                        .values_mut()
-                        .find(|p| *p.device_name == *device && p.tracked(mode))
-                    {
-                        peer.adopt(binding);
-                    }
                     membership_changed = true;
                 }
                 GossipNews::Blob(delivery) => {
@@ -1504,10 +1469,7 @@ impl CommunityApp {
         let pending = pending.map(|e| e.what);
         let peer_name = self.peer_name(device);
         ctx.trace(&peer_name, &format!("(recv) {}", resp.label()));
-        // A stale or half-answered poll never shadows a binding.
-        let bound = self.binding_of(device).is_some();
         match pending {
-            Some(Pending::AutoMemberName | Pending::AutoInterests) if bound => {}
             Some(Pending::AutoMemberName) => {
                 let changed = {
                     let Some(peer) = self.peers.get_mut(&device) else {
@@ -1626,8 +1588,6 @@ impl CommunityApp {
             // NO_MEMBERS_YET and anything else: contributes nothing.
             _ => {}
         }
-        // As on the standing connection, a bound peer's binding wins.
-        let probe_update = probe_update.filter(|_| self.binding_of(device).is_none());
         if let Some(update) = probe_update {
             let changed = match (self.peers.get_mut(&device), update) {
                 (Some(peer), ProbeUpdate::Member(m)) => {
@@ -1882,10 +1842,7 @@ impl Application for CommunityApp {
                 if has {
                     match self.op_mode {
                         OpMode::Persistent => self.connect_if_needed(device, ctx),
-                        OpMode::PerOperation => {
-                            self.adopt_binding(device, ctx);
-                            self.start_probe(ctx);
-                        }
+                        OpMode::PerOperation => self.start_probe(ctx),
                     }
                 }
             }
@@ -1909,7 +1866,7 @@ impl Application for CommunityApp {
                     // Who is logged in there, and what do they like? A
                     // gossiping peer's binding already says; poll the
                     // others on the standing connection.
-                    if !self.adopt_binding(device, ctx) {
+                    if self.binding_of(device).is_none() {
                         self.probe(device, conn, ctx);
                     }
                     self.gossip_link_up(&peer_name, ctx);
@@ -2131,8 +2088,9 @@ mod tests {
         }
 
         /// Discovery's inputs built the way the app built them before it
-        /// learned to skip: radio peers in device order, then
-        /// gossip-learned members that are neither `me` nor a radio peer.
+        /// learned to skip: radio peers in device order (a bound one as
+        /// its binding says, any other as probes said), then the members
+        /// of bound devices that are neither `me` nor a radio peer's.
         fn inputs(app: &CommunityApp) -> Option<DiscoveryInputs> {
             let me = app.member()?.to_owned();
             let own = app
@@ -2140,17 +2098,22 @@ mod tests {
                 .active_account()
                 .map(|a| a.profile().interests.to_vec())
                 .unwrap_or_default();
+            let binding = |device: &str| app.gossip().and_then(|rt| rt.binding(device));
             let mut neighbors: Vec<(String, Vec<Interest>)> = app
                 .peers
                 .values()
-                .filter_map(|p| p.member.clone().map(|m| (m, p.interests.clone())))
+                .filter_map(|p| match binding(&p.device_name) {
+                    Some(b) => Some((b.member.clone()?, b.interests.clone())),
+                    None => Some((p.member.clone()?, p.interests.clone())),
+                })
                 .collect();
             if let Some(rt) = app.gossip() {
-                for (member, interests) in rt.remote_members() {
+                for b in rt.bindings().values() {
+                    let Some(member) = &b.member else { continue };
                     if *member == me || neighbors.iter().any(|(n, _)| n == member) {
                         continue;
                     }
-                    neighbors.push((member.clone(), interests.clone()));
+                    neighbors.push((member.clone(), b.interests.clone()));
                 }
             }
             Some(DiscoveryInputs { me, own, neighbors })
@@ -2272,8 +2235,9 @@ mod tests {
             .app(alice)
             .gossip()
             .expect("gossip enabled")
-            .remote_members()
-            .contains_key("carol"));
+            .bindings()
+            .values()
+            .any(|b| b.member.as_deref() == Some("carol")));
         // Gossip carries what receivers act on: alice's two announcements
         // (before and after `add_interest`), bob's, carol's and the blob.
         // Group events stay local, so none of them is cached anywhere.
@@ -2330,24 +2294,28 @@ mod tests {
         );
     }
 
-    /// Two nodes side by side with Bluetooth radios.
-    fn pair(
-        a: CommunityApp,
-        b: CommunityApp,
+    /// Nodes side by side with Bluetooth radios, 5 m apart, on devices
+    /// named `a-pc`, `b-pc`, `c-pc`, ...
+    fn side_by_side<const N: usize>(
+        apps: [CommunityApp; N],
     ) -> (
         peerhood::sim::Cluster<CommunityApp>,
-        [netsim::world::NodeId; 2],
+        [netsim::world::NodeId; N],
     ) {
         use netsim::geometry::Point2;
         use netsim::world::NodeBuilder;
         use netsim::Technology;
         let mut c = peerhood::sim::Cluster::new(23);
-        let node = |name: &str, x: f64| {
-            NodeBuilder::new(format!("{name}-pc"))
+        let mut x = 0.0;
+        let mut letters = 'a'..;
+        let ids = apps.map(|app| {
+            let letter = letters.next().expect("enough letters");
+            let node = NodeBuilder::new(format!("{letter}-pc"))
                 .at(Point2::new(x, 0.0))
-                .with_technologies([Technology::Bluetooth])
-        };
-        let ids = [c.add_node(node("a", 0.0), a), c.add_node(node("b", 5.0), b)];
+                .with_technologies([Technology::Bluetooth]);
+            x += 5.0;
+            c.add_node(node, app)
+        });
         c.start();
         (c, ids)
     }
@@ -2371,10 +2339,10 @@ mod tests {
     #[test]
     fn gossiping_and_non_gossiping_peers_poll_each_other_and_group() {
         let gossip = GossipConfig::default().rng_salt(5);
-        let (mut c, [alice, dave]) = pair(
+        let (mut c, [alice, dave]) = side_by_side([
             app("alice", &["chess", "opera"]).with_gossip(gossip),
             app("dave", &["chess", "tennis"]),
-        );
+        ]);
         c.run_until(SimTime::from_secs(60));
         assert_eq!(group_members(c.app(alice), "chess"), ["alice", "dave"]);
         assert_eq!(group_members(c.app(dave), "chess"), ["alice", "dave"]);
@@ -2397,12 +2365,12 @@ mod tests {
     fn a_bound_peer_logout_and_relogin_reach_peers_through_gossip() {
         let gossip = || GossipConfig::default().rng_salt(5);
         // alice never refreshes, so only gossip can tell her what changed.
-        let (mut c, [alice, bob]) = pair(
+        let (mut c, [alice, bob]) = side_by_side([
             app("alice", &["chess"])
                 .with_gossip(gossip())
                 .with_refresh_interval(Duration::from_secs(3600)),
             app("bob", &["chess"]).with_gossip(gossip()),
-        );
+        ]);
         c.run_until(SimTime::from_secs(60));
         assert_eq!(c.app(alice).known_members(), ["bob"]);
         let bob_device = device_named(c.app(alice), "b-pc");
@@ -2423,20 +2391,56 @@ mod tests {
         c.run_until(SimTime::from_secs(66));
         assert_eq!(c.app(alice).known_members(), ["robert"]);
         assert_eq!(c.app(alice).device_of_member("robert"), Some(bob_device));
-        assert!(group_members(c.app(alice), "chess").contains(&"robert".to_owned()));
+        // bob's device is bound to robert now, so bob is in no group.
+        assert_eq!(group_members(c.app(alice), "chess"), ["alice", "robert"]);
+    }
+
+    #[test]
+    fn a_bound_peer_interest_removal_reaches_peers_through_gossip() {
+        let gossip = || GossipConfig::default().rng_salt(5);
+        // alice never refreshes, so only gossip can tell her what changed;
+        // carol keeps the chess group alive once bob leaves it.
+        let (mut c, [alice, bob, _]) = side_by_side([
+            app("alice", &["chess"])
+                .with_gossip(gossip())
+                .with_refresh_interval(Duration::from_secs(3600)),
+            app("bob", &["chess", "go"]).with_gossip(gossip()),
+            app("carol", &["chess"]).with_gossip(gossip()),
+        ]);
+        c.run_until(SimTime::from_secs(60));
+        assert_eq!(
+            group_members(c.app(alice), "chess"),
+            ["alice", "bob", "carol"]
+        );
+        let seen = c.app(alice).group_events().len();
+
+        c.with_app(bob, |b, ctx| b.remove_interest("chess", ctx))
+            .expect("logged in");
+        c.run_until(SimTime::from_secs(63));
+        let left = GroupEvent::MemberLeft {
+            key: "chess".into(),
+            member: "bob".into(),
+        };
+        let events: Vec<&GroupEvent> = c.app(alice).group_events()[seen..]
+            .iter()
+            .map(|(_, ev)| ev)
+            .collect();
+        assert_eq!(events, [&left]);
+        assert_eq!(group_members(c.app(alice), "chess"), ["alice", "carol"]);
     }
 
     #[test]
     fn probe_replies_never_shadow_a_binding() {
         let gossip = || GossipConfig::default().rng_salt(5);
-        let (mut c, [alice, _]) = pair(
+        let (mut c, [alice, _]) = side_by_side([
             app("alice", &["chess"]).with_gossip(gossip()),
             app("bob", &["chess"]).with_gossip(gossip()),
-        );
+        ]);
         c.run_until(SimTime::from_secs(60));
         let bob_device = device_named(c.app(alice), "b-pc");
         // A late reply to a poll that claims someone else is logged in on
-        // bob's device, with other interests, is dropped.
+        // bob's device, with other interests, changes nothing: discovery
+        // reads bob's binding.
         c.with_app(alice, |a, ctx| {
             let conn = a.peers[&bob_device]
                 .ready_conn()
@@ -2460,9 +2464,9 @@ mod tests {
                 a.on_client_response(conn, &resp.encode(), ctx);
             }
         });
-        let peer = &c.app(alice).peers[&bob_device];
-        assert_eq!(peer.member.as_deref(), Some("bob"));
-        assert_eq!(peer.interests, [Interest::new("chess")]);
+        assert_eq!(c.app(alice).known_members(), ["bob"]);
+        assert_eq!(c.app(alice).device_of_member("bob"), Some(bob_device));
+        assert!(c.app(alice).device_of_member("mallory").is_none());
         assert_eq!(group_members(c.app(alice), "chess"), ["alice", "bob"]);
     }
 }

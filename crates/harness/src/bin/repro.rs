@@ -15,15 +15,17 @@ mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// Sequentially consistent like every other atomic in the workspace;
+    /// on x86-64 a `fetch_add` is one `lock xadd` under any ordering.
     pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
     pub struct CountingAlloc;
 
     // SAFETY: delegates every operation to `System` unchanged; the only
-    // addition is a relaxed counter increment.
+    // addition is a counter increment.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::SeqCst);
             unsafe { System.alloc(layout) }
         }
 
@@ -32,7 +34,7 @@ mod counting_alloc {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::SeqCst);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -502,7 +504,7 @@ fn run_gate() -> ExitCode {
 
 fn alloc_count() -> u64 {
     use std::sync::atomic::Ordering;
-    counting_alloc::ALLOCS.load(Ordering::Relaxed)
+    counting_alloc::ALLOCS.load(Ordering::SeqCst)
 }
 
 fn print_help() {

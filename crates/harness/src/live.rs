@@ -1,8 +1,8 @@
 //! Live-serving load harness: thousands of concurrent TCP clients against
-//! a [`LiveServer`], with latency histograms.
+//! a [`LiveServer`](peerhood::live::LiveServer), with latency histograms.
 //!
 //! This is the measurement half of the production serving path: it boots a
-//! real [`LiveServer`] around a [`CommunityApp`], connects
+//! real `LiveServer` around a [`CommunityApp`], connects
 //! [`LiveLoadConfig::clients`] thin TCP clients (spread over a few worker
 //! threads, each multiplexing its share over non-blocking sockets), runs a
 //! closed loop of community requests per client, and reports p50/p99/p999

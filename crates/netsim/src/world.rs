@@ -24,7 +24,7 @@
 //! query actually needs that node (per-node memoized by query time), so idle
 //! nodes cost O(1) memory and no per-timestep work. Each node's mobility
 //! model and memoized position live behind a per-node mutex
-//! ([`MotionCell`]), so range queries work from `&World` — the epoch
+//! (`MotionCell`), so range queries work from `&World` — the epoch
 //! engine hands one [`EpochView`] to all of its workers and each samples
 //! lazily; the `&mut World` queries go through `Mutex::get_mut`, which is
 //! lock-free. GPRS is range-independent and answered from a per-technology
@@ -239,7 +239,7 @@ impl Tier {
 
 /// A reusable candidate buffer for region gathers — one per worker, passed
 /// to [`EpochView::neighbors`]. Each entry packs a node index with how its
-/// snapshot classified it ([`pack`]).
+/// snapshot classified it (`pack`).
 #[derive(Debug, Default)]
 pub struct GatherBuf(Vec<u64>);
 

@@ -163,8 +163,8 @@ pub enum AppEvent {
         /// `true` when it (re)appeared, `false` when it vanished.
         appeared: bool,
     },
-    /// The daemon was configured with [`DaemonConfig::with_gossip`]
-    /// (`crate::config::DaemonConfig::with_gossip`); emitted exactly once,
+    /// The daemon was configured with
+    /// [`DaemonConfig::with_gossip`](crate::DaemonConfig::with_gossip); emitted exactly once,
     /// on the daemon's first input, so the application can instantiate its
     /// [`Gossip`](crate::gossip::Gossip) state machine with the same knobs
     /// in sim, crowd, and live serving.

@@ -51,8 +51,9 @@ pub struct DaemonConfig {
     /// Optional epidemic membership + dissemination layer. `None` (the
     /// default) keeps the daemon gossip-free and bit-identical to
     /// pre-gossip builds; `Some` makes the daemon announce the config to
-    /// its application via [`AppEvent::GossipEnabled`]
-    /// (`crate::api::AppEvent::GossipEnabled`) on its first input.
+    /// its application via
+    /// [`AppEvent::GossipEnabled`](crate::AppEvent::GossipEnabled) on its
+    /// first input.
     pub gossip: Option<GossipConfig>,
 }
 

@@ -123,7 +123,7 @@ struct QueryDeadline {
     tries: u32,
 }
 
-/// Counters for the optional [`RecoveryPolicy`]: how often the daemon
+/// Counters for the optional [`RecoveryPolicy`](crate::RecoveryPolicy): how often the daemon
 /// timed out, retried, gave up or recovered. All zero — and the trace
 /// digest untouched — when no recovery policy is configured.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -292,7 +292,7 @@ impl Daemon {
     }
 
     /// Counters of the recovery machinery (all zero without a
-    /// [`RecoveryPolicy`]).
+    /// [`RecoveryPolicy`](crate::RecoveryPolicy)).
     pub fn recovery_stats(&self) -> &RecoveryStats {
         &self.recovery_stats
     }

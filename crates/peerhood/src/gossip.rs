@@ -186,18 +186,6 @@ impl GossipConfig {
         self.tick_every
     }
 
-    /// Shuffle interval.
-    #[must_use]
-    pub fn shuffle_interval(&self) -> Duration {
-        self.shuffle_every
-    }
-
-    /// Dedup-cache bound.
-    #[must_use]
-    pub fn cache_limit(&self) -> usize {
-        self.cache_capacity
-    }
-
     /// RNG stream salt.
     #[must_use]
     pub fn salt(&self) -> u64 {
@@ -458,12 +446,12 @@ impl Gossip {
 
     /// A radio link to `peer` came up. Promotes it into the views and
     /// announces every cached payload id so store-and-forward works across
-    /// bubbles (the ferry pattern).
-    pub fn neighbor_up(&mut self, peer: &Arc<str>, _now: SimTime) {
-        if **peer == *self.me {
-            return;
+    /// bubbles (the ferry pattern). Returns whether the link is new: a
+    /// repeat notification (radio events can repeat) changes nothing.
+    pub fn neighbor_up(&mut self, peer: &Arc<str>, _now: SimTime) -> bool {
+        if **peer == *self.me || !self.connected.insert(Arc::clone(peer)) {
+            return false;
         }
-        self.connected.insert(Arc::clone(peer));
         self.admit(peer);
         self.rebalance();
         if !self.cache.is_empty() {
@@ -473,12 +461,16 @@ impl Gossip {
                 .or_default()
                 .extend(&self.cache_order);
         }
+        true
     }
 
     /// The radio link to `peer` is gone. Demotes it to the passive view and
     /// force-promotes a replacement if one is in range (active-view failure).
-    pub fn neighbor_down(&mut self, peer: &str, _now: SimTime) {
-        self.connected.remove(peer);
+    /// Returns whether the link was up; for an unknown peer it is a no-op.
+    pub fn neighbor_down(&mut self, peer: &str, _now: SimTime) -> bool {
+        if !self.connected.remove(peer) {
+            return false;
+        }
         self.lazy.remove(peer);
         if let Some(demoted) = self.active.take(peer) {
             self.insert_passive(&demoted);
@@ -487,6 +479,7 @@ impl Gossip {
             entry.providers.retain(|p| **p != *peer);
         }
         self.rebalance();
+        true
     }
 
     /// Publishes a locally-originated payload: caches it, eager-pushes to
@@ -840,6 +833,15 @@ mod tests {
         g.neighbor_up(&n("c"), t);
         assert_eq!(g.active_view().len(), 2);
         assert!(g.passive_view().contains("c"));
+        // A repeat notification is not a new link: it announces no cached
+        // ids and leaves the views alone.
+        g.publish(1, Bytes::from(vec![1]), t);
+        let lazy = g.stats().lazy;
+        assert!(!g.neighbor_up(&n("a"), t));
+        assert!(!g.neighbor_up(&n("c"), t));
+        assert_eq!(g.stats().lazy, lazy);
+        assert_eq!(g.active_view().len(), 2);
+        assert!(g.passive_view().contains("c"));
     }
 
     #[test]
@@ -850,10 +852,11 @@ mod tests {
         g.neighbor_up(&n("b"), t);
         assert!(g.active_view().contains("a"));
         assert!(g.passive_view().contains("b"));
-        g.neighbor_down("a", t);
+        assert!(g.neighbor_down("a", t));
         // b was in range, so it is force-promoted into the emptied slot.
         assert!(g.active_view().contains("b"));
         assert!(g.passive_view().contains("a"));
+        assert!(!g.neighbor_down("a", t));
     }
 
     #[test]

@@ -1029,8 +1029,9 @@ impl<A: Application> Core<A> {
 /// [`LiveNet`](super::LiveNet); stopped with [`LiveServer::shutdown`],
 /// which returns the application (with all the state it accumulated).
 ///
-/// See the [module docs](self) for the reactor model and the
-/// backpressure/persistence contracts.
+/// See the [`live`](super) module docs for an overview; the reactor model
+/// and the backpressure/persistence contracts are documented in
+/// `live/reactor.rs`.
 pub struct LiveServer<A> {
     id: DeviceId,
     addr: SocketAddr,
