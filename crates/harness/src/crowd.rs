@@ -326,6 +326,9 @@ pub struct CrowdReport {
     /// Per-phase engine timing (drain / gather / execute / commit) and
     /// batch routing counters.
     pub timing: EpochTiming,
+    /// Region snapshots the world took building and running the crowd;
+    /// the measured neighbor queries at the horizon are not counted.
+    pub snapshot_rebuilds: u64,
     /// Process peak RSS (`VmHWM`) after the run, bytes; `None` where
     /// `/proc/self/status` is unavailable.
     pub peak_rss_bytes: Option<u64>,
@@ -407,6 +410,7 @@ impl CrowdReport {
                     .field("speedup", speedup),
             )
             .field("timing", timing)
+            .field("snapshot_rebuilds", self.snapshot_rebuilds)
             .field(
                 "peak_rss_bytes",
                 self.peak_rss_bytes
@@ -545,6 +549,7 @@ pub fn run(config: &CrowdConfig) -> Result<CrowdReport, CrowdError> {
     s.cluster.run_until(deadline);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     let timing = *s.cluster.timing();
+    let snapshot_rebuilds = s.cluster.world_mut().snapshot_rebuilds();
 
     let stats = *s.cluster.stats();
     let events = stats.events_recorded
@@ -644,6 +649,7 @@ pub fn run(config: &CrowdConfig) -> Result<CrowdReport, CrowdError> {
         grid_query_us,
         naive_query_us,
         timing,
+        snapshot_rebuilds,
         peak_rss_bytes: peak_rss_bytes(),
     })
 }

@@ -301,7 +301,7 @@ fn gather(idx: &RegionIndex, tech_mask: &[u8], p: Point2, tiers: &[Tier], out: &
 
 /// One speed-bounded node as of the snapshot: index, radio mask and
 /// snapshot position.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Entry {
     pos: Point2,
     id: u32,
@@ -324,6 +324,16 @@ struct RegionIndex {
     /// Region → its run `start..end` in `entries`. Only cleared, inserted
     /// into and looked up — never iterated, so its order is unobservable.
     regions: HashMap<(i64, i64), (u32, u32)>,
+    /// Rebuild scratch, kept across rebuilds: each speed-bounded node's
+    /// region as a slot into `runs`, in node order.
+    slots: Vec<u32>,
+    /// Rebuild scratch: every occupied region in first-seen order, with
+    /// its node count and then its fill cursor into `entries`.
+    runs: Vec<((i64, i64), u32)>,
+    /// Rebuild scratch: slots into `runs`, sorted by region.
+    order: Vec<u32>,
+    /// Snapshots taken so far.
+    rebuilds: u64,
     /// Nodes whose mobility reports an infinite speed bound: never
     /// bucketed, appended to every candidate gather instead.
     unbounded: Vec<u32>,
@@ -448,7 +458,10 @@ impl World {
     /// Sets the region edge length in metres and invalidates the current
     /// snapshot. Smaller regions mean cheaper gathers in dense worlds;
     /// query answers are unaffected (pinned by the
-    /// `region_edge_never_changes_answers` test).
+    /// `region_edge_never_changes_answers` test). The edge also caps the
+    /// drift a snapshot serves, together with the shortest finite radio
+    /// range the world's nodes carry: whichever is smaller decides when
+    /// [`World::prepare_epoch`] rebuilds.
     ///
     /// # Panics
     ///
@@ -548,9 +561,18 @@ impl World {
     /// rounding (0 without a snapshot, or at or before it). Neighbor
     /// queries at `t` accept a node from its snapshot alone when it lies
     /// within `range − drift_allowance(t)` and reject it beyond
-    /// `range + drift_allowance(t)`.
+    /// `range + drift_allowance(t)`. After [`World::prepare_epoch`]`(t)`
+    /// it is at most the region edge and at most the shortest finite
+    /// range among the radios the world's nodes carry, so a gather over
+    /// any of those radios keeps a band it accepts without sampling.
     pub fn drift_allowance(&self, t: SimTime) -> f64 {
         self.index.drift_allowance(t)
+    }
+
+    /// How many region snapshots the world has taken: one per rebuild by
+    /// [`World::prepare_epoch`] or [`World::neighbors_any`].
+    pub fn snapshot_rebuilds(&self) -> u64 {
+        self.index.rebuilds
     }
 
     /// The node's (memoized) position at time `t` — serial path, reaches the
@@ -572,62 +594,114 @@ impl World {
         sample_cell(&mut cell, zero_speed, t)
     }
 
-    /// Samples every node at `t` and rebuilds the snapshot: O(N log N)
-    /// for the entry sort, but only O(movers) mobility evaluations —
-    /// zero-speed nodes reuse any prior sample.
+    /// Samples every node at `t` and rebuilds the snapshot in linear
+    /// time: one pass computes each node's region once and counts the
+    /// regions' nodes, and a second pass places every node at its region's
+    /// cursor, so each run ascends by node index. Only the distinct regions
+    /// are sorted. Costs O(movers) mobility evaluations: zero-speed nodes
+    /// reuse any prior sample.
     fn rebucket(&mut self, t: SimTime) {
         let n = self.names.len();
-        let idx = &mut self.index;
-        idx.entries.clear();
-        // One exact allocation, kept across rebuilds: growth by doubling
-        // would leave up to twice the entries' memory at peak.
-        idx.entries.reserve_exact(n - idx.unbounded.len());
+        let RegionIndex {
+            edge,
+            entries,
+            regions,
+            slots,
+            runs,
+            order,
+            unbounded,
+            ..
+        } = &mut self.index;
+        let bounded = n - unbounded.len();
+        regions.clear();
+        runs.clear();
+        slots.clear();
+        // Exact allocations, kept across rebuilds: growth by doubling
+        // would leave up to twice the memory at peak.
+        slots.reserve_exact(bounded);
         for i in 0..n {
             let zero_speed = self.max_speed[i] == 0.0;
             let cell = self.motion[i].get_mut().expect("motion cell poisoned");
             let pos = sample_cell(cell, zero_speed, t);
             // Unbounded nodes are gathered unconditionally, never bucketed.
             if self.max_speed[i].is_finite() {
-                idx.entries.push(Entry {
-                    pos,
-                    id: i as u32,
-                    mask: self.tech_mask[i],
+                // Until the runs are laid out, a region's value is its slot.
+                let region = region_of_point(pos, *edge);
+                let (slot, _) = *regions.entry(region).or_insert_with(|| {
+                    runs.push((region, 0));
+                    ((runs.len() - 1) as u32, 0)
                 });
+                runs[slot as usize].1 += 1;
+                slots.push(slot);
             }
         }
-        let edge = idx.edge;
-        idx.entries
-            .sort_unstable_by_key(|e| (region_of_point(e.pos, edge), e.id));
-        idx.regions.clear();
+        order.clear();
+        order.extend(0..runs.len() as u32);
+        order.sort_unstable_by_key(|&s| runs[s as usize].0);
         let mut start = 0;
-        while start < idx.entries.len() {
-            let region = region_of_point(idx.entries[start].pos, edge);
-            let run =
-                idx.entries[start..].partition_point(|e| region_of_point(e.pos, edge) == region);
-            idx.regions
-                .insert(region, (start as u32, (start + run) as u32));
-            start += run;
+        for &s in order.iter() {
+            let (region, count) = runs[s as usize];
+            regions.insert(region, (start, start + count));
+            runs[s as usize].1 = start;
+            start += count;
         }
-        idx.bucket_t = Some(t);
+        entries.clear();
+        entries.reserve_exact(bounded);
+        entries.resize(bounded, Entry::default());
+        let mut next = slots.iter();
+        for i in 0..n {
+            if !self.max_speed[i].is_finite() {
+                continue;
+            }
+            let slot = *next.next().expect("one slot per bounded node") as usize;
+            let cursor = &mut runs[slot].1;
+            entries[*cursor as usize] = Entry {
+                // Memoized at `t` by the first pass.
+                pos: self.motion[i].get_mut().expect("motion cell poisoned").pos,
+                id: i as u32,
+                mask: self.tech_mask[i],
+            };
+            *cursor += 1;
+        }
+        self.index.bucket_t = Some(t);
+        self.index.rebuilds += 1;
+    }
+
+    /// The most drift a snapshot may serve: the region edge, or the
+    /// shortest finite range among the radios the world's nodes carry if
+    /// that is shorter. Within it every finite-range gather keeps a band
+    /// of candidates it accepts without sampling.
+    fn drift_cap(&self) -> f64 {
+        Technology::ALL
+            .into_iter()
+            .filter(|&tech| !self.tech_members[tech_slot(tech)].is_empty())
+            .map(|tech| self.env.profile(tech).range_m)
+            .filter(|range| range.is_finite())
+            .fold(self.index.edge, f64::min)
     }
 
     /// Makes the region snapshot usable for queries at `t`: rebuckets when
-    /// there is no snapshot, when `t` precedes it, or when accumulated
-    /// drift would inflate gathers beyond one extra region ring.
+    /// there is no snapshot, when `t` precedes it, or when the drift
+    /// allowance at `t` would exceed `drift_cap`. A snapshot taken at `t`
+    /// itself is never rebuilt.
     fn ensure_buckets(&mut self, t: SimTime) {
         let stale = match self.index.bucket_t {
             None => true,
-            Some(bt) => t < bt || self.index.drift_allowance(t) > self.index.edge,
+            Some(bt) => t < bt || (t > bt && self.index.drift_allowance(t) > self.drift_cap()),
         };
         if stale {
             self.rebucket(t);
         }
     }
 
-    /// Makes the region snapshot usable for queries at `t` and returns
-    /// nothing — the serial prologue every simulator epoch runs before
-    /// handing an [`EpochView`] to its workers (snapshot rebuilds need
-    /// `&mut`).
+    /// Makes the region snapshot usable for queries at `t` — the serial
+    /// prologue every simulator epoch runs before handing an
+    /// [`EpochView`] to its workers (snapshot rebuilds need `&mut`). It
+    /// rebuilds the snapshot when there is none, when `t` precedes it, or
+    /// when [`World::drift_allowance`] at `t` would exceed the region edge
+    /// or the shortest finite radio range the world's nodes carry; a
+    /// rebuild samples every node and costs time linear in the node
+    /// count. Answers never depend on when it rebuilds.
     pub fn prepare_epoch(&mut self, t: SimTime) {
         self.ensure_buckets(t);
     }
@@ -1099,9 +1173,10 @@ mod tests {
 
     #[test]
     fn drifted_queries_match_naive_between_snapshots() {
-        // Query a sequence of times close enough together that the snapshot
-        // is reused (drift allowance < edge): candidates must still be
-        // exact, because the gather disc widens with the drift bound.
+        // Query a sequence of times, some close enough together that the
+        // snapshot is reused (3 m/s walkers drift less than Bluetooth's
+        // 10 m within 3 s), some not: candidates must still be exact,
+        // because the gather disc widens with the drift bound.
         let mut w = walker_world();
         let ids: Vec<NodeId> = w.node_ids().collect();
         for secs in [10u64, 12, 15, 20, 25, 30] {
@@ -1196,6 +1271,80 @@ mod tests {
             neighbors(&mut w, a, Technology::Bluetooth, SimTime::ZERO).len(),
             1
         );
+    }
+
+    /// A mover without a speed bound (the trait's default), so the index
+    /// never buckets it.
+    #[derive(Debug)]
+    struct Unbounded;
+
+    impl Mobility for Unbounded {
+        fn position(&mut self, t: SimTime) -> Point2 {
+            Point2::new(t.as_secs_f64(), -3.0)
+        }
+    }
+
+    #[test]
+    fn one_pass_bucketing_matches_a_comparison_sort() {
+        use crate::rng::SimRng;
+        for seed in 1..=6u64 {
+            let mut rng = SimRng::from_seed(seed);
+            let mut w = World::new();
+            for i in 0..rng.range_usize(20..300) {
+                let p = Point2::new(rng.range_f64(-400.0..250.0), rng.range_f64(-300.0..350.0));
+                let b = NodeBuilder::new(format!("n{i}"));
+                let b = if rng.chance(0.5) {
+                    b.at(p)
+                } else {
+                    let to = Point2::new(p.x + rng.range_f64(-90.0..90.0), p.y);
+                    b.moving(ScriptedPath::walk(SimTime::ZERO, p, to, 1.5))
+                };
+                w.add_node(b);
+                if i == 17 {
+                    w.add_node(NodeBuilder::new("outlier").at(Point2::new(-4.0e7, 9.0e6)));
+                    w.add_node(NodeBuilder::new("unbounded").moving(Unbounded));
+                }
+            }
+            for (edge, secs) in [(80.0, 0u64), (80.0, 40), (25.0, 40), (7.5, 90)] {
+                let t = SimTime::from_secs(secs);
+                w.set_region_edge(edge);
+                w.prepare_epoch(t);
+                let bounded: Vec<usize> = (0..w.len())
+                    .filter(|&i| w.max_speed[i].is_finite())
+                    .collect();
+                let mut want: Vec<((i64, i64), u32, Point2)> = bounded
+                    .into_iter()
+                    .map(|i| {
+                        let p = w.sample_pos(i, t);
+                        (region_of_point(p, edge), i as u32, p)
+                    })
+                    .collect();
+                want.sort_by_key(|&(region, id, _)| (region, id));
+                let got: Vec<((i64, i64), u32, Point2)> = w
+                    .index
+                    .entries
+                    .iter()
+                    .map(|e| (region_of_point(e.pos, edge), e.id, e.pos))
+                    .collect();
+                assert_eq!(got, want, "seed {seed} edge {edge}");
+                let mut runs = 0;
+                let mut start = 0;
+                while start < want.len() {
+                    let region = want[start].0;
+                    let len = want[start..].partition_point(|e| e.0 == region);
+                    let run = (start as u32, (start + len) as u32);
+                    assert_eq!(w.index.regions.get(&region), Some(&run), "{region:?}");
+                    runs += 1;
+                    start += len;
+                }
+                assert_eq!(w.index.regions.len(), runs, "seed {seed} edge {edge}");
+                assert!(w
+                    .index
+                    .entries
+                    .iter()
+                    .all(|e| e.mask == w.tech_mask[e.id as usize]));
+            }
+        }
     }
 
     #[test]

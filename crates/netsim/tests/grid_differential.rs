@@ -6,7 +6,7 @@ use codec::prop::{check, Config, Gen};
 use ph_netsim::geometry::{Point2, Rect};
 use ph_netsim::mobility::{Mobility, RandomWalk, RandomWaypoint, ScriptedPath};
 use ph_netsim::world::{GatherBuf, NodeBuilder, NodeId};
-use ph_netsim::{SimRng, SimTime, Technology, World};
+use ph_netsim::{RadioEnv, SimRng, SimTime, Technology, World};
 
 /// One generated device: spawn point, radio mix, mobility choice.
 #[derive(Debug)]
@@ -207,13 +207,13 @@ fn allowance(t0: SimTime, dt: std::time::Duration) -> f64 {
 /// A seeker at the origin, stationary, plus movers whose *snapshot*
 /// distance sits exactly at — and one ulp either side of — `range −
 /// drift`, `range − travelled`, `range`, `range + travelled` and `range +
-/// drift` for Bluetooth and WLAN, each heading away, towards, and across
-/// the seeker's line of sight, along both axes; plus parked nodes at the
-/// same distances and one speed-unbounded node that lands exactly on the
-/// Bluetooth range at `t0 + dt`.
-fn boundary_world(t0: SimTime, dt: std::time::Duration, drift: f64) -> World {
+/// drift` for `env`'s Bluetooth and WLAN ranges, each heading away,
+/// towards, and across the seeker's line of sight, along both axes; plus
+/// parked nodes at the same distances and one speed-unbounded node that
+/// lands exactly on the Bluetooth range at `t0 + dt`.
+fn boundary_world(env: &RadioEnv, t0: SimTime, dt: std::time::Duration, drift: f64) -> World {
     let travelled = SPEED * dt.as_secs_f64();
-    let mut w = World::new();
+    let mut w = World::with_env(env.clone());
     w.add_node(NodeBuilder::new("seeker").at(Point2::ORIGIN));
     w.add_node(pacer(t0));
     let radios = [
@@ -222,7 +222,8 @@ fn boundary_world(t0: SimTime, dt: std::time::Duration, drift: f64) -> World {
         vec![Technology::Wlan, Technology::Gprs],
     ];
     let mut k = 0;
-    for range in [10.0, 80.0] {
+    for tech in [Technology::Bluetooth, Technology::Wlan] {
+        let range = env.profile(tech).range_m;
         for base in [
             range - drift,
             range - travelled,
@@ -259,59 +260,154 @@ fn boundary_world(t0: SimTime, dt: std::time::Duration, drift: f64) -> World {
         }
     }
     // Far away at the snapshot, exactly at Bluetooth range when queried.
+    let bluetooth = env.profile(Technology::Bluetooth).range_m;
     w.add_node(
         NodeBuilder::new("unbounded").moving(Unbounded(ScriptedPath::new(vec![
             (t0, Point2::new(5000.0, 0.0)),
-            (t0 + dt, Point2::new(10.0, 0.0)),
+            (t0 + dt, Point2::new(bluetooth, 0.0)),
         ]))),
     );
     w
 }
 
+/// An environment whose shortest finite range is the 80 m region edge
+/// (Bluetooth 80 m, WLAN 200 m), so its snapshots serve drifts up to 80 m
+/// where the stock 10 m Bluetooth range caps them at 10 m.
+fn wide_env() -> RadioEnv {
+    use ph_netsim::radio::{BLUETOOTH, WLAN};
+    let mut bt = BLUETOOTH.clone();
+    bt.range_m = 80.0;
+    let mut wlan = WLAN.clone();
+    wlan.range_m = 200.0;
+    RadioEnv::default()
+        .with_profile(Technology::Bluetooth, bt)
+        .with_profile(Technology::Wlan, wlan)
+}
+
 #[test]
 fn snapshot_classification_is_exact_at_its_bounds() {
     let t0 = SimTime::from_secs(1);
-    // Rebuilds happen once the allowance passes the 80 m region edge:
-    // 19.99 s at the pacer's 4 m/s sits just below that threshold.
-    for dt_ms in [1_250u64, 2_500, 10_000, 19_990] {
-        let dt = std::time::Duration::from_millis(dt_ms);
-        let t = t0 + dt;
-        let drift = allowance(t0, dt);
-        assert!(drift > 0.0);
-        let mut w = boundary_world(t0, dt, drift);
-        w.prepare_epoch(t0);
-        let ids: Vec<NodeId> = w.node_ids().collect();
-        let techs = [Technology::Bluetooth, Technology::Wlan];
-
-        w.prepare_epoch(t);
-        let view_answers: Vec<Vec<NodeId>> = {
-            let view = w.epoch_view(t);
-            let mut scratch = GatherBuf::default();
-            ids.iter()
-                .flat_map(|&id| techs.map(|tech| (id, tech)))
-                .map(|(id, tech)| view.neighbors(id, tech, &mut scratch))
-                .collect()
-        };
-        for (k, (id, tech)) in ids
-            .iter()
-            .flat_map(|&id| techs.map(|tech| (id, tech)))
-            .enumerate()
-        {
-            let naive = w.neighbors_naive(id, tech, t);
-            assert_eq!(view_answers[k], naive, "view {id:?} {tech:?} dt={dt:?}");
+    // A snapshot serves drift up to the shortest radio range: at the
+    // pacer's 4 m/s, just under 2.5 s with the stock 10 m Bluetooth and
+    // 20 s in the wide environment. Each offset stays below its threshold,
+    // so the accept band shrinks to a few millimetres.
+    let cases = [
+        (RadioEnv::default(), vec![1_250u64, 2_499]),
+        (wide_env(), vec![2_500, 10_000, 19_990]),
+    ];
+    for (env, offsets_ms) in cases {
+        for dt_ms in offsets_ms {
+            let dt = std::time::Duration::from_millis(dt_ms);
+            check_bounds(&env, t0, dt);
         }
+    }
+}
+
+/// Compares every query path of [`boundary_world`] with the naive scan at
+/// `t0 + dt`, against the snapshot taken at `t0`.
+fn check_bounds(env: &RadioEnv, t0: SimTime, dt: std::time::Duration) {
+    let t = t0 + dt;
+    let drift = allowance(t0, dt);
+    assert!(drift > 0.0);
+    let mut w = boundary_world(env, t0, dt, drift);
+    w.prepare_epoch(t0);
+    let ids: Vec<NodeId> = w.node_ids().collect();
+    let techs = [Technology::Bluetooth, Technology::Wlan];
+
+    w.prepare_epoch(t);
+    let view_answers: Vec<Vec<NodeId>> = {
+        let view = w.epoch_view(t);
+        let mut scratch = GatherBuf::default();
+        ids.iter()
+            .flat_map(|&id| techs.map(|tech| (id, tech)))
+            .map(|(id, tech)| view.neighbors(id, tech, &mut scratch))
+            .collect()
+    };
+    for (k, (id, tech)) in ids
+        .iter()
+        .flat_map(|&id| techs.map(|tech| (id, tech)))
+        .enumerate()
+    {
+        let naive = w.neighbors_naive(id, tech, t);
+        assert_eq!(view_answers[k], naive, "view {id:?} {tech:?} dt={dt:?}");
+    }
+    for &id in &ids {
+        assert_eq!(
+            w.neighbors_any(id, t),
+            w.neighbors_any_naive(id, t),
+            "any {id:?} dt={dt:?}"
+        );
+    }
+    // The queries above ran against the t0 snapshot, not a rebuilt one.
+    assert_eq!(w.drift_allowance(t), drift, "dt={dt:?}");
+    let seeker = ids[0];
+    assert!(neighbors(&mut w, seeker, Technology::Bluetooth, t).contains(ids.last().unwrap()));
+}
+
+#[test]
+fn rebuilds_cap_drift_at_the_shortest_range_and_stay_exact() {
+    // A random-waypoint campus stepped for 120 s. After every
+    // `prepare_epoch` the drift allowance is within both the region edge
+    // and Bluetooth's 10 m, and across the rebuilds that forces every
+    // query path matches the naive scan.
+    let side = 300.0;
+    let area = Rect::sized(side, side);
+    let mut rng = SimRng::from_seed(29);
+    let radios = [
+        vec![Technology::Bluetooth],
+        vec![Technology::Bluetooth, Technology::Wlan],
+        vec![Technology::Wlan, Technology::Gprs],
+    ];
+    let mut world = World::new();
+    for i in 0..40u64 {
+        let start = Point2::new(rng.range_f64(0.0..side), rng.range_f64(0.0..side));
+        world.add_node(
+            NodeBuilder::new(format!("n{i}"))
+                .with_technologies(radios[i as usize % radios.len()].clone())
+                .moving(RandomWaypoint::new(
+                    area,
+                    start,
+                    (0.5, 3.0),
+                    (
+                        std::time::Duration::ZERO,
+                        std::time::Duration::from_secs(10),
+                    ),
+                    SimRng::from_seed(i),
+                )),
+        );
+    }
+    let cap = [Technology::Bluetooth, Technology::Wlan]
+        .map(|tech| world.env().profile(tech).range_m)
+        .into_iter()
+        .fold(world.region_edge(), f64::min);
+    assert_eq!(cap, 10.0);
+    let ids: Vec<NodeId> = world.node_ids().collect();
+    let before = world.snapshot_rebuilds();
+    for step in 0..=240u64 {
+        let t = SimTime::from_millis(step * 500);
+        world.prepare_epoch(t);
+        let drift = world.drift_allowance(t);
+        assert!(drift <= cap, "drift {drift} at {t}");
         for &id in &ids {
+            for tech in Technology::ALL {
+                let got = world
+                    .epoch_view(t)
+                    .neighbors(id, tech, &mut GatherBuf::default());
+                assert_eq!(
+                    got,
+                    world.neighbors_naive(id, tech, t),
+                    "{id:?} {tech:?} {t}"
+                );
+            }
             assert_eq!(
-                w.neighbors_any(id, t),
-                w.neighbors_any_naive(id, t),
-                "any {id:?} dt={dt:?}"
+                world.neighbors_any(id, t),
+                world.neighbors_any_naive(id, t),
+                "{id:?} {t}"
             );
         }
-        // The queries above ran against the t0 snapshot, not a rebuilt one.
-        assert_eq!(w.drift_allowance(t), drift, "dt={dt:?}");
-        let seeker = ids[0];
-        assert!(neighbors(&mut w, seeker, Technology::Bluetooth, t).contains(ids.last().unwrap()));
     }
+    let rebuilds = world.snapshot_rebuilds() - before;
+    assert!(rebuilds >= 10, "only {rebuilds} rebuilds");
 }
 
 #[test]
@@ -323,7 +419,6 @@ fn snapshot_classification_is_exact_on_the_range_circle() {
     // few ulps either side of the circle, at every angle, must still match
     // the exact scan.
     use ph_netsim::radio::BLUETOOTH;
-    use ph_netsim::RadioEnv;
     let range = 1e12;
     let mut bt = BLUETOOTH.clone();
     bt.range_m = range;

@@ -322,7 +322,9 @@ pub struct Cluster<A> {
 pub struct EpochTiming {
     /// Time spent draining timestamp batches from the event queue.
     pub drain: Duration,
-    /// Time spent partitioning parallel batches by home node.
+    /// Time spent preparing the world's region snapshot for every epoch
+    /// (rebuilds included), plus partitioning parallel batches by home
+    /// node.
     pub gather: Duration,
     /// Time spent executing events (worker fan-out for parallel batches,
     /// one inline worker for serial ones).
@@ -624,6 +626,16 @@ impl<A: Application> Cluster<A> {
         self.serial_epoch(now, |w| w.span(0, |w| w.app_callback(node, f)))
     }
 
+    /// Runs `f` — the gather phase of one epoch — under the gather timer.
+    fn timed_gather<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let tg = self.collect_timing.then(Instant::now);
+        let r = f(self);
+        if let Some(tg) = tg {
+            self.timing.gather += tg.elapsed();
+        }
+        r
+    }
+
     /// Runs `f` — the execute phase of one epoch — under the execute timer.
     fn timed_execute<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let te = self.collect_timing.then(Instant::now);
@@ -639,7 +651,7 @@ impl<A: Application> Cluster<A> {
     /// table, so it can run any event; its buffers live on in the cluster
     /// between epochs.
     fn serial_epoch<R>(&mut self, t: SimTime, f: impl FnOnce(&mut EpochWorker<'_, A>) -> R) -> R {
-        self.world.prepare_epoch(t);
+        self.timed_gather(|c| c.world.prepare_epoch(t));
         let (mut out, r) = self.timed_execute(|c| {
             let mut w = EpochWorker {
                 view: c.world.epoch_view(t),
@@ -1499,47 +1511,46 @@ impl<A: Application + Send> Cluster<A> {
         self.timing.par_events += batch.len() as u64;
 
         // ---- gather: partition the batch by home node ----
-        let tg = self.collect_timing.then(Instant::now);
-        self.world.prepare_epoch(t);
-        // Tag each event with (home node, batch position); sorting by that
-        // key groups events per node while preserving per-node batch order,
-        // which is what keeps each node's RNG/daemon stream serial-exact.
-        let mut tagged: Vec<(u32, u32, Ev)> = batch
-            .drain(..)
-            .enumerate()
-            .map(|(i, ev)| (ev_target(&ev).index() as u32, i as u32, ev))
-            .collect();
-        tagged.sort_unstable_by_key(|e| (e.0, e.1));
-        let threads = netsim::par::effective_threads(self.threads);
-        let workers = threads
-            .min(tagged.len().div_ceil(EPOCH_MIN_EVENTS_PER_WORKER))
-            .max(1);
-        // Node-aligned cuts balancing the event count per worker. `bounds`
-        // partitions the node table, `ev_cuts` the tagged event list.
-        let mut bounds: Vec<usize> = vec![0];
-        let mut ev_cuts: Vec<usize> = vec![0];
-        let per = tagged.len().div_ceil(workers);
-        let mut next_cut = per;
-        for j in 1..tagged.len() {
-            if j >= next_cut && tagged[j].0 != tagged[j - 1].0 && bounds.len() < workers {
-                bounds.push(tagged[j].0 as usize);
-                ev_cuts.push(j);
-                next_cut = j + per;
+        let (bounds, parts) = self.timed_gather(|c| {
+            c.world.prepare_epoch(t);
+            // Tag each event with (home node, batch position); sorting by that
+            // key groups events per node while preserving per-node batch order,
+            // which is what keeps each node's RNG/daemon stream serial-exact.
+            let mut tagged: Vec<(u32, u32, Ev)> = batch
+                .drain(..)
+                .enumerate()
+                .map(|(i, ev)| (ev_target(&ev).index() as u32, i as u32, ev))
+                .collect();
+            tagged.sort_unstable_by_key(|e| (e.0, e.1));
+            let threads = netsim::par::effective_threads(c.threads);
+            let workers = threads
+                .min(tagged.len().div_ceil(EPOCH_MIN_EVENTS_PER_WORKER))
+                .max(1);
+            // Node-aligned cuts balancing the event count per worker. `bounds`
+            // partitions the node table, `ev_cuts` the tagged event list.
+            let mut bounds: Vec<usize> = vec![0];
+            let mut ev_cuts: Vec<usize> = vec![0];
+            let per = tagged.len().div_ceil(workers);
+            let mut next_cut = per;
+            for j in 1..tagged.len() {
+                if j >= next_cut && tagged[j].0 != tagged[j - 1].0 && bounds.len() < workers {
+                    bounds.push(tagged[j].0 as usize);
+                    ev_cuts.push(j);
+                    next_cut = j + per;
+                }
             }
-        }
-        bounds.push(self.nodes.len());
-        ev_cuts.push(tagged.len());
-        // Split the tagged events into per-worker owned parts (the events
-        // must move — their payloads are consumed by the handlers).
-        let mut parts: Vec<Vec<(u32, u32, Ev)>> = Vec::with_capacity(bounds.len() - 1);
-        for w in (1..ev_cuts.len() - 1).rev() {
-            parts.push(tagged.split_off(ev_cuts[w]));
-        }
-        parts.push(tagged);
-        parts.reverse();
-        if let Some(tg) = tg {
-            self.timing.gather += tg.elapsed();
-        }
+            bounds.push(c.nodes.len());
+            ev_cuts.push(tagged.len());
+            // Split the tagged events into per-worker owned parts (the events
+            // must move — their payloads are consumed by the handlers).
+            let mut parts: Vec<Vec<(u32, u32, Ev)>> = Vec::with_capacity(bounds.len() - 1);
+            for w in (1..ev_cuts.len() - 1).rev() {
+                parts.push(tagged.split_off(ev_cuts[w]));
+            }
+            parts.push(tagged);
+            parts.reverse();
+            (bounds, parts)
+        });
 
         // ---- execute: one scoped worker per node range ----
         let mut boxes = self.timed_execute(|c| {
