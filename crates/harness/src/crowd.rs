@@ -808,8 +808,9 @@ mod tests {
 
     /// Tentpole acceptance: the parallel epoch engine must be a pure
     /// performance transform. For every seed and crowd size the trace
-    /// digest, counters, and app-observed event totals of a `--threads 4`
-    /// run are byte-identical to the serial run. Horizons shrink as `N`
+    /// digest, counters, app-observed event totals and epoch counters of a
+    /// `--threads 4` or `--threads 0` run are byte-identical to the serial
+    /// run. Horizons shrink as `N`
     /// grows to keep the cross product affordable in debug builds.
     #[test]
     fn serial_and_parallel_digests_match() {
@@ -839,6 +840,19 @@ mod tests {
                         (serial.events, serial.appeared, serial.disappeared),
                         (par.events, par.appeared, par.disappeared),
                         "seed={seed} nodes={nodes} threads={threads}"
+                    );
+                    let counters = |t: &EpochTiming| {
+                        [
+                            t.par_batches,
+                            t.par_events,
+                            t.serial_batches,
+                            t.serial_events,
+                        ]
+                    };
+                    assert_eq!(
+                        counters(&serial.timing),
+                        counters(&par.timing),
+                        "epoch counters: seed={seed} nodes={nodes} threads={threads}"
                     );
                 }
             }

@@ -9,11 +9,15 @@
 //!   ([`std::thread::scope`] — no `unsafe`, no external crates);
 //! * workers are joined in spawn order, so the merged output is in chunk
 //!   order regardless of which worker finished first;
-//! * a single chunk short-circuits to a plain call, so the serial and
-//!   parallel engines share one body.
+//! * a single chunk short-circuits to a plain call on the caller's thread.
+//!   The engine asks for two or more workers, but its node-aligned cuts
+//!   leave one chunk when a batch targets too few nodes to split.
 //!
 //! Determinism therefore does not depend on scheduling luck: the trace
 //! digests of serial and parallel runs are compared by `repro gate`.
+//!
+//! A batch that gets one worker never comes here: the engine runs it as
+//! an epoch of one worker, like every batch it cannot partition.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;

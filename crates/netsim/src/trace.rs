@@ -436,16 +436,6 @@ impl Trace {
         self.pool.lookup(label).map(LabelId)
     }
 
-    /// The string behind an actor handle.
-    pub fn actor_name(&self, id: ActorId) -> &str {
-        self.pool.get(id.0)
-    }
-
-    /// The string behind a label handle.
-    pub fn label_name(&self, id: LabelId) -> &str {
-        self.pool.get(id.0)
-    }
-
     /// Appends an event. Strings already present in the pool are not
     /// re-allocated; with pre-interned handles use [`Trace::record_ids`] to
     /// skip the pool lookups entirely.
@@ -712,13 +702,15 @@ mod tests {
         let mut t = Trace::new();
         let a = t.intern_actor("alice");
         assert_eq!(t.intern_actor("alice"), a);
-        assert_eq!(t.actor_name(a), "alice");
         let l = t.intern_label("PING");
         assert_eq!(t.intern_label("PING"), l);
-        assert_eq!(t.label_name(l), "PING");
+        // record_ids() resolves the handles through the same pool.
+        t.record_ids(SimTime::ZERO, a, a, l);
+        assert_eq!(t.events()[0].from, "alice");
+        assert_eq!(t.events()[0].label, "PING");
         // record() goes through the same pool.
         t.record(SimTime::ZERO, "alice", "alice", "PING");
-        assert_eq!(t.events()[0].from, "alice");
+        assert_eq!(t.events()[1].from, "alice");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub enum PendingLabel {
 }
 
 /// One trace record buffered by a simulator epoch worker, to be replayed
-/// into the live [`Trace`] later in canonical (serial) order.
+/// into the run's [`Trace`] later in canonical (serial) order.
 ///
 /// Replaying buffered records in the exact order a serial run would have
 /// called [`Trace::record`] reproduces the serial pool intern order, ring
@@ -70,16 +70,14 @@ impl PendingRecord {
 
 /// Where an [`AppCtx`]'s trace calls go.
 ///
-/// `Live` writes straight into a [`Trace`] (the live TCP driver).
 /// `Buffer` is the simulator's epoch-worker path: the trace is borrowed
 /// read-only (possibly shared with other workers), so records are buffered
 /// as [`PendingRecord`]s — resolving actor/label strings against the frozen
-/// pool where possible — and replayed serially at commit time.
+/// pool where possible — and replayed serially at commit time. The live
+/// TCP driver keeps no trace and discards them.
 pub enum TraceSink<'a> {
     /// Discard all records.
     None,
-    /// Record directly into the live trace.
-    Live(&'a mut Trace),
     /// Buffer records against a frozen trace for canonical-order replay.
     Buffer {
         /// The run's trace, frozen for the duration of the epoch.
@@ -101,24 +99,15 @@ pub struct AppCtx<'a> {
 }
 
 impl<'a> AppCtx<'a> {
-    /// Builds a context (called by drivers).
+    /// Builds a context whose trace calls are discarded (the live TCP
+    /// driver's).
     pub fn new(
         now: SimTime,
         actor: &'a str,
         lib: &'a mut Library,
         timers: &'a mut Vec<(SimTime, u64)>,
-        trace: Option<&'a mut Trace>,
     ) -> Self {
-        AppCtx {
-            now,
-            actor,
-            lib,
-            timers,
-            sink: match trace {
-                Some(t) => TraceSink::Live(t),
-                None => TraceSink::None,
-            },
-        }
+        AppCtx::with_sink(now, actor, lib, timers, TraceSink::None)
     }
 
     /// Builds a context with an explicit [`TraceSink`] (the simulator's
@@ -165,7 +154,6 @@ impl<'a> AppCtx<'a> {
     pub fn trace(&mut self, to: &str, label: &str) {
         match &mut self.sink {
             TraceSink::None => {}
-            TraceSink::Live(trace) => trace.record(self.now, self.actor, to, label),
             TraceSink::Buffer {
                 trace,
                 actor_id,
@@ -190,7 +178,6 @@ impl<'a> AppCtx<'a> {
     pub fn trace_local(&mut self, label: &str) {
         match &mut self.sink {
             TraceSink::None => {}
-            TraceSink::Live(trace) => trace.record(self.now, self.actor, self.actor, label),
             TraceSink::Buffer {
                 trace,
                 actor_id,
@@ -237,47 +224,27 @@ mod tests {
     fn ctx_exposes_time_actor_and_library() {
         let mut lib = Library::new();
         let mut timers = Vec::new();
-        let mut trace = Trace::new();
-        let mut ctx = AppCtx::new(
-            SimTime::from_secs(3),
-            "alice",
-            &mut lib,
-            &mut timers,
-            Some(&mut trace),
-        );
+        let mut ctx = AppCtx::new(SimTime::from_secs(3), "alice", &mut lib, &mut timers);
         assert_eq!(ctx.now(), SimTime::from_secs(3));
         assert_eq!(ctx.actor(), "alice");
         ctx.peerhood().request_device_list();
         ctx.set_timer(Duration::from_secs(2), 9);
-        ctx.trace("bob", "PING");
-        ctx.trace_local("DISPLAY");
         let _ = ctx;
         assert_eq!(lib.len(), 1);
         assert_eq!(timers, vec![(SimTime::from_secs(5), 9)]);
-        assert_eq!(trace.labels(), vec!["PING", "DISPLAY"]);
-        assert_eq!(trace.events()[1].to, "alice");
     }
 
     #[test]
-    fn buffered_sink_replays_identically_to_live() {
-        // Serial reference: record directly.
-        let mut live = Trace::new();
-        live.intern_actor("alice"); // add_node interns every actor up front
-        {
-            let mut lib = Library::new();
-            let mut timers = Vec::new();
-            let mut ctx = AppCtx::new(
-                SimTime::from_secs(1),
-                "alice",
-                &mut lib,
-                &mut timers,
-                Some(&mut live),
-            );
-            ctx.trace("bob", "PING");
-            ctx.trace_local("DISPLAY");
-            ctx.trace("bob", "PING"); // repeat: must reuse pool entries
-        }
-        // Buffered path: same calls against a frozen trace, then replay.
+    fn buffered_sink_replays_identically_to_direct_records() {
+        // Reference: the records a serial run makes, straight into a trace.
+        let at = SimTime::from_secs(1);
+        let mut direct = Trace::new();
+        direct.intern_actor("alice"); // add_node interns every actor up front
+        direct.record(at, "alice", "bob", "PING");
+        direct.record(at, "alice", "alice", "DISPLAY");
+        direct.record(at, "alice", "bob", "PING"); // repeat: must reuse pool entries
+        assert_eq!(direct.labels(), vec!["PING", "DISPLAY", "PING"]);
+        // Buffered path: the app's calls against a frozen trace, then replay.
         let mut buffered = Trace::new();
         let alice = buffered.intern_actor("alice");
         let mut out = Vec::new();
@@ -285,7 +252,7 @@ mod tests {
             let mut lib = Library::new();
             let mut timers = Vec::new();
             let mut ctx = AppCtx::with_sink(
-                SimTime::from_secs(1),
+                at,
                 "alice",
                 &mut lib,
                 &mut timers,
@@ -307,17 +274,17 @@ mod tests {
         for r in out {
             r.replay(&mut buffered);
         }
-        assert_eq!(live, buffered);
-        assert_eq!(live.digest(), buffered.digest());
-        assert_eq!(live.stats().messages, buffered.stats().messages);
-        assert_eq!(live.stats().local_events, buffered.stats().local_events);
+        assert_eq!(direct, buffered);
+        assert_eq!(direct.digest(), buffered.digest());
+        assert_eq!(direct.stats().messages, buffered.stats().messages);
+        assert_eq!(direct.stats().local_events, buffered.stats().local_events);
     }
 
     #[test]
     fn trace_is_noop_without_sink() {
         let mut lib = Library::new();
         let mut timers = Vec::new();
-        let mut ctx = AppCtx::new(SimTime::ZERO, "a", &mut lib, &mut timers, None);
+        let mut ctx = AppCtx::new(SimTime::ZERO, "a", &mut lib, &mut timers);
         ctx.trace("b", "X"); // must not panic
     }
 
@@ -330,7 +297,7 @@ mod tests {
         let mut app = Nop;
         let mut lib = Library::new();
         let mut timers = Vec::new();
-        let mut ctx = AppCtx::new(SimTime::ZERO, "a", &mut lib, &mut timers, None);
+        let mut ctx = AppCtx::new(SimTime::ZERO, "a", &mut lib, &mut timers);
         app.on_start(&mut ctx);
         app.on_timer(1, &mut ctx);
     }

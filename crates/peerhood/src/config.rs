@@ -204,15 +204,6 @@ impl DaemonConfig {
             && *recovery == other.recovery
             && *gossip == other.gossip
     }
-
-    /// The inquiry interval for `tech`, if the local device has that radio
-    /// and an interval is configured.
-    pub fn interval_for(&self, tech: Technology) -> Option<Duration> {
-        if !self.device.technologies.contains(tech) {
-            return None;
-        }
-        self.inquiry_interval.get(tech).copied()
-    }
 }
 
 #[cfg(test)]
@@ -233,14 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_respects_equipment() {
-        let cfg = DaemonConfig::new(device());
-        assert!(cfg.interval_for(Technology::Bluetooth).is_some());
-        // Device has no WLAN radio, so no interval even though configured.
-        assert_eq!(cfg.interval_for(Technology::Wlan), None);
-    }
-
-    #[test]
     fn builder_overrides() {
         let cfg = DaemonConfig::new(device())
             .with_inquiry_interval(Technology::Bluetooth, Duration::from_secs(99))
@@ -248,8 +231,8 @@ mod tests {
             .with_auto_service_discovery(false)
             .with_seamless_connectivity(false);
         assert_eq!(
-            cfg.interval_for(Technology::Bluetooth),
-            Some(Duration::from_secs(99))
+            cfg.inquiry_interval.get(Technology::Bluetooth),
+            Some(&Duration::from_secs(99))
         );
         assert_eq!(cfg.neighbor_ttl, Duration::from_secs(7));
         assert!(!cfg.auto_service_discovery);

@@ -1390,17 +1390,22 @@ mod tests {
 
     #[test]
     fn first_tick_starts_inquiries_on_all_equipped_technologies() {
-        let mut d = daemon();
-        let out = tick(&mut d, SimTime::ZERO);
-        let cmds = plugin_cmds(&out);
-        let techs: Vec<Technology> = cmds
-            .iter()
-            .filter_map(|c| match c {
-                PluginCommand::StartInquiry { technology } => Some(*technology),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(techs.len(), 3, "{out:?}");
+        fn inquiries(d: &mut Daemon) -> Vec<Technology> {
+            let out = tick(d, SimTime::ZERO);
+            plugin_cmds(&out)
+                .iter()
+                .filter_map(|c| match c {
+                    PluginCommand::StartInquiry { technology } => Some(*technology),
+                    _ => None,
+                })
+                .collect()
+        }
+        assert_eq!(inquiries(&mut daemon()).len(), 3);
+        // A radio the device lacks gets no inquiry, though its interval is
+        // configured.
+        let bt_only = DeviceInfo::new(DeviceId::new(0), "local", [Technology::Bluetooth]);
+        let mut d = Daemon::new(DaemonConfig::new(bt_only));
+        assert_eq!(inquiries(&mut d), vec![Technology::Bluetooth]);
     }
 
     #[test]

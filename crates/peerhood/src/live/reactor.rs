@@ -895,7 +895,7 @@ impl<A: Application> Core<A> {
         let now = self.now();
         let mut timers = Vec::new();
         let r = {
-            let mut ctx = AppCtx::new(now, &self.name, &mut self.lib, &mut timers, None);
+            let mut ctx = AppCtx::new(now, &self.name, &mut self.lib, &mut timers);
             f(&mut self.app, &mut ctx)
         };
         self.timers.extend(timers);

@@ -56,6 +56,13 @@ const FAULT_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// pure cost knob — worker count never affects results.
 const EPOCH_MIN_EVENTS_PER_WORKER: usize = 16;
 
+/// Most events whose outbox a one-worker epoch keeps for the next one. The
+/// box of a bigger epoch — a crowd's boot batch or a wake wave, which
+/// buffer hundreds of thousands of schedules at 100k nodes — goes back to
+/// the allocator after its commit instead of holding its peak for the rest
+/// of the run (kept, the 100k boot box alone added ~14 MiB to peak RSS).
+const OUTBOX_KEEP: usize = 4096;
+
 #[derive(Debug)]
 enum Ev {
     Start(NodeId),
@@ -299,9 +306,9 @@ pub struct Cluster<A> {
     threads: usize,
     /// Reused batch buffer for [`EventQueue::drain_batch`].
     batch_buf: Vec<Ev>,
-    /// The one-worker epochs' outbox, gather buffer and `feed_daemon`
-    /// buffers, kept between epochs so a quiescent run allocates none of
-    /// them per event.
+    /// The one-worker epochs' outbox (up to [`OUTBOX_KEEP`] events),
+    /// gather buffer and `feed_daemon` buffers, kept between epochs so a
+    /// quiescent run allocates none of them per event.
     outbox: EpochOutbox,
     gather_buf: GatherBuf,
     feed_bufs: FeedBufs,
@@ -323,21 +330,27 @@ pub struct EpochTiming {
     /// Time spent draining timestamp batches from the event queue.
     pub drain: Duration,
     /// Time spent preparing the world's region snapshot for every epoch
-    /// (rebuilds included), plus partitioning parallel batches by home
-    /// node.
+    /// (rebuilds included), plus partitioning batches that get two or more
+    /// workers by home node.
     pub gather: Duration,
-    /// Time spent executing events (worker fan-out for parallel batches,
-    /// one inline worker for serial ones).
+    /// Time spent executing events (worker fan-out for partitioned
+    /// batches, one inline worker for the rest).
     pub execute: Duration,
     /// Time spent replaying worker outboxes in canonical order.
     pub commit: Duration,
-    /// Timestamp batches executed through the parallel epoch engine.
+    /// Timestamp batches eligible for partitioning: two or more events,
+    /// all node-local under an empty link table. They are counted here
+    /// whatever the worker count; one that gets a single worker runs as a
+    /// one-worker epoch, so these counters are the same for every
+    /// [`Cluster::set_threads`].
     pub par_batches: u64,
-    /// Events executed through the parallel epoch engine.
+    /// Events in the batches counted by `par_batches`.
     pub par_events: u64,
-    /// Timestamp batches executed on one worker (ineligible or tiny).
+    /// Timestamp batches not eligible for partitioning: a single event, an
+    /// event that may touch the link table, or any batch while a link is
+    /// up.
     pub serial_batches: u64,
-    /// Events executed on one worker.
+    /// Events in the batches counted by `serial_batches`.
     pub serial_events: u64,
 }
 
@@ -436,8 +449,11 @@ impl<A: Application> Cluster<A> {
     /// The engine executes node-local timestamp batches concurrently —
     /// partitioned by home node, effects buffered per worker and committed
     /// in canonical batch order — so the trace digest is bit-identical for
-    /// every worker count (see the engine comment below). `ph-harness`
-    /// enforces this with digest-equality tests and `repro gate` checks it.
+    /// every worker count (see the engine comment below). An eligible batch
+    /// of `n` events gets `min(threads, ⌈n / 16⌉)` workers; one that gets a
+    /// single worker runs inline like any other one-worker epoch.
+    /// `ph-harness` enforces this with digest-equality tests and `repro
+    /// gate` checks it.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
@@ -626,22 +642,17 @@ impl<A: Application> Cluster<A> {
         self.serial_epoch(now, |w| w.span(0, |w| w.app_callback(node, f)))
     }
 
-    /// Runs `f` — the gather phase of one epoch — under the gather timer.
-    fn timed_gather<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let tg = self.collect_timing.then(Instant::now);
+    /// Runs `f` — one phase of an epoch — under that phase's wall-clock
+    /// timer in [`EpochTiming`], when sampling is on.
+    fn timed<R>(
+        &mut self,
+        phase: fn(&mut EpochTiming) -> &mut Duration,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let start = self.collect_timing.then(Instant::now);
         let r = f(self);
-        if let Some(tg) = tg {
-            self.timing.gather += tg.elapsed();
-        }
-        r
-    }
-
-    /// Runs `f` — the execute phase of one epoch — under the execute timer.
-    fn timed_execute<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let te = self.collect_timing.then(Instant::now);
-        let r = f(self);
-        if let Some(te) = te {
-            self.timing.execute += te.elapsed();
+        if let Some(start) = start {
+            *phase(&mut self.timing) += start.elapsed();
         }
         r
     }
@@ -651,39 +662,44 @@ impl<A: Application> Cluster<A> {
     /// table, so it can run any event; its buffers live on in the cluster
     /// between epochs.
     fn serial_epoch<R>(&mut self, t: SimTime, f: impl FnOnce(&mut EpochWorker<'_, A>) -> R) -> R {
-        self.timed_gather(|c| c.world.prepare_epoch(t));
-        let (mut out, r) = self.timed_execute(|c| {
-            let mut w = EpochWorker {
-                view: c.world.epoch_view(t),
-                env: &c.env,
-                infos: &c.infos,
-                actor_ids: &c.actor_ids,
-                trace: &c.trace,
-                seed: c.seed,
-                now: t,
-                base: 0,
-                nodes: &mut c.nodes,
-                links: std::mem::take(&mut c.links),
-                next_link: c.next_link,
-                out: std::mem::take(&mut c.outbox),
-                scratch: std::mem::take(&mut c.gather_buf),
-                feed_bufs: std::mem::take(&mut c.feed_bufs),
-            };
-            let r = f(&mut w);
-            let EpochWorker {
-                links,
-                next_link,
-                out,
-                scratch,
-                feed_bufs,
-                ..
-            } = w;
-            (c.links, c.next_link, c.gather_buf, c.feed_bufs) =
-                (links, next_link, scratch, feed_bufs);
-            (out, r)
-        });
+        self.timed(|p| &mut p.gather, |c| c.world.prepare_epoch(t));
+        let (mut out, r) = self.timed(
+            |p| &mut p.execute,
+            |c| {
+                let mut w = EpochWorker {
+                    view: c.world.epoch_view(t),
+                    env: &c.env,
+                    infos: &c.infos,
+                    actor_ids: &c.actor_ids,
+                    trace: &c.trace,
+                    seed: c.seed,
+                    now: t,
+                    base: 0,
+                    nodes: &mut c.nodes,
+                    links: std::mem::take(&mut c.links),
+                    next_link: c.next_link,
+                    out: std::mem::take(&mut c.outbox),
+                    scratch: std::mem::take(&mut c.gather_buf),
+                    feed_bufs: std::mem::take(&mut c.feed_bufs),
+                };
+                let r = f(&mut w);
+                let EpochWorker {
+                    links,
+                    next_link,
+                    out,
+                    scratch,
+                    feed_bufs,
+                    ..
+                } = w;
+                (c.links, c.next_link, c.gather_buf, c.feed_bufs) =
+                    (links, next_link, scratch, feed_bufs);
+                (out, r)
+            },
+        );
         self.commit(std::slice::from_mut(&mut out));
-        self.outbox = out;
+        if out.spans.capacity() <= OUTBOX_KEEP {
+            self.outbox = out;
+        }
         r
     }
 
@@ -697,33 +713,34 @@ impl<A: Application> Cluster<A> {
     /// reproduces pool interning and ring eviction; the stat deltas are
     /// commutative sums. The boxes come back empty, capacity kept.
     fn commit(&mut self, boxes: &mut [EpochOutbox]) {
-        let tc = self.collect_timing.then(Instant::now);
-        for b in boxes.iter_mut() {
-            b.schedules.reverse();
-            b.records.reverse();
-            b.spans.reverse();
-        }
-        while let Some(b) = boxes
-            .iter_mut()
-            .filter(|b| !b.spans.is_empty())
-            .min_by_key(|b| b.spans.last().map(|s| s.0))
-        {
-            let (_, schedules, records) = b.spans.pop().expect("non-empty");
-            for _ in 0..schedules {
-                let (at, ev) = b.schedules.pop().expect("span bookkeeping");
-                self.queue.schedule(at, ev);
-            }
-            for _ in 0..records {
-                let record = b.records.pop().expect("span bookkeeping");
-                record.replay(&mut self.trace);
-            }
-        }
-        for b in boxes {
-            self.trace.stats_mut().add(&std::mem::take(&mut b.stats));
-        }
-        if let Some(tc) = tc {
-            self.timing.commit += tc.elapsed();
-        }
+        self.timed(
+            |p| &mut p.commit,
+            |c| {
+                for b in boxes.iter_mut() {
+                    b.schedules.reverse();
+                    b.records.reverse();
+                    b.spans.reverse();
+                }
+                while let Some(b) = boxes
+                    .iter_mut()
+                    .filter(|b| !b.spans.is_empty())
+                    .min_by_key(|b| b.spans.last().map(|s| s.0))
+                {
+                    let (_, schedules, records) = b.spans.pop().expect("non-empty");
+                    for _ in 0..schedules {
+                        let (at, ev) = b.schedules.pop().expect("span bookkeeping");
+                        c.queue.schedule(at, ev);
+                    }
+                    for _ in 0..records {
+                        let record = b.records.pop().expect("span bookkeeping");
+                        record.replay(&mut c.trace);
+                    }
+                }
+                for b in boxes {
+                    c.trace.stats_mut().add(&std::mem::take(&mut b.stats));
+                }
+            },
+        );
     }
 }
 
@@ -744,18 +761,22 @@ impl<A: Application> Cluster<A> {
 // exact global sequence numbers, pool intern order, ring eviction and
 // counters of a one-event-at-a-time run.
 //
-// A batch whose every event is node-local under an empty link table
-// (discovery, timers, service discovery) is partitioned by home node across
-// scoped workers, each with a disjoint `&mut` node range, its events in
-// batch order (so per-node RNG/daemon streams evolve exactly as serial) and
-// a private, empty link table that the eligibility gate guarantees stays
-// empty. Every other batch — connects completing, frames, teardowns, crash
-// windows — is an epoch of one worker over all nodes that owns the real
-// link table; so is each `run_until_condition` step and `with_app`
-// callback. Crash state is a per-node flag read only for the node whose
-// daemon is fed, so no shared state is ever mutable inside an epoch. The
-// trace digest is therefore bit-identical for any worker count and fault
-// plan; `repro gate` and the differential tests enforce that.
+// The worker count alone picks the path. A batch whose every event is
+// node-local under an empty link table (discovery, timers, service
+// discovery) is eligible; when it gets two or more workers (one per
+// started `EPOCH_MIN_EVENTS_PER_WORKER` events, up to the configured count)
+// it is partitioned by home node across scoped workers, each with a
+// disjoint `&mut` node range, its events in batch order (so per-node
+// RNG/daemon streams evolve exactly as serial) and a private, empty link
+// table that the eligibility gate guarantees stays empty. Every other
+// batch — an eligible one that gets one worker, connects completing,
+// frames, teardowns, crash windows — is an epoch of one worker over all
+// nodes that owns the real link table and reuses the cluster's buffers; so
+// is each `run_until_condition` step and `with_app` callback. Crash state
+// is a per-node flag read only for the node whose daemon is fed, so no
+// shared state is ever mutable inside an epoch. The trace digest is
+// therefore bit-identical for any worker count and fault plan; `repro
+// gate` and the differential tests enforce that.
 
 /// Buffered effects of one epoch worker, replayed serially at commit.
 #[derive(Default)]
@@ -1448,26 +1469,30 @@ impl<A: Application + Send> Cluster<A> {
     /// after `deadline`; the clock then stands at `deadline`.
     ///
     /// Events are drained one timestamp batch at a time, and each batch is
-    /// one epoch (see the engine comment above): batches whose events are
-    /// all node-local are partitioned across the configured workers, every
-    /// other batch runs on one worker. Both produce bit-identical traces,
-    /// so the digest is independent of [`Cluster::set_threads`].
+    /// one epoch (see the engine comment above): a batch that would get two
+    /// or more workers ([`Cluster::set_threads`]) is partitioned across
+    /// them, every other batch runs on one worker. Both produce
+    /// bit-identical traces, so the digest is independent of the worker
+    /// count.
     pub fn run_until(&mut self, deadline: SimTime) {
         let mut batch = std::mem::take(&mut self.batch_buf);
-        loop {
-            let t0 = self.collect_timing.then(Instant::now);
-            let drained = self.queue.drain_batch(deadline, &mut batch);
-            if let Some(t0) = t0 {
-                self.timing.drain += t0.elapsed();
-            }
-            let Some(t) = drained else {
-                break;
-            };
-            if batch.len() >= 2 && self.batch_eligible(&batch) {
-                self.run_epoch(t, &mut batch);
+        while let Some(t) = self.timed(
+            |p| &mut p.drain,
+            |c| c.queue.drain_batch(deadline, &mut batch),
+        ) {
+            let workers = if batch.len() >= 2 && self.batch_eligible(&batch) {
+                self.timing.par_batches += 1;
+                self.timing.par_events += batch.len() as u64;
+                netsim::par::effective_threads(self.threads)
+                    .min(batch.len().div_ceil(EPOCH_MIN_EVENTS_PER_WORKER))
             } else {
                 self.timing.serial_batches += 1;
                 self.timing.serial_events += batch.len() as u64;
+                1
+            };
+            if workers >= 2 {
+                self.run_epoch(t, workers, &mut batch);
+            } else {
                 self.serial_epoch(t, |w| {
                     for (i, ev) in batch.drain(..).enumerate() {
                         w.run_ev(i as u32, ev);
@@ -1503,98 +1528,98 @@ impl<A: Application + Send> Cluster<A> {
             })
     }
 
-    /// Executes one eligible timestamp batch as a partitioned epoch:
-    /// partition by home node → concurrent node-local execution → serial
-    /// outbox commit in canonical batch order.
-    fn run_epoch(&mut self, t: SimTime, batch: &mut Vec<Ev>) {
-        self.timing.par_batches += 1;
-        self.timing.par_events += batch.len() as u64;
-
+    /// Executes one eligible timestamp batch as a partitioned epoch of
+    /// `workers` (at least two) workers: partition by home node →
+    /// concurrent node-local execution → serial outbox commit in canonical
+    /// batch order.
+    fn run_epoch(&mut self, t: SimTime, workers: usize, batch: &mut Vec<Ev>) {
         // ---- gather: partition the batch by home node ----
-        let (bounds, parts) = self.timed_gather(|c| {
-            c.world.prepare_epoch(t);
-            // Tag each event with (home node, batch position); sorting by that
-            // key groups events per node while preserving per-node batch order,
-            // which is what keeps each node's RNG/daemon stream serial-exact.
-            let mut tagged: Vec<(u32, u32, Ev)> = batch
-                .drain(..)
-                .enumerate()
-                .map(|(i, ev)| (ev_target(&ev).index() as u32, i as u32, ev))
-                .collect();
-            tagged.sort_unstable_by_key(|e| (e.0, e.1));
-            let threads = netsim::par::effective_threads(c.threads);
-            let workers = threads
-                .min(tagged.len().div_ceil(EPOCH_MIN_EVENTS_PER_WORKER))
-                .max(1);
-            // Node-aligned cuts balancing the event count per worker. `bounds`
-            // partitions the node table, `ev_cuts` the tagged event list.
-            let mut bounds: Vec<usize> = vec![0];
-            let mut ev_cuts: Vec<usize> = vec![0];
-            let per = tagged.len().div_ceil(workers);
-            let mut next_cut = per;
-            for j in 1..tagged.len() {
-                if j >= next_cut && tagged[j].0 != tagged[j - 1].0 && bounds.len() < workers {
-                    bounds.push(tagged[j].0 as usize);
-                    ev_cuts.push(j);
-                    next_cut = j + per;
+        let (bounds, parts) = self.timed(
+            |p| &mut p.gather,
+            |c| {
+                c.world.prepare_epoch(t);
+                // Tag each event with (home node, batch position); sorting by that
+                // key groups events per node while preserving per-node batch order,
+                // which is what keeps each node's RNG/daemon stream serial-exact.
+                let mut tagged: Vec<(u32, u32, Ev)> = batch
+                    .drain(..)
+                    .enumerate()
+                    .map(|(i, ev)| (ev_target(&ev).index() as u32, i as u32, ev))
+                    .collect();
+                tagged.sort_unstable_by_key(|e| (e.0, e.1));
+                // Node-aligned cuts balancing the event count per worker. `bounds`
+                // partitions the node table, `ev_cuts` the tagged event list.
+                let mut bounds: Vec<usize> = vec![0];
+                let mut ev_cuts: Vec<usize> = vec![0];
+                let per = tagged.len().div_ceil(workers);
+                let mut next_cut = per;
+                for j in 1..tagged.len() {
+                    if j >= next_cut && tagged[j].0 != tagged[j - 1].0 && bounds.len() < workers {
+                        bounds.push(tagged[j].0 as usize);
+                        ev_cuts.push(j);
+                        next_cut = j + per;
+                    }
                 }
-            }
-            bounds.push(c.nodes.len());
-            ev_cuts.push(tagged.len());
-            // Split the tagged events into per-worker owned parts (the events
-            // must move — their payloads are consumed by the handlers).
-            let mut parts: Vec<Vec<(u32, u32, Ev)>> = Vec::with_capacity(bounds.len() - 1);
-            for w in (1..ev_cuts.len() - 1).rev() {
-                parts.push(tagged.split_off(ev_cuts[w]));
-            }
-            parts.push(tagged);
-            parts.reverse();
-            (bounds, parts)
-        });
+                bounds.push(c.nodes.len());
+                ev_cuts.push(tagged.len());
+                // Split the tagged events into per-worker owned parts (the events
+                // must move — their payloads are consumed by the handlers).
+                let mut parts: Vec<Vec<(u32, u32, Ev)>> = Vec::with_capacity(bounds.len() - 1);
+                for w in (1..ev_cuts.len() - 1).rev() {
+                    parts.push(tagged.split_off(ev_cuts[w]));
+                }
+                parts.push(tagged);
+                parts.reverse();
+                (bounds, parts)
+            },
+        );
 
         // ---- execute: one scoped worker per node range ----
-        let mut boxes = self.timed_execute(|c| {
-            let view = c.world.epoch_view(t);
-            let (env, infos, actor_ids, trace) = (&c.env, &c.infos, &c.actor_ids, &c.trace);
-            let (seed, next_link) = (c.seed, c.next_link);
-            netsim::par::map_chunks_mut_with(
-                &mut c.nodes,
-                &bounds,
-                parts,
-                |_ci, base, chunk, mut part| {
-                    // Execute in original batch order, not the node-grouped
-                    // order the partitioning sort left behind: batch indices
-                    // are unique and per-node ascending, so this preserves
-                    // every node's serial-exact stream while making the
-                    // worker's outbox spans ascend in batch index — the
-                    // invariant the commit merge relies on.
-                    part.sort_unstable_by_key(|e| e.1);
-                    let mut w = EpochWorker {
-                        view,
-                        env,
-                        infos,
-                        actor_ids,
-                        trace,
-                        seed,
-                        now: t,
-                        base,
-                        nodes: chunk,
-                        links: BTreeMap::new(),
-                        next_link,
-                        out: EpochOutbox::default(),
-                        scratch: GatherBuf::default(),
-                        feed_bufs: FeedBufs::default(),
-                    };
-                    for (_, batch_idx, ev) in part {
-                        w.run_ev(batch_idx, ev);
-                    }
-                    // The eligibility gate admits no event that creates a
-                    // link, so the private table must still be empty.
-                    debug_assert!(w.links.is_empty(), "partitioned epoch created a link");
-                    w.out
-                },
-            )
-        });
+        let mut boxes = self.timed(
+            |p| &mut p.execute,
+            |c| {
+                let view = c.world.epoch_view(t);
+                let (env, infos, actor_ids, trace) = (&c.env, &c.infos, &c.actor_ids, &c.trace);
+                let (seed, next_link) = (c.seed, c.next_link);
+                netsim::par::map_chunks_mut_with(
+                    &mut c.nodes,
+                    &bounds,
+                    parts,
+                    |_ci, base, chunk, mut part| {
+                        // Execute in original batch order, not the node-grouped
+                        // order the partitioning sort left behind: batch indices
+                        // are unique and per-node ascending, so this preserves
+                        // every node's serial-exact stream while making the
+                        // worker's outbox spans ascend in batch index — the
+                        // invariant the commit merge relies on.
+                        part.sort_unstable_by_key(|e| e.1);
+                        let mut w = EpochWorker {
+                            view,
+                            env,
+                            infos,
+                            actor_ids,
+                            trace,
+                            seed,
+                            now: t,
+                            base,
+                            nodes: chunk,
+                            links: BTreeMap::new(),
+                            next_link,
+                            out: EpochOutbox::default(),
+                            scratch: GatherBuf::default(),
+                            feed_bufs: FeedBufs::default(),
+                        };
+                        for (_, batch_idx, ev) in part {
+                            w.run_ev(batch_idx, ev);
+                        }
+                        // The eligibility gate admits no event that creates a
+                        // link, so the private table must still be empty.
+                        debug_assert!(w.links.is_empty(), "partitioned epoch created a link");
+                        w.out
+                    },
+                )
+            },
+        );
 
         // ---- commit: replay outboxes in canonical batch order ----
         self.commit(&mut boxes);
@@ -2248,5 +2273,35 @@ mod tests {
         c.with_app(a, |_, ctx| ctx.peerhood().connect(bob, "PeerHoodCommunity"));
         c.run_until(SimTime::from_secs(70));
         assert_eq!(c.app(a).connected.len(), 2, "post-restart connect works");
+    }
+
+    /// The worker count picks the path: at four threads the 16-event boot
+    /// batch gets one worker (a one-worker epoch) and the 17-event one gets
+    /// two (a partitioned epoch). Either way the digest and the epoch
+    /// counters equal the one-thread run's.
+    #[test]
+    fn one_and_two_worker_batches_match_the_serial_run() {
+        fn run(nodes: usize, threads: usize) -> (u64, [u64; 4]) {
+            let mut c = Cluster::new(5);
+            c.set_threads(threads);
+            for i in 0..nodes {
+                let at = Point2::new((i % 4) as f64 * 3.0, (i / 4) as f64 * 3.0);
+                c.add_node(NodeBuilder::new(format!("n{i}")).at(at), recorder(true));
+            }
+            c.start();
+            c.run_until(SimTime::from_secs(20));
+            let t = c.timing();
+            assert!(t.par_events >= nodes as u64, "the boot batch is eligible");
+            let counters = [
+                t.par_batches,
+                t.par_events,
+                t.serial_batches,
+                t.serial_events,
+            ];
+            (c.trace().digest(), counters)
+        }
+        for nodes in [16, 17] {
+            assert_eq!(run(nodes, 4), run(nodes, 1), "nodes={nodes}");
+        }
     }
 }

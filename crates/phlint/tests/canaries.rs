@@ -59,7 +59,7 @@ fn the_untouched_tree_is_clean() {
 #[test]
 fn digest_taint_canary_is_caught() {
     assert_caught(rules::DIGEST_TAINT, SIM, |text| {
-        let anchor = "let t0 = self.collect_timing.then(Instant::now);";
+        let anchor = "let mut batch = std::mem::take(&mut self.batch_buf);";
         assert!(text.contains(anchor), "canary anchor moved out of {SIM}");
         text.replacen(
             anchor,
