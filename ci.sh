@@ -8,6 +8,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# perfbench is its own cargo workspace and names harness config fields in
+# struct literals; its toy-size smoke test catches a change that breaks it.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Rustdoc: every intra-doc link resolves and no public item links to a
 # private one.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --keep-going

@@ -32,7 +32,8 @@ pub enum CommunityError {
     /// An operation was attempted with no connected members at all.
     NoConnectedMembers,
     /// The operation needs the gossip layer, which is not enabled on this
-    /// node (see `DaemonConfig::with_gossip`).
+    /// node (see
+    /// [`CommunityApp::with_gossip`](crate::node::CommunityApp::with_gossip)).
     GossipDisabled,
 }
 

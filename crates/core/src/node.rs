@@ -391,7 +391,7 @@ pub struct CommunityApp {
     replay: ReplayCache,
     /// Gossip configuration requested via the builder, consumed at start.
     gossip_cfg: Option<GossipConfig>,
-    /// The gossip layer, present once enabled (builder or daemon config).
+    /// The gossip layer, present once started.
     gossip: Option<GossipRuntime>,
     /// Gossip messages queued per destination device name, waiting for a
     /// usable client connection (or for the peer to poll us, in which case
@@ -477,9 +477,8 @@ impl CommunityApp {
 
     /// Enables the epidemic gossip layer (builder style): bounded partial
     /// views over the radio neighborhood plus eager-push/lazy-pull
-    /// dissemination of device bindings and shared content. The
-    /// same layer is enabled automatically when the node runs under a
-    /// [`peerhood::DaemonConfig`] built with `with_gossip`.
+    /// dissemination of device bindings and shared content. This is the
+    /// one switch for gossip, in the simulator and in live serving alike.
     pub fn with_gossip(mut self, config: GossipConfig) -> Self {
         self.gossip_cfg = Some(config);
         self
@@ -1216,11 +1215,8 @@ impl CommunityApp {
     // Gossip machinery
     // ------------------------------------------------------------------
 
-    /// Brings the gossip layer up (idempotent) and starts its tick timer.
+    /// Brings the gossip layer up and starts its tick timer.
     fn enable_gossip(&mut self, config: GossipConfig, ctx: &mut AppCtx<'_>) {
-        if self.gossip.is_some() {
-            return;
-        }
         let tick = config.tick_interval();
         self.gossip = Some(GossipRuntime::new(ctx.actor(), config));
         ctx.trace_local("GOSSIP_ENABLED");
@@ -1938,9 +1934,6 @@ impl Application for CommunityApp {
                     self.gossip_link_maybe_down(&peer.device_name, ctx);
                 }
                 self.recompute_groups(ctx);
-            }
-            AppEvent::GossipEnabled { config } => {
-                self.enable_gossip(config, ctx);
             }
             AppEvent::Handover { .. }
             | AppEvent::MonitorAlert { .. }

@@ -13,13 +13,14 @@ use std::time::{Duration, Instant};
 
 use codec::Wire;
 use peerhood::error::ErrorKind;
+use peerhood::gossip::GossipConfig;
 use peerhood::live::wire::{frame, parse_farewell, FrameBuf, Handshake, VERDICT_ACCEPT};
 use peerhood::live::{LiveConfig, LiveNet, LiveServer};
 use peerhood::types::DeviceId;
 use ph_community::node::CommunityApp;
 use ph_community::profile::Profile;
 use ph_community::protocol::{Request, Response};
-use ph_community::{JournalPersist, OpResult, SERVICE_NAME};
+use ph_community::{Interest, JournalPersist, OpResult, SERVICE_NAME};
 
 fn member(name: &str, interests: &[&str]) -> CommunityApp {
     CommunityApp::with_member(
@@ -82,6 +83,39 @@ fn three_member_community_over_real_sockets() {
         outcome(&net, op).expect("completed"),
         OpResult::MessageResult { written: true }
     );
+}
+
+#[test]
+fn gossip_binds_members_over_real_sockets() {
+    // The app's own switch is the one way to turn gossip on, live too.
+    let gossiping = |name, interests| {
+        member(name, interests)
+            .with_gossip(GossipConfig::default().tick_every(Duration::from_millis(100)))
+    };
+    let mut net = LiveConfig::default().network();
+    let alice = net
+        .spawn("alice-host", gossiping("alice", &["rust", "sauna"]))
+        .expect("bind");
+    let _bob = net
+        .spawn("bob-host", gossiping("bob", &["Rust", "chess"]))
+        .expect("bind");
+    let bob_binding = move |n: &LiveNet<CommunityApp>| {
+        n.with_app(alice, |app, _| {
+            let rt = app.gossip().expect("gossip enabled");
+            rt.bindings().get("bob-host").cloned()
+        })
+    };
+    assert!(
+        net.run_until(Duration::from_secs(15), |n| bob_binding(n)
+            .is_some_and(|b| b.member.is_some())),
+        "alice's bindings: {:?}",
+        net.with_app(alice, |app, _| app.gossip().map(|rt| rt.bindings().clone()))
+    );
+    let binding = bob_binding(&net).expect("bound");
+    assert_eq!(binding.member.as_deref(), Some("bob"));
+    let mut keys: Vec<&str> = binding.interests.iter().map(Interest::key).collect();
+    keys.sort_unstable();
+    assert_eq!(keys, ["chess", "rust"]);
 }
 
 // ---------------------------------------------------------------------

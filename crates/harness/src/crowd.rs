@@ -168,12 +168,9 @@ pub struct CrowdConfig {
     /// round is kept on (so frame loss has traffic to act on) and every
     /// daemon runs with the default [`RecoveryPolicy`].
     pub faults: FaultPlan,
-    /// When set, every daemon is configured with the epidemic gossip
-    /// layer (see [`GossipConfig`]). The watch-only [`CrowdApp`] ignores
-    /// the daemon's `GossipEnabled` announcement — the knob exists so
-    /// crowd-scale configs share the same vocabulary as
-    /// [`crate::scenario::LabConfig`] and
-    /// [`crate::bubbles::BubblesConfig`], whose apps do speak gossip.
+    /// Ignored: the watch-only [`CrowdApp`] speaks no gossip. Kept only
+    /// because `perfbench` names it in struct literals; it goes with the
+    /// next benchmark change.
     pub gossip: Option<GossipConfig>,
 }
 
@@ -509,14 +506,10 @@ pub fn build(config: &CrowdConfig) -> Result<CrowdScenario, CrowdError> {
             builder,
             |c| {
                 let c = c.with_auto_service_discovery(faulted);
-                let c = if faulted {
+                if faulted {
                     c.with_recovery(RecoveryPolicy::default())
                 } else {
                     c
-                };
-                match &config.gossip {
-                    Some(g) => c.with_gossip(g.clone()),
-                    None => c,
                 }
             },
             CrowdApp::default(),

@@ -9,7 +9,6 @@
 use codec::Bytes;
 
 use crate::error::PeerHoodError;
-use crate::gossip::GossipConfig;
 use crate::service::ServiceInfo;
 use crate::types::{CloseReason, ConnId, DeviceId, DeviceInfo};
 use netsim::Technology;
@@ -163,16 +162,11 @@ pub enum AppEvent {
         /// `true` when it (re)appeared, `false` when it vanished.
         appeared: bool,
     },
-    /// The daemon was configured with
-    /// [`DaemonConfig::with_gossip`](crate::DaemonConfig::with_gossip); emitted exactly once,
-    /// on the daemon's first input, so the application can instantiate its
-    /// [`Gossip`](crate::gossip::Gossip) state machine with the same knobs
-    /// in sim, crowd, and live serving.
-    GossipEnabled {
-        /// The tuning the daemon was configured with.
-        config: GossipConfig,
-    },
 }
+
+// Every `DaemonOutput` is as wide as its widest event: a fat variant
+// belongs behind a `Box`.
+const _: () = assert!(std::mem::size_of::<AppEvent>() <= 72);
 
 #[cfg(test)]
 mod tests {

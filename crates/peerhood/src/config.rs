@@ -4,31 +4,26 @@ use std::time::Duration;
 
 use netsim::Technology;
 
-use crate::gossip::GossipConfig;
 use crate::techmap::TechMap;
-use crate::types::DeviceInfo;
 
-/// Configuration of one PeerHood daemon instance.
+/// Configuration of PeerHood daemons. It holds no device identity (that
+/// is an argument of [`Daemon::new`](crate::Daemon::new)), so the
+/// simulator's daemons with equal configurations share one.
 ///
 /// # Example
 ///
 /// ```rust
 /// use ph_peerhood::config::DaemonConfig;
-/// use ph_peerhood::types::{DeviceId, DeviceInfo};
 /// use netsim::Technology;
 /// use std::time::Duration;
 ///
-/// let cfg = DaemonConfig::new(DeviceInfo::new(DeviceId::new(1), "alice", Technology::ALL))
+/// let cfg = DaemonConfig::default()
 ///     .with_inquiry_interval(Technology::Bluetooth, Duration::from_secs(15))
 ///     .with_seamless_connectivity(true);
 /// assert!(cfg.seamless_connectivity);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct DaemonConfig {
-    /// Identity of the local device. A daemon reads it only when it is
-    /// built, so the simulator's daemons that differ only here share one
-    /// configuration.
-    pub device: DeviceInfo,
     /// How often to start a discovery round, per technology. A new round is
     /// started this long after the *start* of the previous one (and never
     /// while one is still running).
@@ -48,13 +43,6 @@ pub struct DaemonConfig {
     /// `None` (the default) keeps the daemon's original fire-and-forget
     /// behavior and is bit-identical to pre-recovery builds.
     pub recovery: Option<RecoveryPolicy>,
-    /// Optional epidemic membership + dissemination layer. `None` (the
-    /// default) keeps the daemon gossip-free and bit-identical to
-    /// pre-gossip builds; `Some` makes the daemon announce the config to
-    /// its application via
-    /// [`AppEvent::GossipEnabled`](crate::AppEvent::GossipEnabled) on its
-    /// first input.
-    pub gossip: Option<GossipConfig>,
 }
 
 /// Timeout, retry and backoff policy used when a daemon runs with fault
@@ -108,55 +96,30 @@ impl RecoveryPolicy {
     }
 }
 
-impl DaemonConfig {
-    /// Creates a configuration with era-appropriate defaults: Bluetooth
-    /// inquiry every 15 s, WLAN scan every 5 s, GPRS lookup every 30 s,
-    /// neighbor TTL 2.5 × the slowest interval, auto service discovery and
-    /// seamless connectivity on.
-    pub fn new(device: DeviceInfo) -> Self {
+impl Default for DaemonConfig {
+    /// Era-appropriate defaults: Bluetooth inquiry every 15 s, WLAN scan
+    /// every 5 s, GPRS lookup every 30 s, neighbor TTL 2.5 × the slowest
+    /// interval, auto service discovery and seamless connectivity on.
+    fn default() -> Self {
         let mut inquiry_interval = TechMap::new();
         inquiry_interval.insert(Technology::Bluetooth, Duration::from_secs(15));
         inquiry_interval.insert(Technology::Wlan, Duration::from_secs(5));
         inquiry_interval.insert(Technology::Gprs, Duration::from_secs(30));
         DaemonConfig {
-            device,
             inquiry_interval,
             neighbor_ttl: Duration::from_secs(75),
             auto_service_discovery: true,
             seamless_connectivity: true,
             recovery: None,
-            gossip: None,
         }
     }
+}
 
+impl DaemonConfig {
     /// Enables timeout/retry/backoff recovery with the given policy
     /// (builder style).
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
-        self
-    }
-
-    /// Enables the epidemic gossip layer with the given tuning (builder
-    /// style):
-    ///
-    /// ```rust
-    /// # use ph_peerhood::config::DaemonConfig;
-    /// # use ph_peerhood::gossip::GossipConfig;
-    /// # use ph_peerhood::types::{DeviceId, DeviceInfo};
-    /// # use netsim::Technology;
-    /// use std::time::Duration;
-    ///
-    /// let cfg = DaemonConfig::new(DeviceInfo::new(DeviceId::new(1), "alice", Technology::ALL))
-    ///     .with_gossip(
-    ///         GossipConfig::default()
-    ///             .active_view(5)
-    ///             .passive_view(30)
-    ///             .shuffle_every(Duration::from_secs(30)),
-    ///     );
-    /// assert!(cfg.gossip.is_some());
-    /// ```
-    pub fn with_gossip(mut self, gossip: GossipConfig) -> Self {
-        self.gossip = Some(gossip);
         self
     }
 
@@ -184,40 +147,15 @@ impl DaemonConfig {
         self.seamless_connectivity = on;
         self
     }
-
-    /// Whether `self` and `other` agree on everything but `device`, so
-    /// that daemons of different devices can share one configuration.
-    pub(crate) fn eq_apart_from_device(&self, other: &DaemonConfig) -> bool {
-        let DaemonConfig {
-            device: _,
-            inquiry_interval,
-            neighbor_ttl,
-            auto_service_discovery,
-            seamless_connectivity,
-            recovery,
-            gossip,
-        } = self;
-        *inquiry_interval == other.inquiry_interval
-            && *neighbor_ttl == other.neighbor_ttl
-            && *auto_service_discovery == other.auto_service_discovery
-            && *seamless_connectivity == other.seamless_connectivity
-            && *recovery == other.recovery
-            && *gossip == other.gossip
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DeviceId;
-
-    fn device() -> DeviceInfo {
-        DeviceInfo::new(DeviceId::new(1), "test", [Technology::Bluetooth])
-    }
 
     #[test]
     fn defaults_are_sane() {
-        let cfg = DaemonConfig::new(device());
+        let cfg = DaemonConfig::default();
         assert!(cfg.auto_service_discovery);
         assert!(cfg.seamless_connectivity);
         assert!(cfg.neighbor_ttl > Duration::from_secs(30));
@@ -225,7 +163,7 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let cfg = DaemonConfig::new(device())
+        let cfg = DaemonConfig::default()
             .with_inquiry_interval(Technology::Bluetooth, Duration::from_secs(99))
             .with_neighbor_ttl(Duration::from_secs(7))
             .with_auto_service_discovery(false)
@@ -241,7 +179,7 @@ mod tests {
 
     #[test]
     fn recovery_is_off_by_default_and_opt_in() {
-        let cfg = DaemonConfig::new(device());
+        let cfg = DaemonConfig::default();
         assert!(cfg.recovery.is_none());
         let cfg = cfg.with_recovery(RecoveryPolicy::default());
         assert!(cfg.recovery.is_some());

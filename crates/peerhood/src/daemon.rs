@@ -205,12 +205,10 @@ impl LazyTables {
 /// model and [`crate::sim::Cluster`] for a ready-made driver.
 #[derive(Debug)]
 pub struct Daemon {
-    /// The local device: the one part of the configuration that differs
+    /// The local device: the one part of a daemon's setup that differs
     /// between the daemons of a crowd.
     id: DeviceId,
-    /// Possibly shared with other daemons (see
-    /// [`Daemon::with_shared_config`]); its `device` is not read after
-    /// construction.
+    /// Possibly shared with other daemons (see [`Daemon::new`]).
     config: Arc<DaemonConfig>,
     services: ServiceRegistry,
     neighbors: NeighborTable,
@@ -218,28 +216,21 @@ pub struct Daemon {
     inquiries: TechMap<InquiryState>,
     tables: LazyTables,
     recovery_stats: RecoveryStats,
-    /// Whether the one-shot [`AppEvent::GossipEnabled`] announcement has
-    /// been emitted (only relevant when the config carries a gossip layer).
-    gossip_announced: bool,
     next_conn: u64,
     next_attempt: u64,
 }
 
 // One per simulated device. The configuration is shared across a crowd
 // and only the device id is kept per daemon, which took this from 504 to
-// 248 bytes: ~25 MiB of the `crowd_100k` heap, ~250 MiB at 1M nodes.
-const _: () = assert!(std::mem::size_of::<Daemon>() <= 256);
+// 240 bytes: ~25 MiB of the `crowd_100k` heap, ~250 MiB at 1M nodes.
+const _: () = assert!(std::mem::size_of::<Daemon>() <= 240);
 
 impl Daemon {
-    /// Creates a daemon with the given configuration.
-    pub fn new(config: DaemonConfig) -> Self {
-        let device = config.device.clone();
-        Daemon::with_shared_config(&device, Arc::new(config))
-    }
-
-    /// Creates the daemon of `device` from a configuration other daemons
-    /// may share: everything but `config.device`, which is ignored, applies.
-    pub(crate) fn with_shared_config(device: &DeviceInfo, config: Arc<DaemonConfig>) -> Self {
+    /// Creates the daemon of `device`. The configuration may be shared
+    /// with other daemons: pass an `Arc` to share it, a plain
+    /// [`DaemonConfig`] to own one.
+    pub fn new(device: &DeviceInfo, config: impl Into<Arc<DaemonConfig>>) -> Self {
+        let config = config.into();
         let inquiries = config
             .inquiry_interval
             .iter()
@@ -264,7 +255,6 @@ impl Daemon {
             inquiries,
             tables: LazyTables::default(),
             recovery_stats: RecoveryStats::default(),
-            gossip_announced: false,
             next_conn: 0,
             next_attempt: 0,
         }
@@ -284,11 +274,6 @@ impl Daemon {
     /// Read access to the local service registry.
     pub fn services(&self) -> &ServiceRegistry {
         &self.services
-    }
-
-    /// Number of currently open connections.
-    pub fn connection_count(&self) -> usize {
-        self.tables.get().conns.len()
     }
 
     /// Counters of the recovery machinery (all zero without a
@@ -336,14 +321,6 @@ impl Daemon {
     /// work; drivers must deliver a [`DaemonInput::Tick`] at (or after) that
     /// time.
     pub fn handle(&mut self, now: SimTime, input: DaemonInput, out: &mut Vec<DaemonOutput>) {
-        if !self.gossip_announced {
-            self.gossip_announced = true;
-            if let Some(gossip) = self.config.gossip.clone() {
-                out.push(DaemonOutput::App(AppEvent::GossipEnabled {
-                    config: gossip,
-                }));
-            }
-        }
         match input {
             DaemonInput::Tick => self.run_due_work(now, out),
             DaemonInput::App(req) => self.handle_app(now, req, out),
@@ -1343,7 +1320,7 @@ mod tests {
     }
 
     fn daemon() -> Daemon {
-        Daemon::new(DaemonConfig::new(device(0, "local")))
+        Daemon::new(&device(0, "local"), DaemonConfig::default())
     }
 
     fn tick(d: &mut Daemon, now: SimTime) -> Vec<DaemonOutput> {
@@ -1404,7 +1381,7 @@ mod tests {
         // A radio the device lacks gets no inquiry, though its interval is
         // configured.
         let bt_only = DeviceInfo::new(DeviceId::new(0), "local", [Technology::Bluetooth]);
-        let mut d = Daemon::new(DaemonConfig::new(bt_only));
+        let mut d = Daemon::new(&bt_only, DaemonConfig::default());
         assert_eq!(inquiries(&mut d), vec![Technology::Bluetooth]);
     }
 
@@ -1839,7 +1816,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(d.connection_count(), 0);
+        assert_eq!(d.tables.get().conns.len(), 0);
     }
 
     #[test]
@@ -2058,7 +2035,7 @@ mod tests {
                 .all(|e| !matches!(e, AppEvent::Closed { .. })),
             "{out:?}"
         );
-        assert_eq!(d.connection_count(), 1);
+        assert_eq!(d.tables.get().conns.len(), 1);
         let out = feed(
             &mut d,
             SimTime::from_secs(4),
@@ -2094,8 +2071,8 @@ mod tests {
 
     #[test]
     fn link_down_with_seamless_disabled_closes() {
-        let cfg = DaemonConfig::new(device(0, "local")).with_seamless_connectivity(false);
-        let mut d = Daemon::new(cfg);
+        let cfg = DaemonConfig::default().with_seamless_connectivity(false);
+        let mut d = Daemon::new(&device(0, "local"), cfg);
         let dev = device(7, "remote");
         discover(&mut d, &dev, Technology::Gprs, SimTime::from_secs(1));
         let link = LinkId::new(5);
@@ -2155,7 +2132,7 @@ mod tests {
                 link: LinkId::new(1),
             }),
         );
-        assert_eq!(d.connection_count(), 1, "limbo keeps the connection");
+        assert_eq!(d.tables.get().conns.len(), 1, "limbo keeps the connection");
         // Resume arrives over GPRS with the same token: rebind, no new
         // Incoming event.
         let out = feed(
@@ -2218,7 +2195,7 @@ mod tests {
                 link: LinkId::new(1),
             }),
         );
-        assert_eq!(d.connection_count(), 1);
+        assert_eq!(d.tables.get().conns.len(), 1);
         let out = tick(&mut d, SimTime::from_secs(2) + HANDOVER_GRACE);
         assert!(app_events(&out).iter().any(|e| matches!(
             e,
@@ -2227,7 +2204,7 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(d.connection_count(), 0);
+        assert_eq!(d.tables.get().conns.len(), 0);
     }
 
     #[test]
@@ -2240,7 +2217,7 @@ mod tests {
             SimTime::from_secs(1),
             DaemonInput::App(AppRequest::Monitor { device: dev.id }),
         );
-        let ttl = DaemonConfig::new(device(0, "x")).neighbor_ttl;
+        let ttl = DaemonConfig::default().neighbor_ttl;
         let out = tick(&mut d, SimTime::from_secs(1) + ttl);
         let evs = app_events(&out);
         assert!(evs
@@ -2281,7 +2258,7 @@ mod tests {
             SimTime::from_secs(2),
             DaemonInput::App(AppRequest::Unmonitor { device: dev.id }),
         );
-        let ttl = DaemonConfig::new(device(0, "x")).neighbor_ttl;
+        let ttl = DaemonConfig::default().neighbor_ttl;
         let out = tick(&mut d, SimTime::from_secs(1) + ttl);
         assert!(app_events(&out)
             .iter()
@@ -2359,7 +2336,7 @@ mod tests {
             SimTime::from_secs(2),
             DaemonInput::App(AppRequest::GetServiceList { device: dev.id }),
         );
-        let ttl = DaemonConfig::new(device(0, "x")).neighbor_ttl;
+        let ttl = DaemonConfig::default().neighbor_ttl;
         let out = tick(&mut d, SimTime::from_secs(1) + ttl);
         assert!(app_events(&out).iter().any(|e| matches!(
             e,
@@ -2439,7 +2416,7 @@ mod tests {
             }),
         );
         assert!(app_events(&out).is_empty());
-        assert_eq!(d.connection_count(), 0);
+        assert_eq!(d.tables.get().conns.len(), 0);
     }
 
     #[test]
@@ -2481,7 +2458,7 @@ mod tests {
         ] {
             feed(&mut d, SimTime::from_secs(1), DaemonInput::Plugin(ev));
         }
-        assert_eq!(d.connection_count(), 0);
+        assert_eq!(d.tables.get().conns.len(), 0);
     }
 
     #[test]
@@ -2509,14 +2486,14 @@ mod tests {
                 resume: None,
             }),
         );
-        let before = d.connection_count();
+        let before = d.tables.get().conns.len();
         assert_eq!(before, 1);
         let out = feed(
             &mut d,
             SimTime::from_secs(2),
             DaemonInput::Plugin(PluginEvent::LinkDegraded { link }),
         );
-        assert_eq!(d.connection_count(), before);
+        assert_eq!(d.tables.get().conns.len(), before);
         assert!(plugin_cmds(&out)
             .iter()
             .all(|c| !matches!(c, PluginCommand::OpenConnection { .. })));

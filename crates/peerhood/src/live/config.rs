@@ -70,10 +70,9 @@ pub struct LiveConfig {
     /// Optional daemon timeout/retry/backoff policy, forwarded to
     /// [`DaemonConfig::with_recovery`](crate::config::DaemonConfig::with_recovery).
     pub recovery: Option<RecoveryPolicy>,
-    /// Optional epidemic gossip layer, forwarded to
-    /// [`DaemonConfig::with_gossip`](crate::config::DaemonConfig::with_gossip)
-    /// so live serving runs the same membership/dissemination knobs as the
-    /// sim and crowd harnesses.
+    /// Ignored: the application switches gossip on itself. Kept only
+    /// because `perfbench` names it in struct literals; it goes with the
+    /// next benchmark change.
     pub gossip: Option<GossipConfig>,
     /// Journal file for persistent store snapshots with incremental
     /// append ([`LiveServer`](super::LiveServer) only; drivers pass it to
@@ -165,14 +164,6 @@ impl LiveConfig {
         self.idle_timeout = policy.connect_timeout;
         self.handshake_timeout = policy.connect_timeout;
         self.recovery = Some(policy);
-        self
-    }
-
-    /// Enables the epidemic gossip layer, forwarded verbatim to each
-    /// node's [`DaemonConfig`](crate::config::DaemonConfig) (builder
-    /// style).
-    pub fn with_gossip(mut self, gossip: GossipConfig) -> Self {
-        self.gossip = Some(gossip);
         self
     }
 

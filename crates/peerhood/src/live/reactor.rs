@@ -695,21 +695,18 @@ impl<A: Application> Core<A> {
         counters: Arc<Counters>,
     ) -> Self {
         let (id, name) = member;
-        let mut daemon_config =
-            DaemonConfig::new(DeviceInfo::new(id, name.clone(), [Technology::Wlan]))
-                .with_inquiry_interval(Technology::Wlan, config.inquiry_interval)
-                .with_neighbor_ttl(config.neighbor_ttl)
-                .with_auto_service_discovery(config.auto_service_discovery);
+        let mut daemon_config = DaemonConfig::default()
+            .with_inquiry_interval(Technology::Wlan, config.inquiry_interval)
+            .with_neighbor_ttl(config.neighbor_ttl)
+            .with_auto_service_discovery(config.auto_service_discovery);
         if let Some(policy) = config.recovery {
             daemon_config = daemon_config.with_recovery(policy);
         }
-        if let Some(gossip) = config.gossip.clone() {
-            daemon_config = daemon_config.with_gossip(gossip);
-        }
+        let device = DeviceInfo::new(id, name.clone(), [Technology::Wlan]);
         Core {
             id,
             dir,
-            daemon: Daemon::new(daemon_config),
+            daemon: Daemon::new(&device, daemon_config),
             app,
             lib: Library::new(),
             name,

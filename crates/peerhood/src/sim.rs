@@ -290,7 +290,7 @@ pub struct Cluster<A> {
     /// record path ([`TraceSink::Buffer`]).
     actor_ids: Vec<ActorId>,
     /// The last node's daemon configuration, reused by the next node when
-    /// equal apart from identity: a crowd's daemons share one.
+    /// equal: a crowd's daemons share one.
     shared_config: Option<Arc<DaemonConfig>>,
     /// The radio link table, lent to the one-worker epochs.
     links: BTreeMap<LinkId, Link>,
@@ -484,19 +484,19 @@ impl<A: Application> Cluster<A> {
             Arc::clone(&name),
             self.world.technologies(id).iter().copied(),
         );
-        let config = configure(DaemonConfig::new(info.clone()));
-        let device = config.device.clone();
+        let config = configure(DaemonConfig::default());
         let config = match self.shared_config.take() {
-            Some(prev) if prev.eq_apart_from_device(&config) => prev,
+            Some(prev) if *prev == config => prev,
             _ => Arc::new(config),
         };
         self.shared_config = Some(Arc::clone(&config));
         let actor_id = self.trace.intern_actor(name);
         let lane_seed = id.index() as u64;
+        let daemon = Daemon::new(&info, config);
         self.infos.push(info);
         self.actor_ids.push(actor_id);
         self.nodes.push(NodeRt {
-            daemon: Daemon::with_shared_config(&device, config),
+            daemon,
             app,
             lib: Library::new(),
             wakes: WakeSet::default(),

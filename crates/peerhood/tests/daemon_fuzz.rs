@@ -107,7 +107,7 @@ fn daemon_survives_arbitrary_input_sequences() {
         |g| g.vec_of(80, |g| (gen_input(g), g.u64(5_000_000))),
         |inputs| {
             let me = DeviceInfo::new(DeviceId::new(0), "me", Technology::ALL);
-            let mut daemon = Daemon::new(DaemonConfig::new(me));
+            let mut daemon = Daemon::new(&me, DaemonConfig::default());
             let mut now = SimTime::ZERO;
             for (input, advance_micros) in inputs {
                 now += std::time::Duration::from_micros(*advance_micros);
